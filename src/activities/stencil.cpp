@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "pdcu/support/rng.hpp"
 #include "stencil_kernels.hpp"
@@ -136,12 +137,15 @@ LifeKernel best_simd_kernel() {
                                              : LifeKernel::kAutovec;
 }
 
-LifeGrid life_step(const LifeGrid& grid, LifeKernel kernel,
-                   rt::ThreadPool* pool) {
-  LifeGrid next = grid;
+namespace {
+
+/// One generation from `grid` into `next`, which must already have the
+/// grid's shape; every cell of `next` is overwritten.
+void step_into(const LifeGrid& grid, LifeGrid& next, LifeKernel kernel,
+               rt::ThreadPool* pool) {
   const std::size_t w = grid.width;
   const std::size_t h = grid.height;
-  if (w == 0 || h == 0) return next;
+  if (w == 0 || h == 0) return;
   const std::uint8_t* src = grid.cells.data();
   std::uint8_t* dst = next.cells.data();
 
@@ -170,13 +174,35 @@ LifeGrid life_step(const LifeGrid& grid, LifeKernel kernel,
       }
       break;
   }
+}
+
+/// A grid of `grid`'s shape whose cells are all about to be overwritten:
+/// sized, not copied.
+LifeGrid same_shape(const LifeGrid& grid) {
+  LifeGrid next;
+  next.width = grid.width;
+  next.height = grid.height;
+  next.cells.resize(grid.cells.size());
+  return next;
+}
+
+}  // namespace
+
+LifeGrid life_step(const LifeGrid& grid, LifeKernel kernel,
+                   rt::ThreadPool* pool) {
+  LifeGrid next = same_shape(grid);
+  step_into(grid, next, kernel, pool);
   return next;
 }
 
 LifeGrid life_run(LifeGrid grid, int generations, LifeKernel kernel,
                   rt::ThreadPool* pool) {
+  // Double-buffered: each generation writes the other buffer, then the
+  // two swap roles, so a run allocates one extra grid in total.
+  LifeGrid next = same_shape(grid);
   for (int g = 0; g < generations; ++g) {
-    grid = life_step(grid, kernel, pool);
+    step_into(grid, next, kernel, pool);
+    std::swap(grid, next);
   }
   return grid;
 }

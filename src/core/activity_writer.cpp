@@ -5,6 +5,7 @@
 #include "pdcu/curriculum/tcpp.hpp"
 #include "pdcu/curriculum/terms.hpp"
 #include "pdcu/markdown/frontmatter.hpp"
+#include "pdcu/support/hash.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace pdcu::core {
@@ -129,6 +130,12 @@ std::string write_activity(const Activity& a) {
     out += "\n";
   }
   return out;
+}
+
+std::uint64_t activity_fingerprint(const Activity& activity) {
+  std::uint64_t state = hash::fnv1a_64_update(hash::kFnv1aInit, activity.slug);
+  state = hash::fnv1a_64_update(state, std::string_view("\x1f", 1));
+  return hash::fnv1a_64_update(state, write_activity(activity));
 }
 
 }  // namespace pdcu::core

@@ -4,6 +4,7 @@
 // identity on every field (tested over the whole curation).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -17,6 +18,12 @@ std::string write_activity(const Activity& activity);
 
 /// Parses a PDCunplugged Markdown content file into an Activity.
 Expected<Activity> parse_activity(std::string_view markdown);
+
+/// Identity of an activity's content: FNV-1a over its slug and its
+/// canonical serialization, which carries every other field. Activities
+/// with equal fingerprints render, serialize and index identically, so
+/// the reload caches key their per-activity work on it.
+std::uint64_t activity_fingerprint(const Activity& activity);
 
 /// Section heading names, in the order mandated by the Fig. 1 template.
 namespace sections {

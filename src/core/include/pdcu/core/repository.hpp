@@ -2,8 +2,11 @@
 // This is the top-level object most tools construct first.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "pdcu/core/activity.hpp"
@@ -25,6 +28,47 @@ struct LoadDiagnostic {
 };
 
 struct LoadReport;
+
+/// One activities/*.md content file as listed, with the (size, mtime)
+/// stamp of a single stat. The stamp is what a reloading server trusts:
+/// a file whose path, size and mtime are all unchanged is taken to hold
+/// the same bytes (an edit that keeps all three is not seen).
+struct ContentFile {
+  std::filesystem::path path;
+  std::uint64_t size = 0;
+  std::int64_t mtime_ns = 0;
+  bool stat_ok = false;  ///< false when the stat failed (never memoized)
+};
+
+/// Lists `content_dir`/activities/*.md sorted by path, one stat per file.
+/// Error when the directory itself cannot be listed.
+Expected<std::vector<ContentFile>> list_content(
+    const std::filesystem::path& content_dir);
+
+/// FNV-1a over every listed file's path, size and mtime, plus the file
+/// count: moves whenever a file is added, removed, renamed or restamped.
+std::uint64_t listing_fingerprint(const std::vector<ContentFile>& files);
+
+/// The per-file parse memo a reloading server carries from one load to
+/// the next: each file's parsed activity (or its parse error) and the
+/// activity's fingerprint, keyed by path and trusted while the file's
+/// stamp is unchanged. A load through it reads and parses only added or
+/// restamped files, and drops deleted and renamed ones.
+class LoadCache {
+ public:
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    std::uint64_t size = 0;
+    std::int64_t mtime_ns = 0;
+    Expected<Activity> parsed;  ///< the activity, or why it failed to parse
+    std::uint64_t fingerprint = 0;
+  };
+  std::unordered_map<std::string, Entry> entries_;
+
+  friend class Repository;
+};
 
 /// An immutable, indexed curation.
 class Repository {
@@ -49,11 +93,32 @@ class Repository {
   static Expected<LoadReport> load_lenient(
       const std::filesystem::path& content_dir);
 
+  /// The same lenient load over an existing listing (see list_content),
+  /// through `cache`: files whose stamp matches their memo entry are not
+  /// read, and the cache is left describing exactly `files`. An empty
+  /// cache loads every file, like the overload above. The repository
+  /// carries each activity's fingerprint.
+  static LoadReport load_lenient(const std::vector<ContentFile>& files,
+                                 LoadCache& cache);
+
   /// Builds a repository over an explicit activity list.
   explicit Repository(std::vector<Activity> activities);
 
+  /// Same, with each activity's activity_fingerprint already known (one
+  /// per activity, in order), so callers that key caches on them never
+  /// re-serialize an unchanged activity.
+  Repository(std::vector<Activity> activities,
+             std::vector<std::uint64_t> fingerprints);
+
   const std::vector<Activity>& activities() const { return activities_; }
-  const tax::TermIndex& index() const { return index_; }
+  const tax::TermIndex& index() const { return *index_; }
+  /// The same index, shared: it is immutable, so a holder (a server
+  /// snapshot) can keep it without copying after the repository is gone.
+  std::shared_ptr<const tax::TermIndex> shared_index() const { return index_; }
+
+  /// activity_fingerprint of activities()[i]: the carried value, or
+  /// computed now when the repository was built without them.
+  std::uint64_t fingerprint(std::size_t i) const;
 
   const Activity* find(std::string_view slug) const;
 
@@ -68,8 +133,12 @@ class Repository {
   Status export_to(const std::filesystem::path& content_dir) const;
 
  private:
+  static LoadReport load_files(const std::vector<ContentFile>& files,
+                               LoadCache* cache);
+
   std::vector<Activity> activities_;
-  tax::TermIndex index_;
+  std::vector<std::uint64_t> fingerprints_;  ///< empty, or one per activity
+  std::shared_ptr<const tax::TermIndex> index_;
 };
 
 /// The outcome of Repository::load_lenient: the repository over every
@@ -80,6 +149,8 @@ struct LoadReport {
   Repository repository{std::vector<Activity>{}};
   std::vector<LoadDiagnostic> quarantined;
   std::size_t total_files = 0;  ///< healthy + quarantined
+  std::size_t files_parsed = 0;  ///< files read and parsed by this load
+  std::size_t files_reused = 0;  ///< files taken from the LoadCache
 
   bool degraded() const { return !quarantined.empty(); }
   std::size_t loaded() const { return total_files - quarantined.size(); }

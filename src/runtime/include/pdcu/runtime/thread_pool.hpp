@@ -58,7 +58,9 @@ class ThreadPool {
       futures.push_back(submit([&leaf, lo, hi] { return leaf(lo, hi); }));
     }
     T result = identity;
-    for (auto& future : futures) result = op(result, future.get());
+    // The running result moves into op: a by-value op (a merge of block
+    // maps) then extends it in place instead of copying it per block.
+    for (auto& future : futures) result = op(std::move(result), future.get());
     return result;
   }
 

@@ -14,8 +14,9 @@
 // from the page cache without materializing a single heap posting.
 //
 // Construction can run in parallel on the existing rt::ThreadPool: each
-// block of documents builds a local term map, and blocks merge in document
-// order, so the result is bit-identical to a serial build. Queries are
+// block of documents tokenizes and numbers its own terms, and one pass in
+// document order places every posting, so the result is bit-identical to a
+// serial build. Queries are
 // const and lock-free on the index itself (an optional FilterCache takes a
 // shared lock), so any number of server threads can search one index
 // concurrently; with a pool in SearchOptions, one query additionally
@@ -244,6 +245,37 @@ class FilterCache {
   std::map<std::string, std::shared_ptr<const Entry>, std::less<>> entries_;
 };
 
+/// Per-document postings carried from one SearchIndex::build to the next,
+/// keyed by core::activity_fingerprint. A build through the cache
+/// tokenizes only documents whose fingerprint it does not hold, and leaves
+/// the cache holding exactly the documents it indexed. Document ids are
+/// assigned at merge time, so a document keeps its entry when others are
+/// added or removed around it. The built payload is byte-identical to a
+/// build without a cache.
+class IndexCache {
+ public:
+  /// One document's field lengths and sorted term list (defined with the
+  /// builder; opaque to callers).
+  struct DocTerms;
+
+  std::size_t size() const { return docs_.size(); }
+  /// The entry for an activity fingerprint; null when absent.
+  std::shared_ptr<const DocTerms> find(std::uint64_t fingerprint) const {
+    const auto it = docs_.find(fingerprint);
+    return it == docs_.end() ? nullptr : it->second;
+  }
+  /// Documents the last build through this cache tokenized / reused.
+  std::size_t tokenized() const { return tokenized_; }
+  std::size_t reused() const { return reused_; }
+
+ private:
+  std::unordered_map<std::uint64_t, std::shared_ptr<const DocTerms>> docs_;
+  std::size_t tokenized_ = 0;
+  std::size_t reused_ = 0;
+
+  friend class SearchIndex;
+};
+
 /// How one query executes. The default — MaxScore with block-max bounds,
 /// serial — is correct at every corpus size; a pool adds per-shard top-k
 /// fan-out for large corpora, and kExhaustive forces the reference
@@ -286,11 +318,13 @@ class SearchIndex {
   /// Indexes every activity of `repo` in curation order. With a pool the
   /// build shards across its workers; the result is identical either way.
   /// With `spans`, the wall time lands there as a "search.build" span (and
-  /// "search.merge" for the shard-merge tail), so repeated builds — watch
-  /// mode reloads, benchmarks — accumulate a latency histogram.
+  /// "search.merge" for the merge-and-encode tail), so repeated builds —
+  /// watch mode reloads, benchmarks — accumulate a latency histogram. With
+  /// `cache`, unchanged documents reuse their postings (see IndexCache).
   static SearchIndex build(const core::Repository& repo,
                            rt::ThreadPool* pool = nullptr,
-                           obs::SpanRegistry* spans = nullptr);
+                           obs::SpanRegistry* spans = nullptr,
+                           IndexCache* cache = nullptr);
 
   /// Reassembles an index from builder parts, validating invariants
   /// (terms sorted and unique, postings sorted, doc ids in range).

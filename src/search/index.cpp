@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "pdcu/obs/span.hpp"
@@ -46,45 +47,72 @@ inline std::uint32_t load_u32(const char* p) {
   return value;
 }
 
-void put_u16(std::string& out, std::uint16_t value) {
-  out.push_back(static_cast<char>(value & 0xff));
-  out.push_back(static_cast<char>((value >> 8) & 0xff));
-}
+/// One term's postings as the encoder takes them.
+struct TermRef {
+  std::string_view term;
+  const Posting* postings;
+  std::size_t count;
+};
 
-void put_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xff));
+/// Writes little-endian integers and length-prefixed strings into a buffer
+/// sized up front, so encoding is one allocation and straight copies.
+class PayloadWriter {
+ public:
+  explicit PayloadWriter(char* out) : out_(out) {}
+  void u16(std::uint16_t value) {
+    out_[0] = static_cast<char>(value & 0xff);
+    out_[1] = static_cast<char>((value >> 8) & 0xff);
+    out_ += 2;
   }
-}
+  void u32(std::uint32_t value) {
+    for (int i = 0; i < 4; ++i) {
+      out_[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+    out_ += 4;
+  }
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    std::memcpy(out_, s.data(), s.size());
+    out_ += s.size();
+  }
 
-void put_str(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
+ private:
+  char* out_;
+};
 
-/// Encodes documents and posting lists into the canonical payload layout
-/// (the post-header section of the on-disk format, see serialize.hpp).
+/// Encodes documents and posting lists (sorted by term) into the canonical
+/// payload layout (the post-header section of the on-disk format, see
+/// serialize.hpp).
 std::string encode_payload(const std::vector<DocEntry>& docs,
-                           const std::vector<TermPostings>& terms) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(docs.size()));
+                           const std::vector<TermRef>& terms) {
+  std::size_t size = 8;
   for (const auto& doc : docs) {
-    put_str(out, doc.slug);
-    put_str(out, doc.title);
-    put_str(out, doc.body);
-    put_u32(out, doc.len_title);
-    put_u32(out, doc.len_tags);
-    put_u32(out, doc.len_body);
+    size += 24 + doc.slug.size() + doc.title.size() + doc.body.size();
   }
-  put_u32(out, static_cast<std::uint32_t>(terms.size()));
   for (const auto& entry : terms) {
-    put_str(out, entry.term);
-    put_u32(out, static_cast<std::uint32_t>(entry.postings.size()));
-    for (const auto& posting : entry.postings) {
-      put_u32(out, posting.doc);
-      put_u16(out, posting.tf_title);
-      put_u16(out, posting.tf_tags);
-      put_u16(out, posting.tf_body);
+    size += 8 + entry.term.size() + entry.count * kPostingBytes;
+  }
+  std::string out(size, '\0');
+  PayloadWriter writer(out.data());
+  writer.u32(static_cast<std::uint32_t>(docs.size()));
+  for (const auto& doc : docs) {
+    writer.str(doc.slug);
+    writer.str(doc.title);
+    writer.str(doc.body);
+    writer.u32(doc.len_title);
+    writer.u32(doc.len_tags);
+    writer.u32(doc.len_body);
+  }
+  writer.u32(static_cast<std::uint32_t>(terms.size()));
+  for (const auto& entry : terms) {
+    writer.str(entry.term);
+    writer.u32(static_cast<std::uint32_t>(entry.count));
+    for (const Posting& posting :
+         std::span<const Posting>(entry.postings, entry.count)) {
+      writer.u32(posting.doc);
+      writer.u16(posting.tf_title);
+      writer.u16(posting.tf_tags);
+      writer.u16(posting.tf_body);
     }
   }
   return out;
@@ -198,16 +226,89 @@ std::string tag_text(const core::Activity& activity) {
   return text;
 }
 
-using BlockMap = std::map<std::string, std::vector<Posting>, std::less<>>;
+using DocTerms = IndexCache::DocTerms;
 
-/// Indexes documents [lo, hi), writing DocEntry rows in place and returning
-/// the block's term map. Safe to run concurrently on disjoint ranges.
-/// Tokenization streams through TokenWalker and term maps use heterogeneous
-/// lookup, so a term's text is only copied to the heap the first time the
-/// block sees it — tokenizing dominates build time at corpus scale.
-BlockMap index_block(const core::Repository& repo, std::vector<DocEntry>& docs,
-                     std::size_t lo, std::size_t hi) {
-  BlockMap block;
+}  // namespace
+
+/// One document's tokenized fields: per-field token counts plus its
+/// distinct terms in ascending order with their per-field frequencies —
+/// everything the merge needs except the document id.
+struct IndexCache::DocTerms {
+  struct Term {
+    std::uint32_t end = 0;  ///< end of the term's text within `text`
+    std::uint16_t tf_title = 0;
+    std::uint16_t tf_tags = 0;
+    std::uint16_t tf_body = 0;
+  };
+  std::uint32_t len_title = 0;
+  std::uint32_t len_tags = 0;
+  std::uint32_t len_body = 0;
+  std::string text;         ///< the terms back to back
+  std::vector<Term> terms;  ///< ascending by term text
+};
+
+namespace {
+
+/// Tokenizes one document's three fields into its DocTerms. `per_doc` is
+/// scratch reused across calls. Tokenization streams through TokenWalker
+/// and the map uses heterogeneous lookup, so a term's text is only copied
+/// the first time the document sees it — tokenizing dominates build time
+/// at corpus scale.
+std::shared_ptr<const DocTerms> tokenize_doc(
+    const core::Activity& activity, const std::string& body,
+    std::map<std::string, Posting, std::less<>>& per_doc) {
+  per_doc.clear();
+  const auto index_field = [&per_doc](std::string_view text,
+                                      std::uint16_t Posting::*tf) {
+    std::uint32_t length = 0;
+    TokenWalker walker(text);
+    while (walker.next()) {
+      ++length;
+      auto it = per_doc.find(walker.term());
+      if (it == per_doc.end()) {
+        it = per_doc.emplace(std::string(walker.term()), Posting{}).first;
+      }
+      bump(it->second.*tf);
+    }
+    return length;
+  };
+  auto doc = std::make_shared<DocTerms>();
+  doc->len_title = index_field(activity.title, &Posting::tf_title);
+  doc->len_tags = index_field(tag_text(activity), &Posting::tf_tags);
+  doc->len_body = index_field(body, &Posting::tf_body);
+  doc->terms.reserve(per_doc.size());
+  for (const auto& [term, posting] : per_doc) {
+    doc->text += term;
+    doc->terms.push_back({static_cast<std::uint32_t>(doc->text.size()),
+                          posting.tf_title, posting.tf_tags,
+                          posting.tf_body});
+  }
+  return doc;
+}
+
+/// The distinct terms of a block of documents, numbered in order of first
+/// appearance, and each posting's term number in document order. Terms are
+/// views into the documents' DocTerms text, which the build keeps alive.
+struct BlockTerms {
+  std::size_t lo = 0;  ///< the block's documents: [lo, hi)
+  std::size_t hi = 0;
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::vector<std::string_view> terms;  ///< by block-local id
+  std::vector<std::uint32_t> postings;  ///< block-local id per posting
+};
+
+/// Indexes documents [lo, hi): writes their DocEntry rows and DocTerms in
+/// place and numbers the block's terms. A document whose fingerprint
+/// `cache` holds reuses its DocTerms; the rest are tokenized. Safe to run
+/// concurrently on disjoint ranges (the cache is only read).
+BlockTerms index_block(const core::Repository& repo, const IndexCache* cache,
+                       std::vector<DocEntry>& docs,
+                       std::vector<std::shared_ptr<const DocTerms>>& doc_terms,
+                       std::vector<std::uint64_t>& fingerprints,
+                       std::size_t lo, std::size_t hi) {
+  BlockTerms block;
+  block.lo = lo;
+  block.hi = hi;
   const auto& activities = repo.activities();
   std::map<std::string, Posting, std::less<>> per_doc;
   for (std::size_t d = lo; d < hi; ++d) {
@@ -217,47 +318,97 @@ BlockMap index_block(const core::Repository& repo, std::vector<DocEntry>& docs,
     entry.title = activity.title;
     entry.body = body_text(activity);
 
-    per_doc.clear();
-    const auto doc_id = static_cast<std::uint32_t>(d);
-    const auto index_field = [&per_doc, doc_id](std::string_view text,
-                                                std::uint16_t Posting::*tf) {
-      std::uint32_t length = 0;
-      TokenWalker walker(text);
-      while (walker.next()) {
-        ++length;
-        auto it = per_doc.find(walker.term());
-        if (it == per_doc.end()) {
-          it = per_doc.emplace(std::string(walker.term()), Posting{}).first;
-        }
-        it->second.doc = doc_id;
-        bump(it->second.*tf);
-      }
-      return length;
-    };
-    entry.len_title = index_field(activity.title, &Posting::tf_title);
-    entry.len_tags = index_field(tag_text(activity), &Posting::tf_tags);
-    entry.len_body = index_field(entry.body, &Posting::tf_body);
+    if (cache != nullptr) {
+      fingerprints[d] = repo.fingerprint(d);
+      doc_terms[d] = cache->find(fingerprints[d]);
+    }
+    if (doc_terms[d] == nullptr) {
+      doc_terms[d] = tokenize_doc(activity, entry.body, per_doc);
+    }
+    const DocTerms& terms = *doc_terms[d];
+    entry.len_title = terms.len_title;
+    entry.len_tags = terms.len_tags;
+    entry.len_body = terms.len_body;
 
-    for (const auto& [term, posting] : per_doc) {
-      const auto it = block.find(term);
-      if (it != block.end()) {
-        it->second.push_back(posting);
-      } else {
-        block.emplace(term, std::vector<Posting>{posting});
-      }
+    std::uint32_t begin = 0;
+    for (const DocTerms::Term& term : terms.terms) {
+      const std::string_view text(terms.text.data() + begin,
+                                  term.end - begin);
+      begin = term.end;
+      const auto [it, added] = block.ids.try_emplace(
+          text, static_cast<std::uint32_t>(block.terms.size()));
+      if (added) block.terms.push_back(text);
+      block.postings.push_back(it->second);
     }
   }
   return block;
 }
 
-/// Appends `right` onto `left`. Blocks cover ascending document ranges and
-/// parallel_reduce combines in index order, so postings stay sorted by doc.
-BlockMap merge_blocks(BlockMap left, BlockMap right) {
-  for (auto& [term, postings] : right) {
-    auto& target = left[term];
-    target.insert(target.end(), postings.begin(), postings.end());
+/// Every posting of the corpus grouped by term: `terms` sorted, each
+/// viewing its run of `postings`, which ascend by document.
+struct Inverted {
+  std::vector<Posting> postings;
+  std::vector<TermRef> terms;
+};
+
+/// Merges the blocks (ascending document ranges, in order) without a map
+/// per term: block-local term numbers map to global ones, a count per term
+/// sizes each term's run, and one pass over the documents in order places
+/// every posting, so each run comes out sorted by document.
+Inverted invert(const std::vector<BlockTerms>& blocks,
+                const std::vector<std::shared_ptr<const DocTerms>>& doc_terms) {
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::vector<std::string_view> terms;
+  std::vector<std::vector<std::uint32_t>> to_global(blocks.size());
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    to_global[b].reserve(blocks[b].terms.size());
+    for (const std::string_view term : blocks[b].terms) {
+      const auto [it, added] =
+          ids.try_emplace(term, static_cast<std::uint32_t>(terms.size()));
+      if (added) terms.push_back(term);
+      to_global[b].push_back(it->second);
+    }
+    total += blocks[b].postings.size();
   }
-  return left;
+
+  std::vector<std::uint32_t> order(terms.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&terms](std::uint32_t a, std::uint32_t b) {
+              return terms[a] < terms[b];
+            });
+  // Postings per term first; then, in sorted term order, each term's next
+  // free slot in the flat postings array.
+  std::vector<std::size_t> cursor(terms.size(), 0);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (const std::uint32_t local : blocks[b].postings) {
+      ++cursor[to_global[b][local]];
+    }
+  }
+  Inverted out;
+  out.postings.resize(total);
+  out.terms.reserve(terms.size());
+  std::size_t offset = 0;
+  for (const std::uint32_t id : order) {
+    out.terms.push_back({terms[id], out.postings.data() + offset, cursor[id]});
+    const std::size_t count = cursor[id];
+    cursor[id] = offset;
+    offset += count;
+  }
+
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    std::size_t next = 0;
+    for (std::size_t d = blocks[b].lo; d < blocks[b].hi; ++d) {
+      for (const DocTerms::Term& term : doc_terms[d]->terms) {
+        const std::uint32_t id = to_global[b][blocks[b].postings[next++]];
+        out.postings[cursor[id]++] = {static_cast<std::uint32_t>(d),
+                                      term.tf_title, term.tf_tags,
+                                      term.tf_body};
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -322,9 +473,7 @@ struct SearchIndex::Ranked {
 
 SearchIndex::SearchIndex() {
   // Canonical empty payload: zero documents, zero terms.
-  std::string payload;
-  put_u32(payload, 0);
-  put_u32(payload, 0);
+  std::string payload(8, '\0');
   auto storage = std::make_shared<const std::string>(std::move(payload));
   payload_ = *storage;
   owned_ = std::move(storage);
@@ -334,34 +483,52 @@ SearchIndex::SearchIndex() {
 
 SearchIndex SearchIndex::build(const core::Repository& repo,
                                rt::ThreadPool* pool,
-                               obs::SpanRegistry* spans) {
+                               obs::SpanRegistry* spans, IndexCache* cache) {
   const auto started = std::chrono::steady_clock::now();
   const std::size_t n = repo.activities().size();
   std::vector<DocEntry> docs(n);
+  std::vector<std::shared_ptr<const DocTerms>> doc_terms(n);
+  std::vector<std::uint64_t> fingerprints(cache != nullptr ? n : 0);
 
-  BlockMap merged;
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    merged = pool->parallel_reduce<BlockMap>(
-        0, n, BlockMap{},
-        [&repo, &docs](std::size_t lo, std::size_t hi) {
-          return index_block(repo, docs, lo, hi);
-        },
-        [](BlockMap left, BlockMap right) {
-          return merge_blocks(std::move(left), std::move(right));
-        });
+  // Ascending document ranges, one per worker (or one for a serial build).
+  const std::size_t block_count =
+      pool != nullptr && n > 1 ? std::min<std::size_t>(pool->size(), n) : 1;
+  const std::size_t chunk = (n + block_count - 1) / block_count;
+  std::vector<BlockTerms> blocks(block_count);
+  const auto index_blocks = [&](std::size_t first, std::size_t last) {
+    for (std::size_t b = first; b < last; ++b) {
+      const std::size_t lo = std::min(n, b * chunk);
+      const std::size_t hi = std::min(n, lo + chunk);
+      blocks[b] = index_block(repo, cache, docs, doc_terms, fingerprints, lo,
+                              hi);
+    }
+  };
+  if (block_count > 1) {
+    pool->parallel_for(0, block_count, index_blocks);
   } else {
-    merged = index_block(repo, docs, 0, n);
+    index_blocks(0, block_count);
   }
 
   const auto indexed = std::chrono::steady_clock::now();
-  std::vector<TermPostings> terms;
-  terms.reserve(merged.size());
-  for (auto& [term, postings] : merged) {
-    terms.push_back({term, std::move(postings)});
-  }
-  auto index = from_payload(encode_payload(docs, terms));
+  const Inverted inverted = invert(blocks, doc_terms);
+  auto index = from_payload(encode_payload(docs, inverted.terms));
   // A freshly built index satisfies every invariant by construction.
   SearchIndex result = std::move(index).value();
+
+  if (cache != nullptr) {
+    // The cache now describes exactly this build's documents.
+    std::unordered_map<std::uint64_t, std::shared_ptr<const DocTerms>> next;
+    next.reserve(n);
+    std::size_t reused = 0;
+    for (std::size_t d = 0; d < n; ++d) {
+      const auto it = cache->docs_.find(fingerprints[d]);
+      if (it != cache->docs_.end() && it->second == doc_terms[d]) ++reused;
+      next.emplace(fingerprints[d], std::move(doc_terms[d]));
+    }
+    cache->docs_ = std::move(next);
+    cache->reused_ = reused;
+    cache->tokenized_ = n - reused;
+  }
 
   if (spans != nullptr) {
     const auto finished = std::chrono::steady_clock::now();
@@ -377,7 +544,12 @@ SearchIndex SearchIndex::build(const core::Repository& repo,
 
 Expected<SearchIndex> SearchIndex::from_parts(std::vector<DocEntry> docs,
                                               std::vector<TermPostings> terms) {
-  return from_payload(encode_payload(docs, terms));
+  std::vector<TermRef> refs;
+  refs.reserve(terms.size());
+  for (const auto& entry : terms) {
+    refs.push_back({entry.term, entry.postings.data(), entry.postings.size()});
+  }
+  return from_payload(encode_payload(docs, refs));
 }
 
 Expected<SearchIndex> SearchIndex::from_payload(std::string payload) {

@@ -91,7 +91,10 @@ Expected<SearchIndex> deserialize_index(std::string_view bytes) {
 
 Status save_index(const SearchIndex& index,
                   const std::filesystem::path& path) {
-  return fs::write_file(path, serialize_index(index));
+  // Never truncate in place: a server may have this file memory-mapped
+  // (mmap_index), and truncating a mapped file turns its next page fault
+  // into SIGBUS. The rename leaves the old inode to the mapping.
+  return fs::replace_file(path, serialize_index(index));
 }
 
 Expected<SearchIndex> load_index(const std::filesystem::path& path) {

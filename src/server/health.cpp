@@ -108,6 +108,34 @@ std::string ReloadMetrics::render_text() const {
   out += "# TYPE pdcu_reload_pages_rendered_last gauge\n";
   out += "pdcu_reload_pages_rendered_last " +
          std::to_string(pages_rendered_last_.load(kRelaxed)) + "\n";
+  const auto gauge = [&out](const char* name, const char* help,
+                            const std::atomic<std::uint64_t>& value) {
+    out += std::string("# HELP ") + name + " " + help + "\n";
+    out += std::string("# TYPE ") + name + " gauge\n";
+    out += std::string(name) + " " + std::to_string(value.load(kRelaxed)) +
+           "\n";
+  };
+  gauge("pdcu_reload_files_parsed_last",
+        "Content files the last successful reload read and parsed.",
+        files_parsed_last_);
+  gauge("pdcu_reload_files_reused_last",
+        "Content files the last successful reload took from its parse "
+        "memo.",
+        files_reused_last_);
+  gauge("pdcu_reload_docs_tokenized_last",
+        "Search documents the last successful reload tokenized.",
+        docs_tokenized_last_);
+  gauge("pdcu_reload_docs_reused_last",
+        "Search documents whose postings the last successful reload "
+        "reused.",
+        docs_reused_last_);
+  gauge("pdcu_reload_cache_entries_rebuilt_last",
+        "Page cache entries the last successful reload built.",
+        entries_rebuilt_last_);
+  gauge("pdcu_reload_cache_entries_reused_last",
+        "Page cache entries the last successful reload took over from the "
+        "previous snapshot.",
+        entries_reused_last_);
   out += "# HELP pdcu_reload_backoff_ms Current reload failure backoff in "
          "milliseconds (0 when healthy).\n";
   out += "# TYPE pdcu_reload_backoff_ms gauge\n";

@@ -54,18 +54,36 @@ class HealthTracker {
   std::chrono::steady_clock::time_point last_reload_at_{};
 };
 
+/// What one reload rebuilt and what it took over from the previous
+/// reload, stage by stage.
+struct ReloadReuse {
+  std::size_t files_parsed = 0;     ///< core: content files read and parsed
+  std::size_t files_reused = 0;     ///< core: files served from the memo
+  std::size_t docs_tokenized = 0;   ///< search: documents tokenized
+  std::size_t docs_reused = 0;      ///< search: postings reused
+  std::size_t entries_rebuilt = 0;  ///< server: PageCache entries built
+  std::size_t entries_reused = 0;   ///< server: entries taken over
+};
+
 /// Reload counters for /metrics (pdcu_reload_* lines). Gauges describe the
 /// present (consecutive failures, current backoff, quarantine size);
 /// counters accumulate across the server's lifetime.
 class ReloadMetrics {
  public:
   void record_attempt() { attempts_.fetch_add(1, kRelaxed); }
-  void record_success(std::size_t quarantined, std::size_t pages_rendered) {
+  void record_success(std::size_t quarantined, std::size_t pages_rendered,
+                      const ReloadReuse& reuse = {}) {
     success_.fetch_add(1, kRelaxed);
     consecutive_failures_.store(0, kRelaxed);
     last_ok_.store(1, kRelaxed);
     quarantined_.store(quarantined, kRelaxed);
     pages_rendered_last_.store(pages_rendered, kRelaxed);
+    files_parsed_last_.store(reuse.files_parsed, kRelaxed);
+    files_reused_last_.store(reuse.files_reused, kRelaxed);
+    docs_tokenized_last_.store(reuse.docs_tokenized, kRelaxed);
+    docs_reused_last_.store(reuse.docs_reused, kRelaxed);
+    entries_rebuilt_last_.store(reuse.entries_rebuilt, kRelaxed);
+    entries_reused_last_.store(reuse.entries_reused, kRelaxed);
     backoff_ms_.store(0, kRelaxed);
   }
   void record_failure(std::uint64_t backoff_ms) {
@@ -95,6 +113,12 @@ class ReloadMetrics {
   std::atomic<std::uint64_t> last_ok_{1};  ///< optimistic until a failure
   std::atomic<std::uint64_t> quarantined_{0};
   std::atomic<std::uint64_t> pages_rendered_last_{0};
+  std::atomic<std::uint64_t> files_parsed_last_{0};
+  std::atomic<std::uint64_t> files_reused_last_{0};
+  std::atomic<std::uint64_t> docs_tokenized_last_{0};
+  std::atomic<std::uint64_t> docs_reused_last_{0};
+  std::atomic<std::uint64_t> entries_rebuilt_last_{0};
+  std::atomic<std::uint64_t> entries_reused_last_{0};
   std::atomic<std::uint64_t> backoff_ms_{0};
 };
 

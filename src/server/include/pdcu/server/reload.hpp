@@ -1,9 +1,23 @@
 // Live reload with last-known-good serving. A ReloadManager watches a
-// content directory from a background thread: it fingerprints the
-// activities/*.md listing (paths, sizes, mtimes) every poll interval and,
-// when the fingerprint moves, reloads leniently (core::LoadReport),
-// rebuilds the site incrementally through the carried site::BuildCache,
-// and publishes a fresh Router snapshot via HttpServer::swap_router().
+// content directory from a background thread: it lists activities/*.md
+// with one stat per file every poll interval and, when the listing's
+// fingerprint (paths, sizes, mtimes) moves, reloads and publishes a fresh
+// Router snapshot via HttpServer::swap_router().
+//
+// A reload costs work in proportion to the edit, not to the corpus. The
+// manager carries per-document state from one reload to the next, and a
+// first reload runs the same code with empty caches:
+//   core   — a core::LoadCache memo keyed by (path, size, mtime): only
+//            added or restamped files are read and parsed;
+//   site   — the site::BuildCache: only pages whose input fingerprints
+//            moved are rendered, the rest share the cached bytes;
+//   search — a search::IndexCache: only changed documents are tokenized;
+//   server — the new Router takes over the PageCache entries (body, ETag,
+//            header blocks) of unchanged pages and activity JSON from the
+//            snapshot this manager last published.
+// Everything past the listing is keyed on the (path, size, mtime) stamp
+// and on core::activity_fingerprint, so a reload serves exactly the bytes
+// a cold build of the same directory would.
 //
 // Failure policy — the heart of it: a reload that cannot produce a
 // serving site (unlistable directory, or *every* activity quarantined)
@@ -17,11 +31,15 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "pdcu/core/repository.hpp"
 #include "pdcu/runtime/trace.hpp"
+#include "pdcu/search/index.hpp"
 #include "pdcu/server/health.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
@@ -34,9 +52,10 @@ class SpanRegistry;
 namespace pdcu::server {
 
 /// Fingerprint of a content directory's activities/*.md listing: file
-/// paths, sizes, and mtimes (content bytes are not read — a change of
-/// bytes without a change of size or mtime is not a thing editors do).
-/// Error when the listing itself fails.
+/// paths, sizes, and mtimes (core::listing_fingerprint over
+/// core::list_content). Content bytes are not read — a change of bytes
+/// without a change of size or mtime is not a thing editors do, and the
+/// reload memo trusts the same stamp. Error when the listing itself fails.
 Expected<std::uint64_t> content_fingerprint(
     const std::filesystem::path& content_dir);
 
@@ -57,7 +76,7 @@ class ReloadManager {
   };
 
   /// `cache` is the BuildCache that produced the currently-served site
-  /// (so the first reload is incremental) and `fingerprint` is the
+  /// (so the first reload renders incrementally) and `fingerprint` is the
   /// content fingerprint that site was built from. `server`, `health`,
   /// and `metrics` must outlive the manager.
   ReloadManager(std::filesystem::path content_dir, HttpServer& server,
@@ -87,7 +106,8 @@ class ReloadManager {
   Step check_once();
 
  private:
-  Step attempt_reload(const Expected<std::uint64_t>& fingerprint);
+  Step attempt_reload(const std::vector<core::ContentFile>& files,
+                      std::uint64_t fingerprint);
   Step fail(const Error& error);
 
   std::filesystem::path content_dir_;
@@ -99,11 +119,16 @@ class ReloadManager {
   obs::SpanRegistry* spans_ = nullptr;
 
   // Touched only from the polling thread (or check_once callers).
+  core::LoadCache load_cache_;
   site::BuildCache cache_;
+  search::IndexCache index_cache_;
   std::uint64_t last_fingerprint_;
   std::chrono::milliseconds backoff_{0};
   std::optional<std::chrono::steady_clock::time_point> next_attempt_;
   bool last_failed_ = false;
+  /// The snapshot this manager last published (at first, the one serving
+  /// when it was constructed): its entries share the build cache's bytes.
+  std::shared_ptr<const Router> published_;
 
   std::atomic<bool> running_{false};
   std::thread thread_;

@@ -1,7 +1,7 @@
 // Request dispatch: maps a parsed request onto the page cache and the API
-// endpoints. A Router owns copies of everything it serves (pages, catalog
-// JSON, per-activity JSON, the search index and taxonomy index), so the
-// Site and Repository it was built from may be discarded after
+// endpoints. A Router holds everything it serves (shared page bytes,
+// catalog JSON, per-activity JSON, the search index and taxonomy index),
+// so the Site and Repository it was built from may be discarded after
 // construction, and handle() is const and thread-safe.
 //
 //   GET /                                cached site pages (ETag / 304)
@@ -22,6 +22,7 @@
 // unknown paths are 404 regardless of method.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "pdcu/core/repository.hpp"
@@ -41,11 +42,18 @@ namespace pdcu::server {
 
 class Router {
  public:
-  /// Builds the dispatch table. `index` lets callers supply a prebuilt
+  /// Builds the dispatch table from a site built (build_site or rebuild)
+  /// from `repo`: its pages, its activity documents, and its index.json
+  /// page as /api/catalog.json. `index` lets callers supply a prebuilt
   /// search index (parallel-built, or loaded from disk for a fast cold
-  /// start); omitted, the router builds one serially from `repo`.
+  /// start); omitted, the router builds one serially from `repo`. With
+  /// `previous` (the snapshot this one replaces), every page or document
+  /// whose bytes the site carried over from the build that made
+  /// `previous` takes over the previous entry — body, ETag and header
+  /// blocks — instead of being rebuilt.
   Router(const site::Site& site, const core::Repository& repo,
-         std::optional<search::SearchIndex> index = std::nullopt);
+         std::optional<search::SearchIndex> index = std::nullopt,
+         const Router* previous = nullptr);
 
   /// Wires the /metrics endpoint; without it /metrics is a 404. The
   /// pointee must outlive the router (HttpServer passes its own metrics).
@@ -113,6 +121,10 @@ class Router {
   std::optional<FastHit> try_fast(const Request& request) const;
 
   const PageCache& cache() const { return cache_; }
+
+  /// Cache entries this router took over from `previous` at construction;
+  /// the other cache().size() - entries_reused() entries were built.
+  std::size_t entries_reused() const { return entries_reused_; }
   const search::SearchIndex& index() const { return index_; }
 
   /// The per-snapshot search result cache (stats feed pdcu_search_cache_*
@@ -131,8 +143,9 @@ class Router {
   Response handle_search(const Request& request) const;
 
   PageCache cache_;
+  std::size_t entries_reused_;
   search::SearchIndex index_;
-  tax::TermIndex taxonomy_;
+  std::shared_ptr<const tax::TermIndex> taxonomy_;
   mutable QueryCache query_cache_{kQueryCacheEntries};
   mutable search::FilterCache filter_cache_;
   rt::ThreadPool* search_pool_ = nullptr;

@@ -5,32 +5,14 @@
 
 #include "pdcu/core/repository.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
-#include "pdcu/search/index.hpp"
-#include "pdcu/support/fs.hpp"
-#include "pdcu/support/hash.hpp"
 
 namespace pdcu::server {
 
 Expected<std::uint64_t> content_fingerprint(
     const std::filesystem::path& content_dir) {
-  auto files = fs::list_files(content_dir / "activities", ".md");
+  auto files = core::list_content(content_dir);
   if (!files) return files.error().context("fingerprinting content");
-  std::uint64_t state = hash::kFnv1aInit;
-  const auto mix = [&state](std::string_view bytes) {
-    state = hash::fnv1a_64_update(state, bytes);
-    state = hash::fnv1a_64_update(state, std::string_view("\x1f", 1));
-  };
-  for (const auto& path : files.value()) {
-    mix(path.string());
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    mix(ec ? "?" : std::to_string(size));
-    const auto mtime = std::filesystem::last_write_time(path, ec);
-    mix(ec ? "?"
-           : std::to_string(mtime.time_since_epoch().count()));
-  }
-  mix(std::to_string(files.value().size()));
-  return state;
+  return core::listing_fingerprint(files.value());
 }
 
 ReloadManager::ReloadManager(std::filesystem::path content_dir,
@@ -45,7 +27,8 @@ ReloadManager::ReloadManager(std::filesystem::path content_dir,
       options_(options),
       trace_(trace),
       cache_(std::move(cache)),
-      last_fingerprint_(fingerprint) {}
+      last_fingerprint_(fingerprint),
+      published_(server_.router()) {}
 
 ReloadManager::~ReloadManager() { stop(); }
 
@@ -77,27 +60,26 @@ ReloadManager::Step ReloadManager::check_once() {
       std::chrono::steady_clock::now() < *next_attempt_) {
     return Step::kBackoff;
   }
-  const Expected<std::uint64_t> fingerprint =
-      content_fingerprint(content_dir_);
+  // One listing feeds both the change check and the load.
+  auto files = core::list_content(content_dir_);
+  if (!files) {
+    metrics_.record_attempt();
+    return fail(files.error().context("listing content"));
+  }
+  const std::uint64_t fingerprint = core::listing_fingerprint(files.value());
   // After a failure the fingerprint may match the last *attempted* state
   // (or the content may have been reverted to the served state); either
   // way the failure only clears by completing a clean reload, so keep
   // attempting until one lands.
-  if (fingerprint.has_value() && fingerprint.value() == last_fingerprint_ &&
-      !last_failed_) {
-    return Step::kIdle;
-  }
-  return attempt_reload(fingerprint);
+  if (fingerprint == last_fingerprint_ && !last_failed_) return Step::kIdle;
+  return attempt_reload(files.value(), fingerprint);
 }
 
 ReloadManager::Step ReloadManager::attempt_reload(
-    const Expected<std::uint64_t>& fingerprint) {
+    const std::vector<core::ContentFile>& files, std::uint64_t fingerprint) {
   metrics_.record_attempt();
-  if (!fingerprint.has_value()) return fail(fingerprint.error());
-
-  auto loaded = core::Repository::load_lenient(content_dir_);
-  if (!loaded) return fail(loaded.error());
-  core::LoadReport& report = loaded.value();
+  core::LoadReport report =
+      core::Repository::load_lenient(files, load_cache_);
   if (report.total_files > 0 && report.loaded() == 0) {
     // Quarantining everything is indistinguishable from losing the
     // content dir; treat it as a failed reload rather than swapping an
@@ -117,19 +99,32 @@ ReloadManager::Step ReloadManager::attempt_reload(
   site::Site site =
       site::rebuild(report.repository, cache_, site_options, &stats);
 
-  auto index = search::SearchIndex::build(report.repository,
-                                          &rt::default_pool(), spans_);
-  Router router(site, report.repository, std::move(index));
+  auto index = search::SearchIndex::build(
+      report.repository, &rt::default_pool(), spans_, &index_cache_);
+  Router router(site, report.repository, std::move(index), published_.get());
   router.set_build_stats(stats);
   router.set_health(&health_);
   router.set_spans(spans_);
   router.set_reload_metrics(&metrics_);
+  ReloadReuse reuse;
+  reuse.files_parsed = report.files_parsed;
+  reuse.files_reused = report.files_reused;
+  reuse.docs_tokenized = index_cache_.tokenized();
+  reuse.docs_reused = index_cache_.reused();
+  reuse.entries_reused = router.entries_reused();
+  reuse.entries_rebuilt = router.cache().size() - router.entries_reused();
   server_.swap_router(std::move(router));
+  // The current snapshot is the router just built unless another thread
+  // swapped in between, which costs later reloads hits, never bytes: reuse
+  // is checked per entry. Replacing published_ here, after the swap, frees
+  // the old snapshot on the reload thread rather than on a request.
+  published_ = server_.router();
 
   health_.set_content(report.loaded(), report.quarantined_slugs());
   health_.record_reload_success();
-  metrics_.record_success(report.quarantined.size(), stats.pages_rendered);
-  last_fingerprint_ = fingerprint.value();
+  metrics_.record_success(report.quarantined.size(), stats.pages_rendered,
+                          reuse);
+  last_fingerprint_ = fingerprint;
   last_failed_ = false;
   backoff_ = std::chrono::milliseconds{0};
   next_attempt_.reset();
@@ -137,7 +132,9 @@ ReloadManager::Step ReloadManager::attempt_reload(
     trace_->narrate(
         "reload: swapped in " + std::to_string(site.pages.size()) +
         " pages (" + std::to_string(stats.pages_rendered) + " rendered, " +
-        std::to_string(report.quarantined.size()) + " quarantined)");
+        std::to_string(report.quarantined.size()) + " quarantined; " +
+        std::to_string(report.files_parsed) + " files parsed, " +
+        std::to_string(reuse.docs_tokenized) + " documents tokenized)");
   }
   return Step::kReloaded;
 }

@@ -119,17 +119,21 @@ std::string query_cache_metrics_text(const QueryCache& cache) {
 }  // namespace
 
 Router::Router(const site::Site& site, const core::Repository& repo,
-               std::optional<search::SearchIndex> index)
-    : cache_(site),
+               std::optional<search::SearchIndex> index,
+               const Router* previous)
+    : cache_(site, previous != nullptr ? &previous->cache_ : nullptr),
+      entries_reused_(cache_.reused()),
       index_(index.has_value() ? std::move(*index)
                                : search::SearchIndex::build(repo)),
-      taxonomy_(repo.index()) {
-  cache_.put("api/catalog.json", site::render_json_catalog(repo),
-             std::string(kJsonType));
-  for (const auto& activity : repo.activities()) {
-    cache_.put("api/activities/" + activity.slug + ".json",
-               site::activity_json(activity), std::string(kJsonType));
+      taxonomy_(repo.shared_index()) {
+  // The catalog document is the site's index.json page, shared.
+  const std::string catalog_path = "api/catalog.json";
+  auto catalog = cache_.entry("index.json");
+  if (catalog == nullptr) return;  // not a site build_site made
+  if (previous != nullptr && previous->cache_.entry(catalog_path) == catalog) {
+    ++entries_reused_;
   }
+  cache_.share(catalog_path, std::move(catalog));
 }
 
 Response Router::handle(const Request& request) const {
@@ -261,7 +265,7 @@ Response Router::handle_search(const Request& request) const {
     options.limit = limit;
     options.pool = search_pool_;
     options.filter_cache = &filter_cache_;
-    const auto hits = index_.search(query, &taxonomy_, options);
+    const auto hits = index_.search(query, taxonomy_.get(), options);
     fragment = search_results_fragment(hits);
     query_cache_.put(key, fragment);
   }

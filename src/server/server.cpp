@@ -65,9 +65,15 @@ void HttpServer::swap_router(Router router) {
   if (options_.backend == Backend::kReactor) {
     router.set_net_metrics(&net_metrics_);
   }
-  auto snapshot = std::make_shared<const Router>(std::move(router));
-  std::lock_guard lock(router_mutex_);
-  router_ = std::move(snapshot);
+  std::shared_ptr<const Router> snapshot =
+      std::make_shared<const Router>(std::move(router));
+  {
+    std::lock_guard lock(router_mutex_);
+    router_.swap(snapshot);
+  }
+  // `snapshot` now holds the replaced router. If this was its last
+  // reference it is freed here, after the unlock, so router() callers on
+  // the request path never wait for a whole snapshot to be torn down.
 }
 
 HttpServer::~HttpServer() { stop(); }

@@ -4,20 +4,23 @@
 // the four views of §II.C.
 //
 // Generation runs as a three-phase pipeline:
-//   parse    — serialize activities and fingerprint every page's inputs
+//   parse    — fingerprint every page's inputs and plan the pages
 //   render   — render pages (independently, in parallel when a pool is
 //              given) into pre-sized slots, so the page order — and every
 //              byte — matches the serial build exactly
-//   assemble — move reused pages in, refresh the cache, rebuild the index
+//   assemble — refresh the cache, rebuild the path index
 // A BuildCache carried across builds turns the render phase incremental:
 // only pages whose input fingerprints changed are re-rendered, the rest
-// are reused by move.
+// share the cached bytes. Page bytes are immutable and shared, never
+// copied: the cache, the Site and the server's PageCache all hold the
+// same buffer.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,12 +43,21 @@ namespace pdcu::site {
 /// One generated page.
 struct Page {
   std::string path;  ///< site-relative, e.g. "activities/findsmallestcard/index.html"
-  std::string html;
+  /// The page bytes. Immutable and shared: an incremental rebuild hands an
+  /// unchanged page's buffer to the next Site, and a server snapshot built
+  /// from the Site serves that same buffer.
+  std::shared_ptr<const std::string> bytes;
+
+  const std::string& html() const { return *bytes; }
 };
 
 /// Result of a site build.
 struct Site {
   std::vector<Page> pages;
+  /// Documents served beside the pages but not exported with them: one
+  /// "api/activities/<slug>.json" (activity_json) per activity, in order.
+  /// The index.json catalog page is assembled from them.
+  std::vector<Page> documents;
   std::chrono::microseconds build_time{0};
 
   /// Lookup by site-relative path: O(1) for present pages once reindex()
@@ -109,7 +121,7 @@ struct BuildStats {
   /// Content files quarantined by the lenient loader feeding this build
   /// (0 for a healthy or strict load).
   std::size_t activities_quarantined = 0;
-  std::chrono::microseconds parse_time{0};     ///< serialize + fingerprint
+  std::chrono::microseconds parse_time{0};     ///< fingerprint + plan
   std::chrono::microseconds render_time{0};    ///< render / reuse pages
   std::chrono::microseconds assemble_time{0};  ///< cache refresh + reindex
 
@@ -123,17 +135,20 @@ struct BuildStats {
   std::string render_text() const;
 };
 
-/// Input fingerprints and rendered pages carried from one build to the
-/// next. Feed the same cache to successive rebuild() calls; pages whose
-/// inputs are unchanged are reused by move instead of re-rendered.
+/// Input fingerprints and rendered pages and documents carried from one
+/// build to the next. Feed the same cache to successive rebuild() calls;
+/// those whose inputs are unchanged share the cached bytes instead of
+/// re-rendering.
+/// A page's inputs are fingerprinted from each activity's
+/// core::activity_fingerprint (carried by the Repository), never from a
+/// fresh serialization, so an unchanged activity costs a lookup.
 class BuildCache {
  public:
-  /// One cached page: the fingerprint of its inputs and the rendered
-  /// bytes. rebuild() moves the html out on a hit and refills the cache
-  /// from the finished build.
+  /// One cached page or document: the fingerprint of its inputs and the
+  /// rendered bytes, shared with the Site that rebuild() returned.
   struct Entry {
     std::uint64_t fingerprint = 0;
-    std::string html;
+    std::shared_ptr<const std::string> html;
   };
   using Map = std::unordered_map<std::string, Entry>;
 
@@ -154,8 +169,8 @@ Site build_site(const core::Repository& repo, const SiteOptions& options = {},
                 BuildStats* stats = nullptr);
 
 /// Incremental build: renders only pages whose input fingerprints differ
-/// from `cache`, reuses the rest by moving them out of the cache, and
-/// leaves the cache holding the new build. A cold cache degenerates to
+/// from `cache`, shares the cached bytes of the rest, and leaves the cache
+/// holding the new build. A cold cache degenerates to
 /// build_site(); the produced Site is identical to a cold full build
 /// either way.
 Site rebuild(const core::Repository& repo, BuildCache& cache,

@@ -70,11 +70,26 @@ std::string activity_json(const core::Activity& a) {
 }
 
 std::string render_json_catalog(const core::Repository& repo) {
-  std::string out = "{\n\"activities\":[\n";
-  const auto& activities = repo.activities();
-  for (std::size_t i = 0; i < activities.size(); ++i) {
+  std::vector<std::string> rendered;
+  rendered.reserve(repo.activities().size());
+  for (const auto& activity : repo.activities()) {
+    rendered.push_back(activity_json(activity));
+  }
+  return render_json_catalog(
+      repo, std::vector<std::string_view>(rendered.begin(), rendered.end()));
+}
+
+std::string render_json_catalog(
+    const core::Repository& repo,
+    const std::vector<std::string_view>& activity_objects) {
+  std::size_t size = 64;
+  for (const auto object : activity_objects) size += object.size() + 2;
+  std::string out;
+  out.reserve(size + 4096);
+  out += "{\n\"activities\":[\n";
+  for (std::size_t i = 0; i < activity_objects.size(); ++i) {
     if (i > 0) out += ",\n";
-    out += activity_json(activities[i]);
+    out += activity_objects[i];
   }
   out += "\n],\n";
 

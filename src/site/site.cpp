@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -77,9 +78,7 @@ std::string activities_list_html(const std::vector<tax::PageRef>& pages) {
   return out;
 }
 
-/// The activity body from a precomputed canonical serialization (the parse
-/// phase serializes every activity once; fingerprints and rendering share
-/// the bytes).
+/// The activity body from its canonical serialization.
 std::string render_activity_page_from(const core::Activity& activity,
                                       const std::string& serialized) {
   std::string body = render_activity_header(activity);
@@ -102,6 +101,11 @@ class Fingerprint {
     state_ = hash::fnv1a_64_update(state_, bytes);
     state_ = hash::fnv1a_64_update(state_, std::string_view("\x1f", 1));
     return *this;
+  }
+  Fingerprint& mix(std::uint64_t value) {
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    return mix(std::string_view(bytes, sizeof bytes));
   }
   std::uint64_t value() const { return state_; }
 
@@ -159,10 +163,14 @@ std::string search_page_body() {
 /// activities, term pages, views, search, catalog. Each job's fingerprint
 /// covers exactly the inputs its bytes depend on, so body-only edits leave
 /// term/view pages untouched while title or membership changes invalidate
-/// them.
+/// them. `activity_fps` holds each activity's core::activity_fingerprint;
+/// it is empty for a build without a cache, whose fingerprints go unused.
+/// The catalog is assembled from `documents`, the activity JSON rendered
+/// before any page.
 std::vector<PageJob> plan_jobs(const core::Repository& repo,
                                const SiteOptions& options,
-                               const std::vector<std::string>& serialized) {
+                               const std::vector<std::uint64_t>& activity_fps,
+                               const std::vector<Page>& documents) {
   const auto& activities = repo.activities();
   std::vector<PageJob> jobs;
   jobs.reserve(activities.size() + 256);
@@ -195,18 +203,19 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
          }});
   }
 
-  // One page per activity. The canonical serialization covers every input
-  // of the page body (title, tags, date, all sections).
+  // One page per activity. The activity fingerprint covers every input of
+  // the page body (title, tags, date, all sections); the serialization the
+  // body renders from is made only when the page is actually rendered.
   for (std::size_t i = 0; i < activities.size(); ++i) {
     const core::Activity* activity = &activities[i];
-    const std::string* text = &serialized[i];
     Fingerprint fp = opts_fp;
-    fp.mix(*text);
+    if (!activity_fps.empty()) fp.mix(activity_fps[i]);
     jobs.push_back({"activities/" + activity->slug + "/index.html",
-                    fp.value(), [activity, text, &options] {
+                    fp.value(), [activity, &options] {
                       return layout(options.base_title, activity->title,
-                                    render_activity_page_from(*activity,
-                                                              *text));
+                                    render_activity_page_from(
+                                        *activity,
+                                        core::write_activity(*activity)));
                     }});
   }
 
@@ -217,7 +226,7 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
       for (const auto& term : repo.index().terms(taxonomy.key)) {
         Fingerprint fp = opts_fp;
         fp.mix(taxonomy.key).mix(taxonomy.display_name).mix(term);
-        for (const auto& page : repo.index().pages(taxonomy.key, term)) {
+        for (const auto& page : *repo.index().find_pages(taxonomy.key, term)) {
           fp.mix(page.slug).mix(page.title);
         }
         jobs.push_back(
@@ -307,81 +316,129 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
 
   // Machine-readable catalog alongside the HTML pages. Its bytes cover
   // the full content of every activity plus derived coverage stats, all
-  // of which the serializations capture.
+  // of which the activity fingerprints capture.
   {
     Fingerprint fp;
-    for (const auto& text : serialized) fp.mix(text);
-    jobs.push_back({"index.json", fp.value(),
-                    [&repo] { return render_json_catalog(repo); }});
+    for (const std::uint64_t activity_fp : activity_fps) fp.mix(activity_fp);
+    jobs.push_back({"index.json", fp.value(), [&repo, &documents] {
+                      std::vector<std::string_view> objects;
+                      objects.reserve(documents.size());
+                      for (const auto& document : documents) {
+                        objects.push_back(document.html());
+                      }
+                      return render_json_catalog(repo, objects);
+                    }});
   }
 
   return jobs;
 }
 
-/// The shared build pipeline. `cache_pages` is null for a from-scratch
-/// build; with a cache, fingerprint hits reuse the cached bytes by move
-/// and the cache is refilled from the finished build.
-Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
-                    BuildCache::Map* cache_pages, BuildStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
+/// One "api/activities/<slug>.json" document per activity, keyed on the
+/// activity fingerprint alone.
+std::vector<PageJob> plan_documents(
+    const core::Repository& repo,
+    const std::vector<std::uint64_t>& activity_fps) {
   const auto& activities = repo.activities();
-
-  // --- parse: serialize every activity, then fingerprint and plan ------
-  std::vector<std::string> serialized(activities.size());
-  const auto serialize_block = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      serialized[i] = core::write_activity(activities[i]);
-    }
-  };
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(0, activities.size(), serialize_block);
-  } else {
-    serialize_block(0, activities.size());
+  std::vector<PageJob> jobs;
+  jobs.reserve(activities.size());
+  for (std::size_t i = 0; i < activities.size(); ++i) {
+    const core::Activity* activity = &activities[i];
+    Fingerprint fp;
+    if (!activity_fps.empty()) fp.mix(activity_fps[i]);
+    jobs.push_back({"api/activities/" + activity->slug + ".json", fp.value(),
+                    [activity] { return activity_json(*activity); }});
   }
-  std::vector<PageJob> jobs = plan_jobs(repo, options, serialized);
-  const auto parsed = std::chrono::steady_clock::now();
+  return jobs;
+}
 
-  // --- render: each page is an independent task writing its own slot, so
-  // the page order (and every byte) matches the serial build exactly ----
-  Site site;
-  site.pages.resize(jobs.size());
+/// Renders `jobs` into `out` (same order), sharing the cached bytes of
+/// every job whose fingerprint `cache_pages` holds; returns how many were
+/// shared. Each job is an independent task writing its own slot, so the
+/// order (and every byte) matches a serial run exactly.
+std::size_t render_jobs(std::vector<PageJob>& jobs, std::vector<Page>& out,
+                        const BuildCache::Map* cache_pages,
+                        rt::ThreadPool* pool) {
+  out.resize(jobs.size());
   std::atomic<std::size_t> reused{0};
   const auto render_block = [&](std::size_t lo, std::size_t hi) {
     std::size_t block_reused = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       PageJob& job = jobs[i];
-      site.pages[i].path = job.path;
+      out[i].path = job.path;
       if (cache_pages != nullptr) {
-        // Distinct tasks touch distinct map entries and nothing inserts
-        // or erases during the render phase, so no synchronization is
-        // needed around the moves.
+        // The render phase only reads the map, so no synchronization is
+        // needed around the lookups.
         const auto it = cache_pages->find(job.path);
         if (it != cache_pages->end() &&
             it->second.fingerprint == job.fingerprint) {
-          site.pages[i].html = std::move(it->second.html);
+          out[i].bytes = it->second.html;
           ++block_reused;
           continue;
         }
       }
-      site.pages[i].html = job.render();
+      out[i].bytes = std::make_shared<const std::string>(job.render());
     }
     reused.fetch_add(block_reused, std::memory_order_relaxed);
   };
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(0, jobs.size(), render_block);
+  if (pool != nullptr) {
+    pool->parallel_for(0, jobs.size(), render_block);
   } else {
     render_block(0, jobs.size());
   }
+  return reused.load(std::memory_order_relaxed);
+}
+
+/// The shared build pipeline. `cache_pages` is null for a from-scratch
+/// build; with a cache, fingerprint hits share the cached bytes and the
+/// cache is refilled from the finished build.
+Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
+                    BuildCache::Map* cache_pages, BuildStats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t activity_count = repo.activities().size();
+
+  // --- parse: fingerprint every activity (only a cached build looks the
+  // pages up), then plan ------------------------------------------------
+  std::vector<std::uint64_t> activity_fps;
+  if (cache_pages != nullptr) {
+    activity_fps.resize(activity_count);
+    const auto fingerprint_block = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        activity_fps[i] = repo.fingerprint(i);
+      }
+    };
+    if (options.pool != nullptr) {
+      options.pool->parallel_for(0, activity_count, fingerprint_block);
+    } else {
+      fingerprint_block(0, activity_count);
+    }
+  }
+  Site site;
+  std::vector<PageJob> document_jobs = plan_documents(repo, activity_fps);
+  std::vector<PageJob> jobs =
+      plan_jobs(repo, options, activity_fps, site.documents);
+  const auto parsed = std::chrono::steady_clock::now();
+
+  // --- render: the activity documents first (the catalog page is made
+  // from them), then the pages ------------------------------------------
+  render_jobs(document_jobs, site.documents, cache_pages, options.pool);
+  const std::size_t reused =
+      render_jobs(jobs, site.pages, cache_pages, options.pool);
   const auto rendered = std::chrono::steady_clock::now();
 
-  // --- assemble: refill the cache from this build, index the pages -----
+  // --- assemble: refill the cache from this build (sharing, not copying,
+  // the bytes), index the pages -----------------------------------------
   if (cache_pages != nullptr) {
     cache_pages->clear();
-    cache_pages->reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      (*cache_pages)[site.pages[i].path] =
-          BuildCache::Entry{jobs[i].fingerprint, site.pages[i].html};
-    }
+    cache_pages->reserve(jobs.size() + document_jobs.size());
+    const auto remember = [cache_pages](const std::vector<PageJob>& done,
+                                        const std::vector<Page>& out) {
+      for (std::size_t i = 0; i < done.size(); ++i) {
+        (*cache_pages)[out[i].path] =
+            BuildCache::Entry{done[i].fingerprint, out[i].bytes};
+      }
+    };
+    remember(document_jobs, site.documents);
+    remember(jobs, site.pages);
   }
   site.reindex();
   const auto done = std::chrono::steady_clock::now();
@@ -391,7 +448,7 @@ Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
   BuildStats result;
   result.pages_total = site.pages.size();
   result.activities_quarantined = options.quarantined_inputs;
-  result.pages_reused = reused.load(std::memory_order_relaxed);
+  result.pages_reused = reused;
   result.pages_rendered = result.pages_total - result.pages_reused;
   result.parse_time =
       std::chrono::duration_cast<std::chrono::microseconds>(parsed - start);
@@ -540,7 +597,7 @@ Site rebuild(const core::Repository& repo, BuildCache& cache,
 
 Status write_pages(const Site& site, const std::filesystem::path& out_dir) {
   for (const auto& page : site.pages) {
-    auto status = fs::write_file(out_dir / page.path, page.html);
+    auto status = fs::write_file(out_dir / page.path, page.html());
     if (!status) return status;
   }
   return Status::ok();

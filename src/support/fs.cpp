@@ -1,6 +1,13 @@
 #include "pdcu/support/fs.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -76,6 +83,61 @@ Status write_file(const std::filesystem::path& path,
   return Status::ok();
 }
 
+Status replace_file(const std::filesystem::path& path,
+                    std::string_view content) {
+  // A per-process, per-call temporary name in the same directory, so the
+  // rename never crosses filesystems and concurrent writers never share a
+  // temporary.
+  static std::atomic<std::uint64_t> sequence{0};
+  std::error_code ec;
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path(), ec);
+    if (ec) {
+      return Error::make("fs.mkdir", "cannot create directories for '" +
+                                         path.string() + "': " + ec.message());
+    }
+  }
+  std::filesystem::path temp = path;
+  temp += ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) {
+    return Error::make("fs.open", "cannot open '" + temp.string() +
+                                      "' for writing: " +
+                                      std::strerror(errno));
+  }
+  const auto fail = [&](const char* code, const std::string& what) {
+    const std::string reason = std::strerror(errno);
+    ::close(fd);
+    ::unlink(temp.c_str());
+    return Error::make(code, what + ": " + reason);
+  };
+  while (!content.empty()) {
+    const ssize_t n = ::write(fd, content.data(), content.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return fail("fs.write", "write error on '" + temp.string() + "'");
+    }
+    content.remove_prefix(static_cast<std::size_t>(n));
+  }
+  if (::fsync(fd) != 0) {
+    return fail("fs.write", "fsync failed on '" + temp.string() + "'");
+  }
+  if (::close(fd) != 0) {
+    ::unlink(temp.c_str());
+    return Error::make("fs.write", "close failed on '" + temp.string() + "'");
+  }
+  if (::rename(temp.c_str(), path.c_str()) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::unlink(temp.c_str());
+    return Error::make("fs.rename", "cannot rename '" + temp.string() +
+                                        "' over '" + path.string() +
+                                        "': " + reason);
+  }
+  return Status::ok();
+}
+
 Expected<std::vector<std::filesystem::path>> list_files(
     const std::filesystem::path& dir, const std::string& extension) {
   // kTruncate has no short-read analogue for a listing, so any non-latency
@@ -97,7 +159,13 @@ Expected<std::vector<std::filesystem::path>> list_files(
       files.push_back(entry.path());
     }
   }
-  std::sort(files.begin(), files.end());
+  // All entries share `dir`, so comparing the native strings orders them
+  // by filename exactly as path comparison would, without splitting each
+  // path into components per comparison.
+  std::sort(files.begin(), files.end(),
+            [](const std::filesystem::path& a, const std::filesystem::path& b) {
+              return a.native() < b.native();
+            });
   return files;
 }
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "pdcu/taxonomy/taxonomy.hpp"
@@ -82,6 +83,7 @@ class TermIndex {
                                  std::less<>>,
            std::less<>>
       index_;
+  std::unordered_set<std::string> slugs_;  ///< every slug added so far
   std::size_t total_pages_ = 0;
 };
 

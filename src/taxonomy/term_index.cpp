@@ -8,14 +8,20 @@ namespace pdcu::tax {
 
 void TermIndex::add_page(const PageRef& page, const PageTags& tags) {
   ++total_pages_;
+  // A slug seen for the first time is on no term list yet, so only a
+  // duplicate term within this page can repeat it (and it would be the
+  // list's last entry); a repeated slug needs the full scan.
+  const bool new_slug = slugs_.insert(page.slug).second;
   for (const auto& [key, terms] : tags) {
     if (!config_.is_taxonomy_key(key)) continue;
     auto& term_map = index_[key];
     for (const auto& term : terms) {
       auto& pages = term_map[term];
-      if (std::find(pages.begin(), pages.end(), page) == pages.end()) {
-        pages.push_back(page);
-      }
+      const bool listed =
+          new_slug ? !pages.empty() && pages.back() == page
+                   : std::find(pages.begin(), pages.end(), page) !=
+                         pages.end();
+      if (!listed) pages.push_back(page);
     }
   }
 }

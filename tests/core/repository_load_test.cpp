@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -167,4 +168,90 @@ TEST(StrictLoad, AggregatesAllFailuresSortedByPath) {
   auto second = core::Repository::load(dir);
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.error().message, message);
+}
+
+TEST(LoadCache, ReparsesOnlyRestampedFilesAndDropsDeletedOnes) {
+  auto dir = fresh_content_dir("pdcu_load_cache");
+  const auto list = [&dir] {
+    auto files = core::list_content(dir);
+    EXPECT_TRUE(files.has_value());
+    return files.value();
+  };
+  // Later edits carry strictly later mtimes, as edits seconds apart would.
+  auto stamp = std::filesystem::file_time_type::clock::now();
+  const auto restamp = [&stamp](const std::filesystem::path& path) {
+    stamp += std::chrono::seconds(2);
+    std::filesystem::last_write_time(path, stamp);
+  };
+
+  core::LoadCache cache;
+  const core::LoadReport cold = core::Repository::load_lenient(list(), cache);
+  EXPECT_EQ(cold.files_parsed, 38u);
+  EXPECT_EQ(cold.files_reused, 0u);
+  EXPECT_EQ(cache.size(), 38u);
+  const auto& activities = cold.repository.activities();
+  for (std::size_t i = 0; i < activities.size(); ++i) {
+    EXPECT_EQ(cold.repository.fingerprint(i),
+              core::activity_fingerprint(activities[i]));
+  }
+
+  const core::LoadReport warm = core::Repository::load_lenient(list(), cache);
+  EXPECT_EQ(warm.files_parsed, 0u);
+  EXPECT_EQ(warm.files_reused, 38u);
+  ASSERT_EQ(warm.repository.activities().size(), activities.size());
+  for (std::size_t i = 0; i < activities.size(); ++i) {
+    EXPECT_EQ(core::write_activity(warm.repository.activities()[i]),
+              core::write_activity(activities[i]));
+  }
+
+  // One file edited, one deleted, one broken.
+  const auto path_of = [&dir](const std::string& slug) {
+    return dir / "activities" / (slug + ".md");
+  };
+  auto edited = core::Repository::builtin().activities().back();
+  ASSERT_NE(edited.slug, "findsmallestcard");
+  ASSERT_NE(edited.slug, "sortingnetworks");
+  edited.details += "\n\nEdited.";
+  ASSERT_TRUE(
+      fs::write_file(path_of(edited.slug), core::write_activity(edited)));
+  restamp(path_of(edited.slug));
+  std::filesystem::remove(path_of("sortingnetworks"));
+  corrupt(dir, "findsmallestcard");
+  restamp(path_of("findsmallestcard"));
+  const core::LoadReport edit = core::Repository::load_lenient(list(), cache);
+  EXPECT_EQ(edit.files_parsed, 2u);
+  EXPECT_EQ(edit.files_reused, 35u);
+  EXPECT_EQ(edit.total_files, 37u);
+  EXPECT_EQ(edit.quarantined_slugs(),
+            std::vector<std::string>{"findsmallestcard"});
+  EXPECT_EQ(cache.size(), 37u);  // the deleted file's entry is gone
+  const core::Activity* reloaded = edit.repository.find(edited.slug);
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_TRUE(strs::contains(reloaded->details, "Edited."));
+
+  // The parse error is memoized with its stamp: nothing is re-read, and
+  // the file stays quarantined until it changes.
+  const core::LoadReport again = core::Repository::load_lenient(list(), cache);
+  EXPECT_EQ(again.files_parsed, 0u);
+  EXPECT_EQ(again.quarantined_slugs(),
+            std::vector<std::string>{"findsmallestcard"});
+}
+
+TEST(LoadCache, ReadErrorsAreRetriedNotMemoized) {
+  auto dir = fresh_content_dir("pdcu_load_cache_read_error");
+  auto files = core::list_content(dir);
+  ASSERT_TRUE(files.has_value());
+  core::LoadCache cache;
+  {
+    fs::FaultInjector injector;
+    injector.add_rule({.path_substring = "findsmallestcard.md",
+                       .mode = fs::FaultInjector::Mode::kIoError});
+    fs::ScopedFaultInjection scope(injector);
+    const auto faulted = core::Repository::load_lenient(files.value(), cache);
+    EXPECT_EQ(faulted.quarantined_slugs(),
+              std::vector<std::string>{"findsmallestcard"});
+  }
+  const auto healed = core::Repository::load_lenient(files.value(), cache);
+  EXPECT_EQ(healed.files_parsed, 1u);
+  EXPECT_FALSE(healed.degraded());
 }

@@ -71,11 +71,11 @@ TEST(ProposedPipeline, ExtendedSiteHasStencilAndTermPages) {
   for (const auto& page : site.pages) {
     if (page.path == "activities/parallelstencilgameoflife/index.html") {
       activity_page = true;
-      EXPECT_TRUE(pdcu::strings::contains(page.html, "SIMD"));
-      EXPECT_TRUE(pdcu::strings::contains(page.html, "halo"));
+      EXPECT_TRUE(pdcu::strings::contains(page.html(), "SIMD"));
+      EXPECT_TRUE(pdcu::strings::contains(page.html(), "halo"));
     }
     if (page.path.find("simdnotation") != std::string::npos &&
-        pdcu::strings::contains(page.html, "parallelstencilgameoflife")) {
+        pdcu::strings::contains(page.html(), "parallelstencilgameoflife")) {
       term_page = true;
     }
   }

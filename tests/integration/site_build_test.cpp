@@ -62,7 +62,7 @@ TEST(SiteBuild, ActivityPagesIdenticalAcrossSources) {
   const auto* memory_page = from_memory.find(path);
   ASSERT_NE(disk_page, nullptr);
   ASSERT_NE(memory_page, nullptr);
-  EXPECT_EQ(disk_page->html, memory_page->html);
+  EXPECT_EQ(disk_page->html(), memory_page->html());
 }
 
 TEST(SiteBuild, EveryVisibleTermHasAPage) {
@@ -86,11 +86,11 @@ TEST(SiteBuild, EveryActivityLinkResolvesWithinTheSite) {
   for (const auto& page : s.pages) pages.insert("/" + page.path);
   for (const auto& page : s.pages) {
     std::size_t pos = 0;
-    while ((pos = page.html.find("href=\"/activities/", pos)) !=
+    while ((pos = page.html().find("href=\"/activities/", pos)) !=
            std::string::npos) {
       std::size_t start = pos + 6;
-      std::size_t end = page.html.find('"', start);
-      std::string href = page.html.substr(start, end - start);
+      std::size_t end = page.html().find('"', start);
+      std::string href = page.html().substr(start, end - start);
       EXPECT_TRUE(pages.count(href + "index.html") == 1)
           << "dangling " << href << " in " << page.path;
       pos = end;

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "pdcu/core/repository.hpp"
 #include "pdcu/search/query.hpp"
@@ -101,4 +103,51 @@ TEST(IndexSerialize, EmptyIndexRoundTrips) {
   ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
   EXPECT_EQ(loaded.value().doc_count(), 0u);
   EXPECT_EQ(loaded.value().term_count(), 0u);
+}
+
+TEST(IndexSerialize, SavingOverAMappedIndexKeepsItServing) {
+  // A server started with --index F --mmap serves from F's mapping while
+  // `pdcu index` rewrites F. Truncating F in place would turn the
+  // mapping's next page fault into SIGBUS; save_index must replace the
+  // file instead, leaving the old bytes to the mapping.
+  const auto path = std::filesystem::temp_directory_path() /
+                    "pdcu_serialize_mapped_rewrite.idx";
+  ASSERT_TRUE(search::save_index(index(), path).has_value());
+  const auto mapped = search::mmap_index(path);
+  ASSERT_TRUE(mapped.has_value()) << mapped.error().message;
+  ASSERT_TRUE(mapped.value().mapped());
+
+  // Rewrite the same path with a far smaller index (one document), so an
+  // in-place truncation would cut the mapping short by many pages.
+  const core::Repository tiny(std::vector<core::Activity>{
+      core::Repository::builtin().activities().front()});
+  ASSERT_TRUE(
+      search::save_index(search::SearchIndex::build(tiny), path).has_value());
+
+  const auto& taxonomy = core::Repository::builtin().index();
+  for (const char* input : {"message passing", "sorting", "race condition",
+                            "byzantine generals", "course:CS2"}) {
+    const auto query = search::parse_query(input);
+    const auto want = index().search(query, &taxonomy, 20);
+    const auto got = mapped.value().search(query, &taxonomy, 20);
+    ASSERT_EQ(want.size(), got.size()) << input;
+    for (std::size_t h = 0; h < want.size(); ++h) {
+      EXPECT_EQ(want[h].slug, got[h].slug) << input;
+      EXPECT_EQ(want[h].score, got[h].score) << input;
+      EXPECT_EQ(want[h].snippet.text, got[h].snippet.text) << input;
+    }
+  }
+  EXPECT_TRUE(mapped.value() == index());
+
+  // The path now holds the new index, and no temporary is left behind.
+  const auto reloaded = search::load_index(path);
+  ASSERT_TRUE(reloaded.has_value()) << reloaded.error().message;
+  EXPECT_EQ(reloaded.value().doc_count(), 1u);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(path.parent_path())) {
+    EXPECT_EQ(entry.path().string().find(path.filename().string() + ".tmp"),
+              std::string::npos)
+        << entry.path();
+  }
+  std::filesystem::remove(path);
 }

@@ -203,7 +203,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(ChaosBackends, FailedReloadKeepsServingLastKnownGoodUnderLoad) {
-  auto dir = fresh_content_dir("pdcu_chaos_reload");
+  // One directory per backend: ctest runs the two instances concurrently.
+  auto dir = fresh_content_dir(
+      std::string("pdcu_chaos_reload_") +
+      (GetParam() == server::Backend::kReactor ? "reactor" : "pool"));
   Stack stack(dir, GetParam());  // healthy start
   EXPECT_TRUE(strs::contains(body_of(simple_get(stack.port(), "/healthz")),
                              "\"status\":\"ok\""));

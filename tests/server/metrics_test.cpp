@@ -11,6 +11,7 @@
 
 #include "pdcu/obs/lint.hpp"
 #include "pdcu/obs/span.hpp"
+#include "pdcu/server/health.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace server = pdcu::server;
@@ -154,4 +155,34 @@ TEST(ServerMetrics, LegacyNamesFlagRestoresOldFamilies) {
   // The renamed families are still there — legacy lines are additive.
   EXPECT_TRUE(strs::contains(
       text, "pdcu_requests_by_class_total{class=\"2xx\"} 1"));
+}
+
+TEST(ReloadMetrics, ReportWhatTheLastReloadReusedPerStage) {
+  server::ReloadMetrics metrics;
+  server::ReloadReuse reuse;
+  reuse.files_parsed = 1;
+  reuse.files_reused = 999;
+  reuse.docs_tokenized = 2;
+  reuse.docs_reused = 998;
+  reuse.entries_rebuilt = 4;
+  reuse.entries_reused = 2160;
+  metrics.record_attempt();
+  metrics.record_success(0, 2, reuse);
+  const std::string text = metrics.render_text();
+  for (const char* line : {"pdcu_reload_pages_rendered_last 2\n",
+                           "pdcu_reload_files_parsed_last 1\n",
+                           "pdcu_reload_files_reused_last 999\n",
+                           "pdcu_reload_docs_tokenized_last 2\n",
+                           "pdcu_reload_docs_reused_last 998\n",
+                           "pdcu_reload_cache_entries_rebuilt_last 4\n",
+                           "pdcu_reload_cache_entries_reused_last 2160\n"}) {
+    EXPECT_TRUE(strs::contains(text, line)) << line << text;
+  }
+  const auto problems = obs::lint_exposition(text);
+  EXPECT_TRUE(problems.empty()) << strs::join(problems, "\n");
+
+  // A failed reload leaves the last success's figures in place.
+  metrics.record_failure(1000);
+  EXPECT_TRUE(strs::contains(metrics.render_text(),
+                             "pdcu_reload_files_parsed_last 1\n"));
 }

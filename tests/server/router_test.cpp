@@ -79,7 +79,7 @@ TEST(PageCache, TracksBytesAndReplacements) {
 TEST(PageCache, CachesEveryPageOfABuiltSite) {
   const auto built = site::build_site(core::Repository::builtin());
   server::PageCache cache(built);
-  EXPECT_EQ(cache.size(), built.pages.size());
+  EXPECT_EQ(cache.size(), built.pages.size() + built.documents.size());
   const auto* entry = cache.find("/");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->content_type, "text/html; charset=utf-8");

@@ -10,8 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "pdcu/core/repository.hpp"
 #include "pdcu/obs/access_log.hpp"
@@ -425,4 +429,45 @@ TEST(HttpServer, TwoEphemeralServersRunConcurrently) {
       simple_get(second.port(), "/api/catalog.json");
   EXPECT_TRUE(strs::starts_with(from_first, "HTTP/1.1 200 OK\r\n"));
   EXPECT_EQ(body_of(from_first), body_of(from_second));
+}
+
+TEST(HttpServer, SwapRouterWhileReadersLoadSnapshots) {
+  // Readers keep loading and using the current snapshot while the main
+  // thread swaps routers in repeatedly. Each swap releases the replaced
+  // router outside the snapshot lock; under TSan and ASan this catches a
+  // race on the pointer or a snapshot freed while a reader still holds it.
+  const auto& repo = core::Repository::builtin();
+  const site::Site built = site::build_site(repo);
+  server::HttpServer http(server::Router(built, repo));
+  server::Request request;
+  request.method = "GET";
+  request.target = "/activities/findsmallestcard/";
+  request.version = "HTTP/1.1";
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> loads{0};
+  std::atomic<std::uint64_t> misses{0};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const std::shared_ptr<const server::Router> snapshot = http.router();
+        const auto hit = snapshot->try_fast(request);
+        if (!hit.has_value() || hit->status != 200 || hit->body.empty()) {
+          misses.fetch_add(1, std::memory_order_relaxed);
+        }
+        loads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int swap = 0; swap < 20; ++swap) {
+    http.swap_router(server::Router(built, repo));
+  }
+  // Let the readers see the last snapshot too before stopping them.
+  const std::uint64_t seen = loads.load();
+  while (loads.load() < seen + 3) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_GT(loads.load(), 0u);
+  EXPECT_EQ(misses.load(), 0u);
 }

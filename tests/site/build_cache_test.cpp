@@ -23,7 +23,13 @@ void expect_identical(const site::Site& a, const site::Site& b) {
   ASSERT_EQ(a.pages.size(), b.pages.size());
   for (std::size_t i = 0; i < a.pages.size(); ++i) {
     EXPECT_EQ(a.pages[i].path, b.pages[i].path) << "slot " << i;
-    EXPECT_EQ(a.pages[i].html, b.pages[i].html) << a.pages[i].path;
+    EXPECT_EQ(a.pages[i].html(), b.pages[i].html()) << a.pages[i].path;
+  }
+  ASSERT_EQ(a.documents.size(), b.documents.size());
+  for (std::size_t i = 0; i < a.documents.size(); ++i) {
+    EXPECT_EQ(a.documents[i].path, b.documents[i].path) << "document " << i;
+    EXPECT_EQ(a.documents[i].html(), b.documents[i].html())
+        << a.documents[i].path;
   }
 }
 
@@ -89,7 +95,8 @@ TEST(BuildCache, ColdRebuildEqualsBuildSite) {
   const site::Site incremental = site::rebuild(repo(), cache, {}, &stats);
   expect_identical(site::build_site(repo()), incremental);
   EXPECT_EQ(stats.pages_reused, 0u);
-  EXPECT_EQ(cache.size(), incremental.pages.size());
+  EXPECT_EQ(cache.size(),
+            incremental.pages.size() + incremental.documents.size());
 }
 
 TEST(BuildCache, UnchangedInputsReuseEveryPage) {

@@ -100,5 +100,5 @@ TEST(JsonCatalog, SiteShipsIndexJson) {
   auto s = site::build_site(repo());
   const auto* page = s.find("index.json");
   ASSERT_NE(page, nullptr);
-  EXPECT_TRUE(strs::starts_with(page->html, "{"));
+  EXPECT_TRUE(strs::starts_with(page->html(), "{"));
 }

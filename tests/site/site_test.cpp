@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <string>
 
 #include "pdcu/support/strings.hpp"
 
@@ -39,25 +41,25 @@ TEST(Site, BuildsIndexAndActivityPages) {
 TEST(Site, ActivityPageCarriesFigThreeHeader) {
   const auto* page = s_page();
   ASSERT_NE(page, nullptr);
-  EXPECT_TRUE(strs::contains(page->html, "<h1>FindSmallestCard</h1>"));
+  EXPECT_TRUE(strs::contains(page->html(), "<h1>FindSmallestCard</h1>"));
   // The four visible taxonomies render as colored chips linking to term
   // pages (Fig. 3).
-  EXPECT_TRUE(strs::contains(page->html,
+  EXPECT_TRUE(strs::contains(page->html(),
                              "href=\"/cs2013/pd-parallelalgorithms/\""));
-  EXPECT_TRUE(strs::contains(page->html, "href=\"/courses/cs1/\""));
-  EXPECT_TRUE(strs::contains(page->html, "href=\"/senses/touch/\""));
-  EXPECT_TRUE(strs::contains(page->html, "chip-tcpp"));
+  EXPECT_TRUE(strs::contains(page->html(), "href=\"/courses/cs1/\""));
+  EXPECT_TRUE(strs::contains(page->html(), "href=\"/senses/touch/\""));
+  EXPECT_TRUE(strs::contains(page->html(), "chip-tcpp"));
   // Hidden taxonomies do NOT render in the header.
-  EXPECT_FALSE(strs::contains(page->html, "chip-cs2013details"));
-  EXPECT_FALSE(strs::contains(page->html, "chip-medium"));
+  EXPECT_FALSE(strs::contains(page->html(), "chip-cs2013details"));
+  EXPECT_FALSE(strs::contains(page->html(), "chip-medium"));
 }
 
 TEST(Site, ActivityPageRendersBodySections) {
   const auto* page = s_page();
   ASSERT_NE(page, nullptr);
-  EXPECT_TRUE(strs::contains(page->html, "<h2>Original Author/link</h2>"));
-  EXPECT_TRUE(strs::contains(page->html, "<h2>Citations</h2>"));
-  EXPECT_TRUE(strs::contains(page->html, "tournament"));
+  EXPECT_TRUE(strs::contains(page->html(), "<h2>Original Author/link</h2>"));
+  EXPECT_TRUE(strs::contains(page->html(), "<h2>Citations</h2>"));
+  EXPECT_TRUE(strs::contains(page->html(), "tournament"));
 }
 
 TEST(Site, TermPagesGroupActivities) {
@@ -65,11 +67,11 @@ TEST(Site, TermPagesGroupActivities) {
   const auto* cards = s.find("medium/cards/index.html");
   ASSERT_NE(cards, nullptr);
   // Six card activities (§III.D) are listed.
-  EXPECT_TRUE(strs::contains(cards->html, "findsmallestcard"));
-  EXPECT_TRUE(strs::contains(cards->html, "parallelradixsort"));
+  EXPECT_TRUE(strs::contains(cards->html(), "findsmallestcard"));
+  EXPECT_TRUE(strs::contains(cards->html(), "parallelradixsort"));
   const auto* k12 = s.find("courses/k-12/index.html");
   ASSERT_NE(k12, nullptr);
-  EXPECT_TRUE(strs::contains(k12->html, "selfstabilizingtokenring"));
+  EXPECT_TRUE(strs::contains(k12->html(), "selfstabilizingtokenring"));
 }
 
 TEST(Site, FourViewPagesExist) {
@@ -83,8 +85,8 @@ TEST(Site, FourViewPagesExist) {
 TEST(Site, TcppViewShowsRecommendedCourses) {
   const auto* view = full_site().find("views/tcpp/index.html");
   ASSERT_NE(view, nullptr);
-  EXPECT_TRUE(strs::contains(view->html, "Recommended courses:"));
-  EXPECT_TRUE(strs::contains(view->html, "C_Speedup"));
+  EXPECT_TRUE(strs::contains(view->html(), "Recommended courses:"));
+  EXPECT_TRUE(strs::contains(view->html(), "C_Speedup"));
 }
 
 TEST(Site, OptionsDisableViewsAndTermPages) {
@@ -101,9 +103,9 @@ TEST(Site, OptionsDisableViewsAndTermPages) {
 TEST(Site, PagesAreValidHtmlDocuments) {
   for (const auto& page : full_site().pages) {
     if (strs::ends_with(page.path, ".json")) continue;
-    EXPECT_TRUE(strs::starts_with(page.html, "<!DOCTYPE html>"))
+    EXPECT_TRUE(strs::starts_with(page.html(), "<!DOCTYPE html>"))
         << page.path;
-    EXPECT_TRUE(strs::contains(page.html, "</html>")) << page.path;
+    EXPECT_TRUE(strs::contains(page.html(), "</html>")) << page.path;
   }
 }
 
@@ -135,7 +137,8 @@ TEST(Site, FindIndexSurvivesCopiesAndAppends) {
   EXPECT_EQ(copy.find("index.html"), &copy.pages.front());
   // Appending without reindex() falls back to the scan, so the new page is
   // still found; reindex() restores the O(1) path.
-  copy.pages.push_back({"extra/index.html", "<html></html>"});
+  copy.pages.push_back(
+      {"extra/index.html", std::make_shared<const std::string>("<html></html>")});
   ASSERT_NE(copy.find("extra/index.html"), nullptr);
   copy.reindex();
   EXPECT_EQ(copy.find("extra/index.html"), &copy.pages.back());
