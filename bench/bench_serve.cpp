@@ -145,7 +145,6 @@ void print_json_summary() {
   const auto& repo = pdcu::core::Repository::builtin();
   pdcu::server::ServerOptions options;
   options.port = 0;
-  options.threads = 2;  // keep the bench independent of the default pool
   pdcu::server::HttpServer server(
       pdcu::server::Router(pdcu::site::build_site(repo), repo), options);
   if (!server.start()) {

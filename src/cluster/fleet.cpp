@@ -106,13 +106,6 @@ std::vector<std::string> Fleet::replica_argv(std::size_t i) const {
   argv.push_back(std::to_string(port));
   argv.push_back("--cluster-id");
   argv.push_back("replica-" + std::to_string(i));
-  // A private worker pool per replica. The front parks keep-alive
-  // connections (proxy + probe + gossip) on pool-backend workers; on a
-  // small machine the shared-default-pool sizing (hardware concurrency)
-  // would leave a replica with one worker, and a single idle keep-alive
-  // connection would starve every new accept for its read_timeout.
-  argv.push_back("--threads");
-  argv.push_back(std::to_string(options_.replica_threads));
   if (options_.base_port != 0 && options_.replicas > 1) {
     std::string peers;
     for (unsigned j = 0; j < options_.replicas; ++j) {

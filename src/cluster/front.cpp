@@ -1,15 +1,7 @@
 #include "pdcu/cluster/front.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 namespace pdcu::cluster {
 
@@ -23,19 +15,6 @@ using std::chrono::milliseconds;
 /// give the ring-move counter enough resolution without a full catalog.
 constexpr milliseconds kProbeDeadline{500};
 constexpr std::size_t kSampleKeys = 64;
-
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
 
 server::Response text_response(int status, std::string body) {
   server::Response response;
@@ -57,6 +36,54 @@ std::uint64_t healthz_epoch(const std::string& body) {
   if (at == std::string::npos) return 0;
   return std::strtoull(body.c_str() + at + 8, nullptr, 10);
 }
+
+/// The front's HTTP side of the reactor: parse, proxy (blocking on the
+/// upstream fetch on this shard's thread), frame. Like HttpServer's
+/// handler it answers a request that carries a body and then closes, so
+/// body bytes are never parsed (and proxied) as a request of their own.
+class FrontHandler final : public net::Handler {
+ public:
+  FrontHandler(FrontTier& front, std::size_t max_request_bytes)
+      : front_(front), max_request_bytes_(max_request_bytes) {}
+
+  net::Step on_data(std::string_view buffer, bool force_close,
+                    net::WireResponse& out) override {
+    const server::ParseResult parsed =
+        server::parse_request(buffer, max_request_bytes_);
+    if (parsed.status == server::ParseStatus::kIncomplete) {
+      return {net::StepStatus::kNeedMore, 0};
+    }
+    if (parsed.status != server::ParseStatus::kOk) {
+      const int status =
+          parsed.status == server::ParseStatus::kBad ? 400 : 431;
+      out.owned_head = serialize(server::error_response(status));
+      out.head = out.owned_head;
+      out.close = true;
+      out.status = status;
+      return {net::StepStatus::kRespond, 0};
+    }
+    server::Response response = front_.proxy(parsed.request);
+    out.close = !parsed.request.keep_alive() || parsed.request.has_body() ||
+                force_close;
+    response.set("Connection", out.close ? "close" : "keep-alive");
+    out.owned_head = serialize(response, parsed.request.method == "HEAD");
+    out.head = out.owned_head;
+    out.status = response.status;
+    return {net::StepStatus::kRespond, parsed.consumed};
+  }
+
+  std::string timeout_response() const override {
+    return serialize(server::error_response(408));
+  }
+
+  std::string overload_response() const override {
+    return serialize(server::error_response(503));
+  }
+
+ private:
+  FrontTier& front_;
+  const std::size_t max_request_bytes_;
+};
 
 }  // namespace
 
@@ -88,38 +115,24 @@ Status FrontTier::start() {
   if (running_.load(std::memory_order_acquire)) {
     return Error::make("cluster.front.start", "front tier already running");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Error::make("cluster.front.socket", std::strerror(errno));
+  handler_ = std::make_unique<FrontHandler>(*this, options_.max_request_bytes);
+  net::ReactorOptions net_options;
+  net_options.host = options_.host;
+  net_options.port = options_.port;
+  net_options.shards = options_.threads == 0 ? 1 : options_.threads;
+  net_options.max_connections =
+      static_cast<unsigned>(options_.max_connections);
+  net_options.read_timeout = options_.read_timeout;
+  net_options.max_buffer_bytes =
+      std::max<std::size_t>(options_.max_request_bytes * 2, 64 * 1024);
+  reactor_ = std::make_unique<net::ReactorServer>(net_options, *handler_);
+  if (const Status status = reactor_->start(); !status) {
+    reactor_.reset();
+    handler_.reset();
+    return status.error().context("cluster.front");
   }
-  const int enable = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof enable);
-
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &address.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Error::make("cluster.front.host",
-                       "not an IPv4 address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-             sizeof address) != 0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    const Error error = Error::make("cluster.front.bind", std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return error;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  bound_port_ = ntohs(bound.sin_port);
-
-  workers_ = std::make_unique<rt::ThreadPool>(options_.threads);
+  bound_port_ = reactor_->port();
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
 
   if (options_.probe_interval.count() > 0) {
     {
@@ -154,100 +167,10 @@ void FrontTier::stop() {
   }
   probe_stop_cv_.notify_all();
   if (probe_thread_.joinable()) probe_thread_.join();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  while (active_connections_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  workers_.reset();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  reactor_->stop();  // in-flight proxies finish, then the shards join
+  reactor_.reset();
+  handler_.reset();
   pool_.clear();
-}
-
-void FrontTier::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    pollfd waiter{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&waiter, 1, 100);
-    if (!running_.load(std::memory_order_acquire)) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (active_connections_.load(std::memory_order_relaxed) >=
-        options_.max_connections) {
-      send_all(fd, serialize(server::error_response(503)));
-      ::close(fd);
-      continue;
-    }
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
-    workers_->submit([this, fd] {
-      handle_connection(fd);
-      active_connections_.fetch_sub(1, std::memory_order_release);
-    });
-  }
-}
-
-void FrontTier::handle_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-
-  while (open && running_.load(std::memory_order_acquire)) {
-    server::ParseResult parsed =
-        server::parse_request(buffer, options_.max_request_bytes);
-    const auto deadline = Clock::now() + options_.read_timeout;
-    while (parsed.status == server::ParseStatus::kIncomplete) {
-      if (!running_.load(std::memory_order_acquire)) {
-        open = false;
-        break;
-      }
-      const auto remaining = std::chrono::duration_cast<milliseconds>(
-          deadline - Clock::now());
-      if (remaining.count() <= 0) {
-        if (!buffer.empty()) {
-          send_all(fd, serialize(server::error_response(408)));
-        }
-        open = false;
-        break;
-      }
-      pollfd waiter{fd, POLLIN, 0};
-      const int slice =
-          static_cast<int>(std::min<std::int64_t>(remaining.count(), 100));
-      const int ready = ::poll(&waiter, 1, slice);
-      if (ready < 0 && errno != EINTR) {
-        open = false;
-        break;
-      }
-      if (ready <= 0) continue;
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n <= 0) {
-        open = false;
-        break;
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      parsed = server::parse_request(buffer, options_.max_request_bytes);
-    }
-    if (!open) break;
-
-    if (parsed.status == server::ParseStatus::kBad ||
-        parsed.status == server::ParseStatus::kTooLarge) {
-      const int status =
-          parsed.status == server::ParseStatus::kBad ? 400 : 431;
-      send_all(fd, serialize(server::error_response(status)));
-      break;
-    }
-
-    server::Response response = proxy(parsed.request);
-    const bool close_after = !parsed.request.keep_alive() ||
-                             !running_.load(std::memory_order_acquire);
-    response.set("Connection", close_after ? "close" : "keep-alive");
-    const std::string wire =
-        serialize(response, parsed.request.method == "HEAD");
-    open = send_all(fd, wire) && !close_after;
-    buffer.erase(0, parsed.consumed);
-  }
-  ::close(fd);
 }
 
 server::Response FrontTier::front_healthz() const {

@@ -27,9 +27,6 @@ struct FleetOptions {
   std::string host = "127.0.0.1";
   std::string content_dir;  ///< empty serves the builtin curation
   bool watch = false;       ///< pass --watch (live reload) to replicas
-  /// --threads for every replica: each gets a private worker pool so the
-  /// front's parked keep-alive connections can never starve accepts.
-  unsigned replica_threads = 4;
   std::vector<std::string> extra_args;  ///< appended to every replica
 };
 

@@ -14,11 +14,13 @@
 // without waiting for the next probe tick).
 //
 // The front's own surface lives under /_front/ (healthz + metrics) so it
-// can never shadow a replica route. Threading mirrors HttpServer's pool
-// backend: one accept thread, a private worker pool, blocking upstream
-// I/O per worker. Tests run deterministically by setting probe_interval
-// and gossip_interval to zero and driving probe_once() / gossip rounds
-// by hand.
+// can never shadow a replica route. Connections ride the same sharded
+// epoll reactor as HttpServer (`threads` shards): idle keep-alive clients
+// cost no thread, and each shard proxies one request at a time with a
+// blocking upstream fetch, so there is one in-flight fetch per shard.
+// Tests run deterministically by setting probe_interval and
+// gossip_interval to zero and driving probe_once() / gossip rounds by
+// hand.
 #pragma once
 
 #include <atomic>
@@ -36,7 +38,8 @@
 #include "pdcu/cluster/policy.hpp"
 #include "pdcu/cluster/ring.hpp"
 #include "pdcu/cluster/upstream.hpp"
-#include "pdcu/runtime/thread_pool.hpp"
+#include "pdcu/net/handler.hpp"
+#include "pdcu/net/reactor.hpp"
 #include "pdcu/server/http.hpp"
 #include "pdcu/support/expected.hpp"
 
@@ -52,7 +55,7 @@ struct FrontOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 picks an ephemeral port (see port())
   std::string id = "front";
-  unsigned threads = 4;
+  unsigned threads = 4;  ///< reactor shards; 0 means 1
   unsigned vnodes = 64;
   std::size_t max_attempts = 3;  ///< candidate replicas tried per request
   std::chrono::milliseconds connect_timeout{250};
@@ -90,12 +93,10 @@ class FrontTier {
   void probe_once();
 
   /// Proxies one already-parsed request (test hook — exactly what a
-  /// worker does for a connection's request, minus the socket).
+  /// shard does for a connection's request, minus the socket).
   server::Response proxy(const server::Request& request);
 
  private:
-  void accept_loop();
-  void handle_connection(int fd);
   server::Response front_healthz() const;
   void mark_probe(const std::string& id, bool alive, bool degraded,
                   std::uint64_t epoch);
@@ -114,11 +115,9 @@ class FrontTier {
   std::vector<std::string> sample_owner_;  ///< last chosen target per sample key
 
   std::atomic<bool> running_{false};
-  std::atomic<std::size_t> active_connections_{0};
-  int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;
-  std::unique_ptr<rt::ThreadPool> workers_;
-  std::thread accept_thread_;
+  std::unique_ptr<net::Handler> handler_;
+  std::unique_ptr<net::ReactorServer> reactor_;
 
   std::mutex probe_stop_mutex_;
   std::condition_variable probe_stop_cv_;

@@ -1,6 +1,6 @@
 // Front-tier and gossip counters, exposed as the pdcu_cluster_* family on
 // the front tier's /_front/metrics endpoint (lint-clean exposition, same
-// conventions as ServerMetrics). All relaxed atomics: every proxy worker
+// conventions as ServerMetrics). All relaxed atomics: every front shard
 // and the prober/gossip threads bump them concurrently, and a scrape only
 // needs a consistent-enough snapshot.
 #pragma once

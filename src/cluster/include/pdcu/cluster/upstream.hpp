@@ -1,10 +1,10 @@
-// Proxy-grade blocking HTTP client for the front tier's hot path. Two
-// properties matter here that loadgen's Connection doesn't need:
+// Proxy-grade blocking HTTP client for the front tier's hot path (replies
+// are framed by server::parse_response). Two properties matter here:
 //
 //  * Connect timeouts via non-blocking connect + poll. A replica that is
 //    SYN-reachable but never completes the handshake (half-open peer,
 //    dropped by a fault rule, or a SYN queue full after SIGKILL) must
-//    cost one bounded attempt, not hang a proxy worker.
+//    cost one bounded attempt, not hang a front shard.
 //  * Connection reuse keyed by target. The front re-contacts the same M
 //    replicas for every request; a per-target stack of idle keep-alive
 //    sockets keeps the proxy hop at one RTT instead of three.

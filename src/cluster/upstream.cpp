@@ -10,7 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "pdcu/support/strings.hpp"
+#include "pdcu/server/http.hpp"
 
 namespace pdcu::cluster {
 
@@ -41,7 +41,7 @@ bool wait_for(int fd, short events, Clock::time_point deadline) {
 
 /// Non-blocking connect with a poll-bounded handshake. A peer that
 /// accepts the SYN but never completes (or a full SYN queue) surfaces
-/// here as connect_timeout, not as a hung worker.
+/// here as connect_timeout, not as a hung shard.
 Expected<int> connect_within(const std::string& host, std::uint16_t port,
                              milliseconds connect_timeout,
                              Clock::time_point deadline) {
@@ -106,24 +106,24 @@ Status send_all(int fd, std::string_view bytes, Clock::time_point deadline) {
   return Status::ok();
 }
 
-std::string lowercase_header_value(std::string_view head,
-                                   std::string_view name) {
-  std::string lowered;
-  lowered.reserve(head.size());
-  for (const char c : head) {
-    lowered +=
-        static_cast<char>(c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
+enum class ReadOutcome { kData, kEof, kTimeout, kError };
+
+/// Appends whatever the socket has to `buffer`, waiting until `deadline`
+/// for at least one byte.
+ReadOutcome read_some(int fd, std::string& buffer,
+                      Clock::time_point deadline) {
+  for (;;) {
+    char chunk[8192];
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n > 0) {
+      buffer.append(chunk, static_cast<std::size_t>(n));
+      return ReadOutcome::kData;
+    }
+    if (n == 0) return ReadOutcome::kEof;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return ReadOutcome::kError;
+    if (!wait_for(fd, POLLIN, deadline)) return ReadOutcome::kTimeout;
   }
-  std::string needle = "\n";
-  needle.append(name);
-  needle += ':';
-  const auto at = lowered.find(needle);
-  if (at == std::string::npos) return {};
-  auto end = lowered.find('\n', at + needle.size());
-  if (end == std::string::npos) end = lowered.size();
-  return std::string(
-      strings::trim(lowered.substr(at + needle.size(),
-                                   end - (at + needle.size()))));
 }
 
 }  // namespace
@@ -210,98 +210,55 @@ Expected<UpstreamReply> UpstreamPool::fetch(
     }
 
     std::string buffer;
-    std::size_t head_end;
-    bool stale_eof = false;
-    while ((head_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-      char chunk[8192];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n > 0) {
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (wait_for(fd, POLLIN, give_up)) continue;
-        ::close(fd);
+    server::ResponseHead head;
+    ReadOutcome last = ReadOutcome::kData;
+    while ((head = server::parse_response(buffer)).parse ==
+           server::ParseStatus::kIncomplete) {
+      last = read_some(fd, buffer, give_up);
+      if (last != ReadOutcome::kData) break;
+    }
+    if (head.parse == server::ParseStatus::kIncomplete) {
+      ::close(fd);
+      fd = -1;
+      if (last == ReadOutcome::kTimeout) {
         return Error::make("cluster.upstream.timeout",
                            "response header timed out");
       }
-      if (n < 0 && errno == EINTR) continue;
-      // EOF or hard error before any bytes on a reused socket: stale.
-      stale_eof = reused && buffer.empty();
-      break;
-    }
-    if (head_end == std::string::npos) {
-      ::close(fd);
-      fd = -1;
-      if (stale_eof) {
+      if (reused && buffer.empty()) {
         reused = false;
-        continue;
+        continue;  // EOF before any byte on a pooled socket: stale
       }
       return Error::make("cluster.upstream.read",
                          "connection closed before response head");
     }
-
-    const std::string_view head(buffer.data(), head_end + 2);
-    if (buffer.size() < 12 || buffer.compare(0, 5, "HTTP/") != 0) {
+    if (head.parse != server::ParseStatus::kOk) {
       ::close(fd);
-      return Error::make("cluster.upstream.read", "malformed status line");
+      return Error::make("cluster.upstream.read", "malformed response head");
     }
     UpstreamReply reply;
-    reply.status = std::atoi(buffer.c_str() + 9);
-    reply.content_type = lowercase_header_value(head, "content-type");
-    const std::string length_text =
-        lowercase_header_value(head, "content-length");
-    const auto body_length = strings::parse_u64(length_text);
-    const bool keep_alive =
-        body_length.has_value() &&
-        lowercase_header_value(head, "connection") != "close";
+    reply.status = head.status;
+    reply.content_type = head.header("content-type").value_or("");
 
-    const std::size_t body_start = head_end + 4;
-    if (body_length) {
-      while (buffer.size() < body_start + *body_length) {
-        char chunk[8192];
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n > 0) {
-          buffer.append(chunk, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          if (wait_for(fd, POLLIN, give_up)) continue;
-          ::close(fd);
-          return Error::make("cluster.upstream.timeout",
-                             "response body timed out");
-        }
-        if (n < 0 && errno == EINTR) continue;
-        ::close(fd);
-        return Error::make("cluster.upstream.read",
-                           "connection closed mid-body");
-      }
-      reply.body = buffer.substr(body_start, *body_length);
-    } else {
-      // Unframed: drain to EOF; the server is closing this connection.
-      for (;;) {
-        char chunk[8192];
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n > 0) {
-          buffer.append(chunk, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          if (wait_for(fd, POLLIN, give_up)) continue;
-          ::close(fd);
-          return Error::make("cluster.upstream.timeout",
-                             "response body timed out");
-        }
-        if (n < 0 && errno == EINTR) continue;
-        break;
-      }
-      reply.body = buffer.substr(body_start);
-    }
-
-    if (keep_alive) {
-      give_back(key, fd);
-    } else {
+    // A framed body ends at its Content-Length; an unframed one at EOF.
+    while (!head.complete(buffer.size())) {
+      last = read_some(fd, buffer, give_up);
+      if (last == ReadOutcome::kData) continue;
+      if (last == ReadOutcome::kEof && !head.content_length) break;
       ::close(fd);
+      if (last == ReadOutcome::kTimeout) {
+        return Error::make("cluster.upstream.timeout",
+                           "response body timed out");
+      }
+      return Error::make("cluster.upstream.read",
+                         "connection closed mid-body");
+    }
+    reply.body = buffer.substr(head.body_offset,
+                               head.content_length.value_or(std::string::npos));
+
+    if (head.close) {
+      ::close(fd);
+    } else {
+      give_back(key, fd);
     }
     return reply;
   }

@@ -1,5 +1,6 @@
-#include "pdcu/loadgen/epoll_client.hpp"
-
+// The load generator's client: one thread multiplexing every configured
+// connection through non-blocking state machines (see loadgen.hpp for the
+// schedule semantics). Responses are framed by server::parse_response.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -9,13 +10,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <queue>
 #include <string>
 #include <vector>
 
-#include "pdcu/loadgen/client.hpp"
+#include "pdcu/loadgen/loadgen.hpp"
+#include "pdcu/server/http.hpp"
 
 namespace pdcu::loadgen {
 
@@ -340,38 +340,27 @@ class EpollDriver {
       return;
     }
 
-    const auto head_end = conn.in.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
+    const server::ResponseHead head = server::parse_response(conn.in);
+    if (head.parse == server::ParseStatus::kIncomplete) {
       if (eof) finish_error(conn, c, &Tally::read_errors);
       return;  // need more head bytes
     }
-    if (conn.in.size() < 12 || conn.in.compare(0, 5, "HTTP/") != 0) {
+    if (head.parse != server::ParseStatus::kOk) {
       finish_error(conn, c, &Tally::read_errors);
       return;
     }
-    const std::string_view head(conn.in.data(), head_end + 2);
-    const std::string length_text =
-        find_header_value(head, "content-length");
-    const bool server_closes =
-        find_header_value(head, "connection") == "close" ||
-        length_text.empty();
-    const int status = std::atoi(conn.in.c_str() + 9);
-    const std::size_t body_start = head_end + 4;
-
-    if (!length_text.empty()) {
-      const auto body_length = static_cast<std::size_t>(
-          std::strtoull(length_text.c_str(), nullptr, 10));
-      if (conn.in.size() < body_start + body_length) {
+    if (head.content_length) {
+      if (!head.complete(conn.in.size())) {
         if (eof) finish_error(conn, c, &Tally::read_errors);
         return;  // body still arriving
       }
-      conn.in.erase(0, body_start + body_length);
-      finish_ok(conn, c, status, server_closes, Clock::now());
+      conn.in.erase(0, head.body_offset + *head.content_length);
+      finish_ok(conn, c, head.status, head.close || eof, Clock::now());
       return;
     }
     // Unframed response: complete at EOF (the server is closing).
     if (!eof) return;
-    finish_ok(conn, c, status, /*server_closes=*/true, Clock::now());
+    finish_ok(conn, c, head.status, /*server_closes=*/true, Clock::now());
   }
 
   /// Times out every in-flight request whose deadline passed. O(conns),
@@ -420,8 +409,8 @@ class EpollDriver {
 
 }  // namespace
 
-Result run_epoll(const Options& options,
-                 const std::vector<ScheduledRequest>& schedule) {
+Result run(const Options& options,
+           const std::vector<ScheduledRequest>& schedule) {
   Result empty;
   empty.target_rate = options.schedule.rate;
   empty.scheduled = schedule.size();

@@ -184,50 +184,46 @@ std::vector<std::string> sweep_schema_violations(const BenchDoc& doc) {
     return violations;
   }
 
-  // Count the per-backend point objects and remember each backend's best
-  // served rate so the summary can be cross-checked.
-  double best[2] = {0.0, 0.0};  // [pool, reactor]
-  int counts[2] = {0, 0};
-  for (int backend = 0; backend < 2; ++backend) {
-    const std::string prefix = backend == 0 ? "pool_" : "reactor_";
-    for (int i = 0;; ++i) {
-      const std::string point = prefix + std::to_string(i);
-      if (!doc.has_number(point + ".rate")) break;
-      ++counts[backend];
-      for (const char* field : {"rps", "scheduled", "completed"}) {
-        if (!doc.has_number(point + "." + field)) {
-          violations.push_back(point + "." + field + " missing");
-        }
+  // Check each reactor_N point and remember the best served rate so the
+  // summary can be cross-checked.
+  double best = 0.0;
+  int reactor_points = 0;
+  for (int i = 0;; ++i) {
+    const std::string point = "reactor_" + std::to_string(i);
+    if (!doc.has_number(point + ".rate")) break;
+    ++reactor_points;
+    for (const char* field : {"rps", "scheduled", "completed"}) {
+      if (!doc.has_number(point + "." + field)) {
+        violations.push_back(point + "." + field + " missing");
       }
-      best[backend] =
-          std::max(best[backend], doc.number(point + ".rps", 0.0));
     }
-    if (counts[backend] == 0) {
-      violations.push_back("no " + prefix + "N points in the sweep");
+    best = std::max(best, doc.number(point + ".rps", 0.0));
+  }
+  if (reactor_points == 0) {
+    violations.push_back("no reactor_N points in the sweep");
+  }
+  // 'points' counts every top-level point object ("<name>.rate"), so a
+  // document that also records points of a since-deleted backend stays
+  // self-consistent.
+  int point_objects = 0;
+  for (const auto& [key, value] : doc.numbers) {
+    const auto dot = key.find('.');
+    if (dot != std::string::npos && key.compare(dot, std::string::npos,
+                                                ".rate") == 0) {
+      ++point_objects;
     }
   }
-  if (doc.number("points", 0.0) != counts[0] + counts[1]) {
+  if (doc.number("points", 0.0) != point_objects) {
     violations.push_back("'points' does not match the point objects found");
   }
 
-  for (const char* key :
-       {"summary.pool_saturation_rps", "summary.reactor_saturation_rps",
-        "summary.reactor_speedup"}) {
-    if (!doc.has_number(key)) {
-      violations.push_back(std::string(key) + " missing");
-    }
-  }
   // The summary must describe the points it sits next to (small slack for
   // decimal round-tripping).
-  if (counts[0] > 0 &&
-      std::abs(doc.number("summary.pool_saturation_rps") - best[0]) >
-          0.01 * std::max(1.0, best[0])) {
-    violations.push_back(
-        "summary.pool_saturation_rps does not match the best pool point");
-  }
-  if (counts[1] > 0 &&
-      std::abs(doc.number("summary.reactor_saturation_rps") - best[1]) >
-          0.01 * std::max(1.0, best[1])) {
+  if (!doc.has_number("summary.reactor_saturation_rps")) {
+    violations.push_back("summary.reactor_saturation_rps missing");
+  } else if (reactor_points > 0 &&
+             std::abs(doc.number("summary.reactor_saturation_rps") - best) >
+                 0.01 * std::max(1.0, best)) {
     violations.push_back(
         "summary.reactor_saturation_rps does not match the best reactor "
         "point");

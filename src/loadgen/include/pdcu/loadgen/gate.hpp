@@ -66,10 +66,10 @@ std::vector<std::string> stencil_schema_violations(const BenchDoc& doc,
 /// latency-vs-offered-rate sweep committed as BENCH_sweep_serve.json).
 /// The sweep is too expensive to re-measure inside the gate, so the gate
 /// checks the committed document's shape instead: right bench name and
-/// schema, at least one pool_N and one reactor_N point each carrying
-/// rate/rps/completed, and a summary whose saturation numbers are
-/// consistent with the points. Returns human-readable violations; empty
-/// means the document is well-formed.
+/// schema, at least one reactor_N point, each carrying rps/scheduled/
+/// completed, a 'points' count matching the point objects, and a summary
+/// whose saturation rate is the best reactor point's. Returns
+/// human-readable violations; empty means the document is well-formed.
 std::vector<std::string> sweep_schema_violations(const BenchDoc& doc);
 
 /// Compares `fresh` against `baseline`: schema versions must match, the

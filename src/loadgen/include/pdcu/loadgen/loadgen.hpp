@@ -10,12 +10,12 @@
 // time. If the server stalls for 200 ms, every request scheduled inside
 // that window is charged the wait, and the p99 says so.
 //
-// N workers each own one connection and walk a round-robin slice of the
-// schedule, recording latencies into a worker-local obs::Histogram; the
-// snapshots merge lock-free at the end. Workers run on the provided
-// thread pool when it is big enough, otherwise on a private pool sized to
-// the connection count — a worker blocks in socket I/O for the whole run,
-// so packing two workers onto one pool thread would corrupt the schedule.
+// One thread multiplexes every connection through non-blocking epoll state
+// machines (epoll_client.cpp), so --connections can climb to tens of
+// thousands. Connection c walks schedule indices c, c+N, ... in
+// intended-time order and never skips a request it is late for: the
+// lateness is the coordinated-omission wait and belongs in the recorded
+// latency. Responses are framed by server::parse_response.
 #pragma once
 
 #include <chrono>
@@ -27,38 +27,14 @@
 #include "pdcu/loadgen/schedule.hpp"
 #include "pdcu/support/expected.hpp"
 
-namespace pdcu::rt {
-class ThreadPool;
-}  // namespace pdcu::rt
-
 namespace pdcu::loadgen {
-
-/// How the generator drives its connections.
-enum class ClientMode {
-  /// kBlocking under 65 connections, kEpoll above — the blocking client's
-  /// thread-per-connection model stops scaling right around there.
-  kAuto,
-  /// One worker thread per connection, blocking socket I/O. Simple, and
-  /// exact for small connection counts.
-  kBlocking,
-  /// One thread multiplexing every connection through epoll state
-  /// machines. Scales --connections to tens of thousands (the schedule
-  /// semantics — per-connection slices, intended-time latency — are
-  /// identical to the blocking mode).
-  kEpoll,
-};
 
 struct Options {
   std::string host = "127.0.0.1";
   std::uint16_t port = 8080;
-  unsigned connections = 4;  ///< worker connections walking the schedule
-  ClientMode client = ClientMode::kAuto;
-  std::chrono::milliseconds timeout{2000};  ///< per-exchange socket timeout
+  unsigned connections = 4;  ///< connections walking the schedule
+  std::chrono::milliseconds timeout{2000};  ///< per-exchange I/O timeout
   ScheduleOptions schedule;  ///< rate, duration, seed, zipf, mix
-  /// Workers run here when it has >= `connections` idle threads;
-  /// otherwise a private pool is created for the run (see file comment).
-  /// The epoll client ignores it (one thread drives everything).
-  rt::ThreadPool* pool = nullptr;
 };
 
 struct Result {
@@ -75,12 +51,11 @@ struct Result {
   std::uint64_t send_errors = 0;
   std::uint64_t read_errors = 0;
   std::uint64_t timeouts = 0;
-  /// Merged per-worker latencies, in microseconds, measured from each
-  /// request's intended send time (coordinated-omission-safe).
+  /// Latencies in microseconds, measured from each request's intended
+  /// send time (coordinated-omission-safe).
   obs::Histogram::Snapshot latency_us;
   std::uint64_t max_latency_us = 0;
-  /// Most connections simultaneously open during the run (== worker count
-  /// for the blocking client; the interesting number for the epoll one).
+  /// Most connections simultaneously open during the run.
   std::uint64_t peak_connections = 0;
 
   std::uint64_t errors_total() const {
@@ -105,6 +80,27 @@ Result run(const Options& options,
 /// options.schedule, and runs it. Fails if the server is unreachable or
 /// serves an empty catalog.
 Expected<Result> run_against(const Options& options);
+
+/// One framed reply of fetch_once.
+struct Reply {
+  int status = 0;
+  std::string body;
+};
+
+/// One GET over a fresh "Connection: close" exchange with a blocking
+/// socket bounded by `timeout`: read to EOF, framed by
+/// server::parse_response. For one-shot reads (the catalog, a /metrics
+/// scrape), not for load.
+Expected<Reply> fetch_once(const std::string& host, std::uint16_t port,
+                           const std::string& target,
+                           std::chrono::milliseconds timeout);
+
+/// Fetches /api/catalog.json and returns the slugs in catalog order (which
+/// the Zipf sampler treats as popularity order). A non-200 answer fails
+/// with its status.
+Expected<std::vector<std::string>> fetch_catalog_slugs(
+    const std::string& host, std::uint16_t port,
+    std::chrono::milliseconds timeout);
 
 /// Renders a Result as one BENCH-schema JSON object (see bench_json.hpp).
 /// `bench` names the trajectory file family, e.g. "serve".

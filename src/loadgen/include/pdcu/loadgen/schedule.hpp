@@ -4,7 +4,7 @@
 // time, route, target path, and whether it rides a kept-alive connection
 // or pays a cold connect.
 //
-// Everything downstream (the workers, the latency accounting) treats this
+// Everything downstream (the client, the latency accounting) treats this
 // schedule as ground truth: a request that should have left at t is
 // charged from t even if the generator was still waiting on an earlier
 // response, which is what makes the harness coordinated-omission-safe.

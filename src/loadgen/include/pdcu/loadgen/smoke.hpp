@@ -3,11 +3,8 @@
 // return the Result. This is what `pdcu loadgen --smoke` and the
 // bench_gate CI comparator run — no fixture server to deploy, no port to
 // coordinate, identical request schedule on every machine (fixed seed).
-//
-// The embedded server gets a private worker pool: in-process, server and
-// loadgen sharing one rt::default_pool() would deadlock on a 1-core host
-// (the loadgen worker holds the only pool thread while waiting for a
-// response the server can never schedule).
+// Server and client share no thread: the server runs on its reactor
+// shards, the load generator on the calling thread.
 #pragma once
 
 #include <vector>
@@ -17,21 +14,14 @@
 
 namespace pdcu::loadgen {
 
-/// Which HttpServer backend the embedded server runs on. Mirrors
-/// server::Backend without dragging server headers into this interface.
-enum class SmokeBackend { kPool, kReactor };
-
 struct SmokeOptions {
   double rate = 150.0;
   double duration_s = 2.0;
   unsigned connections = 2;
   std::uint64_t seed = 42;
-  unsigned server_threads = 4;
-  SmokeBackend backend = SmokeBackend::kPool;
   unsigned net_shards = 1;
   /// Server-side concurrent-connection cap; 0 keeps the server default.
   unsigned max_connections = 0;
-  ClientMode client = ClientMode::kAuto;
   /// Serve a deterministic synthetic corpus of this many documents instead
   /// of the builtin 38-activity curation (0 = builtin). Search-route query
   /// terms are drawn from the generator's vocabulary so they hit real
@@ -49,31 +39,27 @@ Expected<Result> run_smoke(const SmokeOptions& smoke = {},
 
 /// One measured point of the offered-rate sweep.
 struct SweepPoint {
-  SmokeBackend backend = SmokeBackend::kPool;
   double rate = 0.0;
   Result result;
 };
 
 struct SweepOptions {
-  /// Offered arrival rates, swept in order against each backend.
+  /// Offered arrival rates, swept in order.
   std::vector<double> rates = {200.0, 800.0, 3200.0};
   double duration_s = 2.0;
   unsigned connections = 128;
   std::uint64_t seed = 42;
-  unsigned server_threads = 4;
   unsigned net_shards = 2;
 };
 
-/// Drives every rate in `sweep.rates` against a pool-backend server and
-/// then a reactor-backend server (one embedded server per backend, reused
-/// across its rates so TCP state warms identically). Points are returned
-/// pool-first, in rate order.
+/// Drives every rate in `sweep.rates` against one embedded server (reused
+/// across the rates so TCP state warms identically). Points are returned
+/// in rate order.
 Expected<std::vector<SweepPoint>> run_sweep(const SweepOptions& sweep = {});
 
 /// Renders sweep points as one BENCH-schema document (bench
-/// "sweep_serve"): per-point nested objects keyed pool_0, pool_1, ...,
-/// reactor_0, ... plus a "summary" object with each backend's best
-/// achieved rate and the reactor/pool speedup at saturation.
+/// "sweep_serve"): per-point nested objects keyed reactor_0, reactor_1,
+/// ... plus a "summary" object with the best achieved rate.
 std::string render_sweep_json(const std::vector<SweepPoint>& points,
                               const SweepOptions& sweep);
 

@@ -1,153 +1,92 @@
 #include "pdcu/loadgen/loadgen.hpp"
 
-#include <algorithm>
-#include <future>
-#include <memory>
-#include <thread>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include "pdcu/loadgen/bench_json.hpp"
-#include "pdcu/loadgen/client.hpp"
-#include "pdcu/loadgen/epoll_client.hpp"
-#include "pdcu/runtime/thread_pool.hpp"
+#include "pdcu/server/http.hpp"
 
 namespace pdcu::loadgen {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Everything one worker accumulates; folded into the Result at the end.
-struct WorkerTally {
-  obs::Histogram latency_us;
-  std::uint64_t max_latency_us = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t status_2xx = 0, status_3xx = 0, status_4xx = 0,
-                status_5xx = 0;
-  std::uint64_t connect_errors = 0, send_errors = 0, read_errors = 0,
-                timeouts = 0;
-  Clock::time_point last_response;
-};
-
-/// One worker: walks schedule indices w, w+stride, ... in intended-time
-/// order, sleeping until each request's arrival time and never skipping a
-/// request it is late for — the lateness is the coordinated-omission wait
-/// and belongs in the recorded latency.
-void run_worker(const Options& options,
-                const std::vector<ScheduledRequest>& schedule,
-                std::size_t worker, std::size_t stride,
-                Clock::time_point start, WorkerTally& tally) {
-  Connection connection(options.host, options.port, options.timeout);
-  tally.last_response = start;
-  for (std::size_t i = worker; i < schedule.size(); i += stride) {
-    const ScheduledRequest& request = schedule[i];
-    const Clock::time_point intended =
-        start + std::chrono::nanoseconds(request.offset_ns);
-    std::this_thread::sleep_until(intended);  // returns at once when late
-    if (request.fresh_connection) connection.close();
-
-    const Exchange exchange = connection.get(request.target);
-    const Clock::time_point now = Clock::now();
-    switch (exchange.outcome) {
-      case Outcome::kOk: {
-        const auto latency = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - intended)
-                .count());
-        tally.latency_us.record(latency);
-        tally.max_latency_us = std::max(tally.max_latency_us, latency);
-        ++tally.completed;
-        tally.last_response = now;
-        if (exchange.status >= 200 && exchange.status < 300) {
-          ++tally.status_2xx;
-        } else if (exchange.status < 400) {
-          ++tally.status_3xx;
-        } else if (exchange.status < 500) {
-          ++tally.status_4xx;
-        } else {
-          ++tally.status_5xx;
-        }
-        break;
-      }
-      case Outcome::kConnectError: ++tally.connect_errors; break;
-      case Outcome::kSendError: ++tally.send_errors; break;
-      case Outcome::kReadError: ++tally.read_errors; break;
-      case Outcome::kTimeout: ++tally.timeouts; break;
-    }
+Expected<Reply> fetch_once(const std::string& host, std::uint16_t port,
+                           const std::string& target,
+                           std::chrono::milliseconds timeout) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return Error::make("loadgen.fetch", "socket failed");
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &address.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                sizeof address) != 0) {
+    ::close(fd);
+    return Error::make("loadgen.fetch", "cannot connect to " + host + ":" +
+                                            std::to_string(port));
   }
+  const std::string request = "GET " + target + " HTTP/1.1\r\nHost: " + host +
+                              "\r\nConnection: close\r\n\r\n";
+  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(request.size())) {
+    ::close(fd);
+    return Error::make("loadgen.fetch", "send failed");
+  }
+  std::string response;
+  char chunk[8192];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+
+  const server::ResponseHead head = server::parse_response(response);
+  const bool framed = head.content_length.has_value();
+  if (head.parse != server::ParseStatus::kOk ||
+      (framed && !head.complete(response.size()))) {
+    return Error::make("loadgen.fetch", "malformed or truncated response to " +
+                                            target);
+  }
+  Reply reply;
+  reply.status = head.status;
+  reply.body = framed ? response.substr(head.body_offset, *head.content_length)
+                      : response.substr(head.body_offset);
+  return reply;
 }
 
-}  // namespace
-
-/// 64 blocked worker threads is where thread-per-connection stops being
-/// a reasonable model; kAuto switches to the epoll client above it.
-constexpr unsigned kAutoEpollThreshold = 64;
-
-Result run(const Options& options,
-           const std::vector<ScheduledRequest>& schedule) {
-  if (options.client == ClientMode::kEpoll ||
-      (options.client == ClientMode::kAuto &&
-       options.connections > kAutoEpollThreshold)) {
-    return run_epoll(options, schedule);
+Expected<std::vector<std::string>> fetch_catalog_slugs(
+    const std::string& host, std::uint16_t port,
+    std::chrono::milliseconds timeout) {
+  auto reply = fetch_once(host, port, "/api/catalog.json", timeout);
+  if (!reply) return reply.error().context("catalog");
+  if (reply.value().status != 200) {
+    return Error::make("loadgen.catalog",
+                       "catalog answered HTTP " +
+                           std::to_string(reply.value().status));
   }
-
-  Result result;
-  result.target_rate = options.schedule.rate;
-  result.scheduled = schedule.size();
-  if (schedule.empty()) return result;
-
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(options.connections,
-                                                     schedule.size()));
-  // A worker occupies its pool thread for the entire run (blocking socket
-  // I/O), so an undersized pool would serialize workers and destroy the
-  // arrival schedule. Fall back to a private pool in that case.
-  rt::ThreadPool* pool = options.pool;
-  std::unique_ptr<rt::ThreadPool> private_pool;
-  if (pool == nullptr || pool->size() < workers) {
-    private_pool =
-        std::make_unique<rt::ThreadPool>(static_cast<unsigned>(workers));
-    pool = private_pool.get();
+  const std::string& body = reply.value().body;
+  std::vector<std::string> slugs;
+  const std::string needle = "\"slug\":";
+  std::size_t at = 0;
+  while ((at = body.find(needle, at)) != std::string::npos) {
+    at += needle.size();
+    while (at < body.size() && (body[at] == ' ' || body[at] == '\t')) ++at;
+    if (at >= body.size() || body[at] != '"') continue;
+    const auto end = body.find('"', at + 1);
+    if (end == std::string::npos) break;
+    slugs.push_back(body.substr(at + 1, end - at - 1));
+    at = end + 1;
   }
-
-  std::vector<WorkerTally> tallies(workers);
-  // Small start offset so every worker is parked on its first
-  // sleep_until before the first arrival fires.
-  const Clock::time_point start =
-      Clock::now() + std::chrono::milliseconds(20);
-  std::vector<std::future<void>> done;
-  done.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    done.push_back(pool->submit([&, w] {
-      run_worker(options, schedule, w, workers, start, tallies[w]);
-    }));
+  if (slugs.empty()) {
+    return Error::make("loadgen.catalog", "catalog listed no slugs");
   }
-  for (auto& future : done) future.get();
-
-  Clock::time_point last_response = start;
-  for (const WorkerTally& tally : tallies) {
-    result.latency_us.merge(tally.latency_us.snapshot());
-    result.max_latency_us =
-        std::max(result.max_latency_us, tally.max_latency_us);
-    result.completed += tally.completed;
-    result.status_2xx += tally.status_2xx;
-    result.status_3xx += tally.status_3xx;
-    result.status_4xx += tally.status_4xx;
-    result.status_5xx += tally.status_5xx;
-    result.connect_errors += tally.connect_errors;
-    result.send_errors += tally.send_errors;
-    result.read_errors += tally.read_errors;
-    result.timeouts += tally.timeouts;
-    last_response = std::max(last_response, tally.last_response);
-  }
-  result.wall_s =
-      std::chrono::duration<double>(last_response - start).count();
-  if (result.wall_s > 0.0) {
-    result.achieved_rate =
-        static_cast<double>(result.completed) / result.wall_s;
-  }
-  // Each blocking worker owns exactly one connection for the whole run.
-  result.peak_connections = workers;
-  return result;
+  return slugs;
 }
 
 Expected<Result> run_against(const Options& options) {

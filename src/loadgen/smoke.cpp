@@ -17,11 +17,7 @@ namespace {
 server::ServerOptions make_server_options(const SmokeOptions& smoke) {
   server::ServerOptions server_options;
   server_options.port = 0;  // ephemeral; loadgen reads it back
-  server_options.threads = smoke.server_threads;
-  if (smoke.backend == SmokeBackend::kReactor) {
-    server_options.backend = server::Backend::kReactor;
-    server_options.net_shards = std::max(1u, smoke.net_shards);
-  }
+  server_options.net_shards = std::max(1u, smoke.net_shards);
   if (smoke.max_connections > 0) {
     server_options.max_connections = smoke.max_connections;
   }
@@ -54,7 +50,6 @@ Expected<Result> run_smoke(const SmokeOptions& smoke, Options* used) {
   options.host = "127.0.0.1";
   options.port = server.port();
   options.connections = smoke.connections;
-  options.client = smoke.client;
   options.schedule.rate = smoke.rate;
   options.schedule.duration_s = smoke.duration_s;
   options.schedule.seed = smoke.seed;
@@ -74,39 +69,33 @@ Expected<Result> run_smoke(const SmokeOptions& smoke, Options* used) {
 }
 
 Expected<std::vector<SweepPoint>> run_sweep(const SweepOptions& sweep) {
-  std::vector<SweepPoint> points;
-  for (const SmokeBackend backend :
-       {SmokeBackend::kPool, SmokeBackend::kReactor}) {
-    SmokeOptions smoke;
-    smoke.backend = backend;
-    smoke.net_shards = sweep.net_shards;
-    smoke.server_threads = sweep.server_threads;
-    // Let every client connection in: the sweep measures what the backend
-    // can serve, not how politely it sheds load.
-    smoke.max_connections = sweep.connections * 2;
-    server::HttpServer server = make_smoke_server(smoke);
-    if (auto status = server.start(); !status) {
-      return status.error().context("sweep server failed to start");
-    }
-
-    for (const double rate : sweep.rates) {
-      Options options;
-      options.host = "127.0.0.1";
-      options.port = server.port();
-      options.connections = sweep.connections;
-      options.client = ClientMode::kEpoll;
-      options.schedule.rate = rate;
-      options.schedule.duration_s = sweep.duration_s;
-      options.schedule.seed = sweep.seed;
-      auto result = run_against(options);
-      if (!result) {
-        server.stop();
-        return result.error().context("sweep point failed");
-      }
-      points.push_back(SweepPoint{backend, rate, std::move(result).value()});
-    }
-    server.stop();
+  SmokeOptions smoke;
+  smoke.net_shards = sweep.net_shards;
+  // Let every client connection in: the sweep measures what the server
+  // can serve, not how politely it sheds load.
+  smoke.max_connections = sweep.connections * 2;
+  server::HttpServer server = make_smoke_server(smoke);
+  if (auto status = server.start(); !status) {
+    return status.error().context("sweep server failed to start");
   }
+
+  std::vector<SweepPoint> points;
+  for (const double rate : sweep.rates) {
+    Options options;
+    options.host = "127.0.0.1";
+    options.port = server.port();
+    options.connections = sweep.connections;
+    options.schedule.rate = rate;
+    options.schedule.duration_s = sweep.duration_s;
+    options.schedule.seed = sweep.seed;
+    auto result = run_against(options);
+    if (!result) {
+      server.stop();
+      return result.error().context("sweep point failed");
+    }
+    points.push_back(SweepPoint{rate, std::move(result).value()});
+  }
+  server.stop();
   return points;
 }
 
@@ -119,22 +108,14 @@ std::string render_sweep_json(const std::vector<SweepPoint>& points,
   writer.integer("net_shards", sweep.net_shards);
   writer.integer("points", points.size());
 
-  double best_pool = 0.0;
-  double best_reactor = 0.0;
-  unsigned pool_index = 0;
-  unsigned reactor_index = 0;
-  for (const SweepPoint& point : points) {
-    const bool reactor = point.backend == SmokeBackend::kReactor;
-    // Saturation throughput = the best rate the backend actually served
-    // anywhere in the sweep. achieved_rate counts only completed
-    // requests, so an overloaded point contributes what it really
-    // delivered, not what was offered.
-    double& best = reactor ? best_reactor : best_pool;
+  // Saturation throughput = the best rate actually served anywhere in the
+  // sweep. achieved_rate counts only completed requests, so an overloaded
+  // point contributes what it really delivered, not what was offered.
+  double best = 0.0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SweepPoint& point = points[i];
     best = std::max(best, point.result.achieved_rate);
-
-    std::string key = reactor ? "reactor_" : "pool_";
-    key += std::to_string(reactor ? reactor_index++ : pool_index++);
-    writer.open(key);
+    writer.open("reactor_" + std::to_string(i));
     writer.number("rate", point.rate);
     writer.number("achieved_rate", point.result.achieved_rate);
     writer.number("rps", point.result.achieved_rate);
@@ -149,10 +130,7 @@ std::string render_sweep_json(const std::vector<SweepPoint>& points,
   }
 
   writer.open("summary");
-  writer.number("pool_saturation_rps", best_pool);
-  writer.number("reactor_saturation_rps", best_reactor);
-  writer.number("reactor_speedup",
-                best_pool > 0.0 ? best_reactor / best_pool : 0.0);
+  writer.number("reactor_saturation_rps", best);
   writer.close();
   return writer.finish();
 }

@@ -89,8 +89,7 @@ Connection::Event Connection::process(bool draining) {
     if (buffer_.empty()) return Event::kKeep;
 
     // The response to the last allowed request (or any request served
-    // while draining or after the peer half-closed) is framed close,
-    // mirroring the pool backend's max_requests_per_connection semantics.
+    // while draining or after the peer half-closed) is framed close.
     const bool force_close =
         draining || peer_eof_ ||
         (limits_.max_requests != 0 && served_ + 1 >= limits_.max_requests);

@@ -20,6 +20,12 @@ bool set_nonblocking(int fd);
 Expected<int> open_listener(const std::string& host, std::uint16_t port,
                             bool reuse_port, int backlog);
 
+/// Fails (net.bind) when host:port is already bound by a socket in any
+/// state but TIME_WAIT: a plain bind, released at once. Used before
+/// SO_REUSEPORT listeners claim a fixed port, since those would share it
+/// with another server already listening there instead of failing.
+Status check_port_free(const std::string& host, std::uint16_t port);
+
 /// The locally-bound port of a listening socket (resolves port 0).
 std::uint16_t bound_port(int fd);
 

@@ -258,6 +258,11 @@ Status ReactorServer::start() {
   active_.store(0, std::memory_order_relaxed);
 
   std::uint16_t port = options_.port;
+  if (port != 0) {
+    if (const Status free = check_port_free(options_.host, port); !free) {
+      return free.error().context("reactor port " + std::to_string(port));
+    }
+  }
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>(*this, i);
     // Every listener sets SO_REUSEPORT so N of them can share the port;

@@ -55,6 +55,25 @@ Expected<int> open_listener(const std::string& host, std::uint16_t port,
   return fd;
 }
 
+Status check_port_free(const std::string& host, std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return Error::make("net.socket", std::strerror(errno));
+  const int enable = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof enable);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  Status status = Status::ok();
+  if (::inet_pton(AF_INET, host.c_str(), &address.sin_addr) != 1) {
+    status = Error::make("net.host", "not an IPv4 address: " + host);
+  } else if (::bind(fd, reinterpret_cast<sockaddr*>(&address),
+                    sizeof address) != 0) {
+    status = Error::make("net.bind", std::strerror(errno));
+  }
+  ::close(fd);
+  return status;
+}
+
 std::uint16_t bound_port(int fd) {
   sockaddr_in bound{};
   socklen_t length = sizeof bound;

@@ -137,6 +137,12 @@ bool connection_has_token(std::string_view header, std::string_view token) {
 
 }  // namespace
 
+bool Request::has_body() const {
+  const std::string* length = header("content-length");
+  return (length != nullptr && *length != "0") ||
+         header("transfer-encoding") != nullptr;
+}
+
 bool Request::keep_alive() const {
   const std::string* connection = header("connection");
   if (connection != nullptr && connection_has_token(*connection, "close")) {
@@ -219,6 +225,123 @@ ParseResult parse_request(std::string_view data, std::size_t max_bytes) {
   result.status = ParseStatus::kOk;
   result.consumed = head_len + terminator;
   return result;
+}
+
+namespace {
+
+/// Field-value bytes: visible ASCII, obs-text, SP and HTAB; no controls.
+bool is_field_text(std::string_view s) {
+  return std::none_of(s.begin(), s.end(), [](char c) {
+    const auto byte = static_cast<unsigned char>(c);
+    return (byte < 0x20 && c != '\t') || byte == 0x7f;
+  });
+}
+
+constexpr std::string_view kHttp1Prefix = "HTTP/1.";
+
+/// "HTTP/1.x" SP 3DIGIT [SP reason-phrase]; returns the status or 0.
+int parse_status_line(std::string_view line, bool& http10) {
+  if (line.size() < 12 || line.substr(0, 7) != kHttp1Prefix ||
+      line[7] < '0' || line[7] > '9' || line[8] != ' ') {
+    return 0;
+  }
+  if (line.size() > 12 && line[12] != ' ') return 0;
+  int status = 0;
+  for (std::size_t i = 9; i < 12; ++i) {
+    if (line[i] < '0' || line[i] > '9') return 0;
+    status = status * 10 + (line[i] - '0');
+  }
+  if (status < 100 || status > 599 || !is_field_text(line.substr(12))) {
+    return 0;
+  }
+  http10 = line[7] == '0';
+  return status;
+}
+
+}  // namespace
+
+std::optional<std::string_view> ResponseHead::header(
+    std::string_view name) const {
+  for (const auto& [key, value] : headers) {
+    if (equals_ignore_case(key, name)) return value;
+  }
+  return std::nullopt;
+}
+
+bool ResponseHead::complete(std::size_t buffered) const {
+  return parse == ParseStatus::kOk && content_length.has_value() &&
+         buffered >= body_offset &&
+         buffered - body_offset >= *content_length;
+}
+
+ResponseHead parse_response(std::string_view data) {
+  ResponseHead head;
+  const auto bad = [&head] {
+    head = ResponseHead{};
+    head.parse = ParseStatus::kBad;
+    return head;
+  };
+  // A stream that cannot become a status line fails now, not at timeout.
+  if (data.substr(0, kHttp1Prefix.size()) !=
+      kHttp1Prefix.substr(0, std::min(kHttp1Prefix.size(), data.size()))) {
+    return bad();
+  }
+
+  bool http10 = false;
+  bool keep_alive = false;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t lf = data.find('\n', pos);
+    if (lf == std::string_view::npos) {
+      return data.size() > kMaxResponseHeadBytes ? bad() : ResponseHead{};
+    }
+    if (lf + 1 > kMaxResponseHeadBytes || lf == pos || data[lf - 1] != '\r') {
+      return bad();  // oversized head, or a bare LF
+    }
+    const std::string_view line = data.substr(pos, lf - 1 - pos);
+    pos = lf + 1;
+    if (head.status == 0) {
+      head.status = parse_status_line(line, http10);
+      if (head.status == 0) return bad();
+      continue;
+    }
+    if (line.empty()) break;  // end of head
+
+    const std::size_t colon = line.find(':');
+    if (colon == 0 || colon == std::string_view::npos ||
+        head.headers.size() >= kMaxHeaderCount) {
+      return bad();
+    }
+    const std::string_view name = line.substr(0, colon);
+    const std::string_view raw_value = line.substr(colon + 1);
+    if (!std::all_of(name.begin(), name.end(), is_tchar) ||
+        !is_field_text(raw_value)) {
+      return bad();
+    }
+    const std::string_view value = strs::trim(raw_value);
+    head.headers.emplace_back(name, value);
+
+    if (equals_ignore_case(name, "content-length")) {
+      const auto length = strs::parse_u64(value);
+      if (!length || (head.content_length && *head.content_length != *length)) {
+        return bad();
+      }
+      head.content_length = length;
+    } else if (equals_ignore_case(name, "transfer-encoding")) {
+      return bad();
+    } else if (equals_ignore_case(name, "connection")) {
+      head.close = head.close || connection_has_token(value, "close");
+      keep_alive = keep_alive || connection_has_token(value, "keep-alive");
+    }
+  }
+
+  head.parse = ParseStatus::kOk;
+  head.body_offset = pos;
+  if (head.status < 200 || head.status == 204 || head.status == 304) {
+    head.content_length = 0;
+  }
+  if ((http10 && !keep_alive) || !head.content_length) head.close = true;
+  return head;
 }
 
 void Response::set(std::string name, std::string value) {

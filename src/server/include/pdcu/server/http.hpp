@@ -1,12 +1,17 @@
-// Minimal HTTP/1.1 message layer for the embedded server: request parsing
-// with hard size limits, response serialization, and status reasons. The
-// parser is incremental — callers feed it a growing buffer and it reports
-// kIncomplete until a full request head has arrived — and strict: anything
-// malformed is kBad, which the connection layer answers with 400 instead of
+// Minimal HTTP/1.1 message layer: request parsing with hard size limits,
+// response serialization, and status reasons for the embedded server, plus
+// the one response-head parser every client in the repository frames its
+// replies with (the load generator, the front tier's upstream fetch, the
+// metrics linter). Both parsers are incremental — callers feed them a
+// growing buffer and they report kIncomplete until a full head has
+// arrived — and strict: anything malformed is kBad, which the server
+// answers with 400 and a client counts as a read error, instead of
 // guessing (and instead of crashing).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,6 +48,12 @@ struct Request {
   /// HTTP/1.1 defaults to persistent connections unless "Connection: close";
   /// HTTP/1.0 requires an explicit "Connection: keep-alive".
   bool keep_alive() const;
+
+  /// True when the request announces a body (a non-zero Content-Length or
+  /// any Transfer-Encoding). Bodies are never routed, so a connection that
+  /// carried one is answered and closed: its body bytes must not be read
+  /// as the next request head.
+  bool has_body() const;
 };
 
 struct ParseResult {
@@ -68,6 +79,43 @@ std::vector<std::pair<std::string, std::string>> parse_query_params(
 /// targets that do not start with '/', and unknown HTTP versions.
 ParseResult parse_request(std::string_view data,
                           std::size_t max_bytes = kDefaultMaxRequestBytes);
+
+/// Upper bound on a response head a client will buffer before giving up.
+inline constexpr std::size_t kMaxResponseHeadBytes = 16 * 1024;
+
+/// One parsed response head. The header views point into the buffer given
+/// to parse_response and are valid only while it is unchanged.
+struct ResponseHead {
+  /// kOk, kIncomplete or kBad; an oversized head is kBad, never kTooLarge.
+  ParseStatus parse = ParseStatus::kIncomplete;
+  int status = 0;               ///< 100..599 when parse == kOk
+  std::size_t body_offset = 0;  ///< head bytes, blank line included
+  /// Body length: the Content-Length, or 0 for a status that never carries
+  /// a body (1xx, 204, 304). nullopt means the body runs to EOF.
+  std::optional<std::uint64_t> content_length;
+  /// The server closes the connection after this response: it said
+  /// "Connection: close", spoke HTTP/1.0 without keep-alive, or sent an
+  /// unframed body.
+  bool close = false;
+  std::vector<std::pair<std::string_view, std::string_view>> headers;
+
+  /// Case-insensitive header lookup; nullopt when absent.
+  std::optional<std::string_view> header(std::string_view name) const;
+
+  /// True when `buffered` bytes (head included) hold the whole framed
+  /// body. Always false for an unframed body, which ends only at EOF.
+  bool complete(std::size_t buffered) const;
+};
+
+/// Parses one response head from the front of `data`. Strict where the
+/// clients must not guess: the status line is "HTTP/1.x" SP three digits
+/// (100..599) [SP reason]; every line ends in CRLF (a bare LF is kBad);
+/// header names are tokens with no obs-fold; Content-Length is a plain
+/// decimal (strings::parse_u64), and duplicates must agree. A
+/// Transfer-Encoding is kBad because no client here decodes chunked
+/// bodies, and misframing one would desync a keep-alive stream.
+/// A head longer than kMaxResponseHeadBytes is kBad.
+ResponseHead parse_response(std::string_view data);
 
 struct Response {
   int status = 200;

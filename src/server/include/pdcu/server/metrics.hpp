@@ -5,8 +5,6 @@
 // path; render_text() produces promtool-clean /metrics exposition
 // (# HELP / # TYPE lines, counters suffixed _total, cumulative
 // pdcu_request_latency_us_bucket{route=...,le=...} series ending in +Inf).
-// The pre-rename families are still emitted when obs::legacy_names() is
-// set, for one release of scrape-config migration.
 #pragma once
 
 #include <array>

@@ -86,9 +86,9 @@ class Router {
   /// router and every snapshot swapped after it.
   void set_spans(const obs::SpanRegistry* spans) { spans_ = spans; }
 
-  /// Appends the reactor's pdcu_net_* families to /metrics (wired only
-  /// when the server runs the reactor backend). The pointee must outlive
-  /// the router and every snapshot swapped after it.
+  /// Appends the reactor's pdcu_net_* families to /metrics (HttpServer
+  /// wires its own). The pointee must outlive the router and every
+  /// snapshot swapped after it.
   void set_net_metrics(const net::NetMetrics* metrics) {
     net_metrics_ = metrics;
   }
@@ -96,9 +96,9 @@ class Router {
   /// Shards /api/search query execution across `pool` (per-shard top-k,
   /// deterministic merge) on corpora large enough to benefit. The pool
   /// must outlive the router and every snapshot swapped after it, and must
-  /// NOT be the pool the server's own handlers run on: a handler blocking
-  /// on tasks queued to its own busy pool deadlocks. Leave unset (the
-  /// default) when ServerOptions::threads == 0 shares rt::default_pool().
+  /// NOT be a pool the handlers themselves run on: a handler blocking on
+  /// tasks queued to its own busy pool deadlocks. Reactor handlers run on
+  /// the shard threads, so rt::default_pool() is safe here.
   void set_search_pool(rt::ThreadPool* pool) { search_pool_ = pool; }
 
   /// Pure dispatch: no I/O, no mutation. GET and HEAD only (405 otherwise

@@ -1,11 +1,13 @@
 // The connection layer: a dependency-free HTTP/1.1 server over POSIX
-// sockets. One thread accepts; connections are handled on the existing
-// pdcu::runtime::ThreadPool with keep-alive, per-request read timeouts, a
-// concurrent-connection limit (excess connections get 503), and graceful
-// shutdown — stop() stops accepting, lets in-flight requests finish, and
-// joins everything. Malformed requests are answered with 400, oversized
-// heads with 431, idle sockets with 408; nothing a client sends can crash
-// the process. Lifecycle events land in an optional runtime TraceLog.
+// sockets, carried by the sharded epoll reactor (pdcu::net): a few
+// event-loop threads multiplex every connection, with keep-alive,
+// per-request read timeouts, a concurrent-connection limit (excess
+// connections get 503), a zero-copy writev hot path for cached pages, and
+// graceful shutdown — stop() stops accepting, lets in-flight responses
+// finish, and joins the shards. Malformed requests are answered with 400,
+// oversized heads with 431, idle sockets with 408; nothing a client sends
+// can crash the process. Lifecycle events land in an optional runtime
+// TraceLog.
 //
 // The served content is an immutable snapshot: a shared_ptr<const Router>
 // that each request loads once (RCU-style; the pointer itself is guarded
@@ -24,11 +26,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "pdcu/net/metrics.hpp"
 #include "pdcu/net/reactor.hpp"
-#include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/runtime/trace.hpp"
 #include "pdcu/server/metrics.hpp"
 #include "pdcu/server/router.hpp"
@@ -40,34 +40,23 @@ class AccessLog;
 
 namespace pdcu::server {
 
-/// Which connection engine carries the traffic. Routing, metrics, access
-/// logging, and reload semantics are identical across the two; only the
-/// concurrency model differs.
+/// The connection engine. The reactor is the only one; the field that
+/// selects it stays in ServerOptions because the end-to-end benchmark
+/// sets it. Parameterized test ids print the value, so it stays 1.
 enum class Backend {
-  /// One blocking thread per in-flight connection, from a ThreadPool.
-  /// Simple and battle-tested, but keep-alive connections pin their
-  /// thread for the connection's whole life, so concurrency is capped
-  /// at the pool size.
-  kPool,
-  /// Sharded epoll reactor (pdcu::net): a few event-loop threads
-  /// multiplex every connection, with a zero-copy writev hot path for
-  /// cached pages. Scales to tens of thousands of keep-alive
-  /// connections.
-  kReactor,
+  kReactor = 1,
 };
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 8080;  ///< 0 picks an ephemeral port (see port())
-  Backend backend = Backend::kPool;
-  unsigned threads = 0;  ///< 0 = share rt::default_pool(); else private pool
+  Backend backend = Backend::kReactor;
   /// Reactor shards (epoll loops with private SO_REUSEPORT listeners).
-  /// Size to physical cores serving traffic; 0 means 1. Pool ignores it.
+  /// Size to physical cores serving traffic; 0 means 1.
   unsigned net_shards = 1;
   unsigned max_connections = 128;  ///< concurrent; excess answered with 503
   std::chrono::milliseconds read_timeout{5000};  ///< per request head
-  /// Reactor only: how long stop() lets in-flight responses finish before
-  /// force-closing (the pool backend drains unconditionally).
+  /// How long stop() lets in-flight responses finish before force-closing.
   std::chrono::milliseconds drain_timeout{2000};
   std::size_t max_request_bytes = kDefaultMaxRequestBytes;
   unsigned max_requests_per_connection = 100;  ///< keep-alive cap
@@ -86,11 +75,11 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and starts the accept thread and worker pool.
+  /// Binds the shard listeners and starts the reactor threads.
   Status start();
 
-  /// Graceful shutdown: stop accepting, finish in-flight requests, join
-  /// the pool, close the listening socket. Idempotent.
+  /// Graceful shutdown: stop accepting, finish in-flight responses, join
+  /// the shards. Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -102,7 +91,7 @@ class HttpServer {
   const ServerMetrics& metrics() const { return metrics_; }
 
   /// Reactor-core counters (accepts by shard, peak connections, writev
-  /// stats). All zero when the pool backend is serving.
+  /// stats).
   const net::NetMetrics& net_metrics() const { return net_metrics_; }
 
   /// The current serving snapshot. Hold the shared_ptr for as long as the
@@ -127,10 +116,6 @@ class HttpServer {
   void run_until_signalled();
 
  private:
-  Status start_reactor();
-  void accept_loop();
-  void handle_connection(int fd);
-
   /// The serving snapshot; requests load it once and hold a reference for
   /// the duration of the request (see swap_router()). The mutex guards
   /// only the pointer, never a request.
@@ -140,18 +125,11 @@ class HttpServer {
   rt::TraceLog* trace_;
   ServerMetrics metrics_;
 
-  int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<unsigned> active_connections_{0};
-  /// Connections run on the shared rt::default_pool() unless
-  /// options.threads asks for a private, explicitly-sized pool.
-  rt::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<rt::ThreadPool> owned_pool_;
-  std::thread accept_thread_;
 
-  /// Reactor backend (Backend::kReactor): the protocol handler and the
-  /// sharded epoll server it plugs into. Null while the pool serves.
+  /// The protocol handler and the sharded epoll server it plugs into;
+  /// null while stopped.
   net::NetMetrics net_metrics_;
   std::unique_ptr<net::Handler> reactor_handler_;
   std::unique_ptr<net::ReactorServer> reactor_;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <functional>
 
-#include "pdcu/obs/span.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace pdcu::server {
@@ -174,16 +173,6 @@ std::string ServerMetrics::render_text() const {
                                  per_route_[route].latency.snapshot(), out);
   }
 
-  if (obs::legacy_names()) {
-    // Pre-rename families, kept one release for scrape-config migration.
-    // Deliberately un-TYPEd, exactly as they shipped; drop together with
-    // obs::legacy_names.
-    for (int status_class = 1; status_class <= 5; ++status_class) {
-      out += "pdcu_requests{class=\"" + std::to_string(status_class) +
-             "xx\"} " + std::to_string(requests_by_class(status_class)) +
-             "\n";
-    }
-  }
   return out;
 }
 

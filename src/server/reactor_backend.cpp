@@ -45,18 +45,14 @@ class ReactorHandler final : public net::Handler {
     }
 
     const auto handle_start = std::chrono::steady_clock::now();
-    // One snapshot per request, exactly like the pool backend: a reload
-    // that lands mid-request swaps the next request onto the new site.
+    // One snapshot per request: a reload that lands mid-request swaps the
+    // next request onto the new site.
     std::shared_ptr<const Router> snapshot = router_();
 
-    // A request body would poison keep-alive framing (bodies are never
-    // routed), so answer and close rather than misread body bytes as the
-    // next request head.
-    const std::string* content_length =
-        parsed.request.header("content-length");
-    const bool has_body = content_length != nullptr && *content_length != "0";
-    const bool close_after =
-        !parsed.request.keep_alive() || has_body || force_close;
+    // A request body would poison keep-alive framing, so answer and close
+    // rather than misread body bytes as the next request head.
+    const bool close_after = !parsed.request.keep_alive() ||
+                             parsed.request.has_body() || force_close;
     const bool head_only = parsed.request.method == "HEAD";
 
     int status = 0;

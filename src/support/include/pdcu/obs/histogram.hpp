@@ -77,10 +77,6 @@ class Histogram {
   /// added atomically).
   void merge(const Histogram& other);
 
-  /// Older spelling of merge(); kept for call sites that read better with
-  /// the directional name.
-  void merge_from(const Histogram& other) { merge(other); }
-
   /// Bucket that record(value) lands in.
   static std::size_t bucket_index(std::uint64_t value);
 

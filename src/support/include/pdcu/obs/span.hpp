@@ -75,10 +75,4 @@ class ScopedSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Compatibility switch for the pre-rename metric families: when set, the
-/// old `pdcu_requests{class=...}` and bare-gauge lines are appended after
-/// the promtool-clean families for one release of scrape-config migration.
-void set_legacy_names(bool enabled);
-bool legacy_names();
-
 }  // namespace pdcu::obs

@@ -1,22 +1,9 @@
 #include "pdcu/obs/span.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace pdcu::obs {
-
-namespace {
-
-std::atomic<bool> g_legacy_names{false};
-
-}  // namespace
-
-void set_legacy_names(bool enabled) {
-  g_legacy_names.store(enabled, std::memory_order_relaxed);
-}
-
-bool legacy_names() { return g_legacy_names.load(std::memory_order_relaxed); }
 
 void SpanRegistry::record(std::string_view span, std::uint64_t duration_us) {
   {

@@ -45,12 +45,6 @@ struct Replica {
     router.set_gossip(&agent);
     server::ServerOptions options;
     options.port = 0;
-    // A private worker pool per replica: the front holds keep-alive
-    // connections (proxy + gossip), each of which parks a pool-backend
-    // worker — sharing rt::default_pool() across three replicas on a
-    // small machine would let one replica's idle connections starve
-    // another replica's accepts.
-    options.threads = 4;
     instance = std::make_unique<server::HttpServer>(std::move(router),
                                                     std::move(options));
     const auto status = instance->start();
@@ -474,4 +468,47 @@ TEST(FrontTier, ServesOverARealSocketEndToEnd) {
   EXPECT_NE(reply.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(reply.find("X-Pdcu-Upstream:"), std::string::npos);
   front.stop();
+}
+
+TEST(FrontTier, RequestBodyIsNeverProxiedAsARequest) {
+  // A request announcing a body whose bytes are a complete second request:
+  // the front answers the first request and closes, so the smuggled
+  // request is never parsed, let alone proxied.
+  Fleet3 fleet;
+  cluster::FrontTier front(manual_options(), fleet.targets());
+  ASSERT_TRUE(front.start().has_value());
+
+  const std::string smuggled = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+  const std::string wire = "GET / HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                           std::to_string(smuggled.size()) + "\r\n\r\n" +
+                           smuggled;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(front.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                      sizeof address),
+            0);
+  ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+  // Reads to EOF: a front that kept the connection open would hang here
+  // until its read timeout instead.
+  std::string reply;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  front.stop();
+
+  const server::ResponseHead head = server::parse_response(reply);
+  ASSERT_EQ(head.parse, server::ParseStatus::kOk) << reply;
+  EXPECT_EQ(head.status, 200);
+  EXPECT_TRUE(head.close);
+  ASSERT_TRUE(head.complete(reply.size()));
+  // Exactly one response: nothing follows the first body.
+  EXPECT_EQ(reply.size(), head.body_offset + *head.content_length) << reply;
+  EXPECT_EQ(front.metrics().requests(), 1u);
 }

@@ -1,5 +1,6 @@
 // End-to-end load-generator tests: a real smoke run against an embedded
-// HttpServer, the BENCH JSON rendering, and — the test this subsystem
+// HttpServer, the BENCH JSON rendering, the one-shot catalog fetch, and —
+// the test this subsystem
 // exists for — proof that the harness is coordinated-omission-safe: a
 // server that stalls 200 ms per response must show that stall (and the
 // queueing it causes) in the recorded percentiles, because latency is
@@ -30,11 +31,16 @@ namespace {
 
 /// A minimal HTTP server that sleeps `stall` before every response — the
 /// pathological target a closed-loop tool would under-report. Handles
-/// each connection on its own thread; responses are Content-Length framed
-/// keep-alive, exactly what the loadgen client expects.
+/// each connection on its own thread and answers every request with
+/// `response` (by default a Content-Length framed keep-alive 200, exactly
+/// what the loadgen client expects).
 class StallServer {
  public:
-  explicit StallServer(std::chrono::milliseconds stall) : stall_(stall) {
+  explicit StallServer(std::chrono::milliseconds stall,
+                       std::string response =
+                           "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
+                           "Connection: keep-alive\r\n\r\nok\n")
+      : stall_(stall), response_(std::move(response)) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in address{};
     address.sin_family = AF_INET;
@@ -47,7 +53,7 @@ class StallServer {
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
                   &length);
     port_ = ntohs(address.sin_port);
-    accept_thread_ = std::thread([this] { accept_loop(); });
+    accept_thread_ = std::thread([this] { accept_all(); });
   }
 
   ~StallServer() {
@@ -61,7 +67,7 @@ class StallServer {
   std::uint16_t port() const { return port_; }
 
  private:
-  void accept_loop() {
+  void accept_all() {
     while (!stopping_.load()) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) break;
@@ -84,15 +90,14 @@ class StallServer {
       }
       buffer.erase(0, buffer.find("\r\n\r\n") + 4);
       std::this_thread::sleep_for(stall_);
-      const std::string response =
-          "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
-          "Connection: keep-alive\r\n\r\nok\n";
-      ::send(fd, response.data(), response.size(), MSG_NOSIGNAL);
+      ::send(fd, response_.data(), response_.size(), MSG_NOSIGNAL);
+      if (response_.find("Connection: close") != std::string::npos) break;
     }
     ::close(fd);
   }
 
   std::chrono::milliseconds stall_;
+  std::string response_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
@@ -127,6 +132,7 @@ TEST(Loadgen, CoordinatedOmissionIsCharged) {
   EXPECT_EQ(result.completed, 10u);
   EXPECT_EQ(result.status_2xx, 10u);
   EXPECT_EQ(result.errors_total(), 0u);
+  EXPECT_EQ(result.peak_connections, 1u);
   // Every response waited at least one full stall.
   EXPECT_GE(result.latency_us.quantile(0.50),
             static_cast<std::uint64_t>(200000));
@@ -231,36 +237,29 @@ TEST(Loadgen, UnreachableServerFailsWithAnError) {
   EXPECT_FALSE(result.has_value());
 }
 
-TEST(Loadgen, EpollClientIsCoordinatedOmissionSafeToo) {
-  // The epoll client must charge latency from intended send times
-  // exactly like the blocking workers: same stalling server, same
-  // schedule, same percentile floors.
-  constexpr auto kStall = std::chrono::milliseconds(200);
-  StallServer server(kStall);
+TEST(Loadgen, CatalogErrorFailsWithItsStatus) {
+  // A server that answers the catalog with an error must fail the run
+  // with that status, not parse the error page and report "no slugs".
+  StallServer server(std::chrono::milliseconds(0),
+                     "HTTP/1.1 503 Service Unavailable\r\n"
+                     "Content-Length: 4\r\nConnection: close\r\n\r\nbusy");
+  auto slugs = loadgen::fetch_catalog_slugs("127.0.0.1", server.port(),
+                                            std::chrono::milliseconds(2000));
+  ASSERT_FALSE(slugs.has_value());
+  EXPECT_NE(slugs.error().message.find("503"), std::string::npos)
+      << slugs.error().message;
+  EXPECT_EQ(slugs.error().message.find("no slugs"), std::string::npos);
+}
 
-  loadgen::Options options;
-  options.port = server.port();
-  options.connections = 1;
-  options.client = loadgen::ClientMode::kEpoll;
-  options.timeout = std::chrono::milliseconds(10000);
-  options.schedule.rate = 50.0;
-  options.schedule.duration_s = 0.2;
-  options.schedule.seed = 42;
-  options.schedule.keep_alive_ratio = 1.0;
-  options.schedule.mix = {{loadgen::Route::kPage, 1.0}};
-
-  const auto schedule =
-      loadgen::build_schedule(options.schedule, {"stall"});
-  ASSERT_EQ(schedule.size(), 10u);
-  const auto result = loadgen::run(options, schedule);
-
-  EXPECT_EQ(result.completed, 10u);
-  EXPECT_EQ(result.errors_total(), 0u);
-  EXPECT_EQ(result.peak_connections, 1u);
-  EXPECT_GE(result.latency_us.quantile(0.50),
-            static_cast<std::uint64_t>(200000));
-  EXPECT_GE(result.latency_us.quantile(0.99),
-            static_cast<std::uint64_t>(400000));
+TEST(Loadgen, CatalogWithAMalformedStatusLineIsAnError) {
+  StallServer server(std::chrono::milliseconds(0),
+                     "HTTP/1.1 2xx OK\r\nContent-Length: 2\r\n"
+                     "Connection: close\r\n\r\n{}");
+  auto slugs = loadgen::fetch_catalog_slugs("127.0.0.1", server.port(),
+                                            std::chrono::milliseconds(2000));
+  ASSERT_FALSE(slugs.has_value());
+  EXPECT_NE(slugs.error().message.find("malformed"), std::string::npos)
+      << slugs.error().message;
 }
 
 TEST(Loadgen, EpollClientSmokesCleanlyAgainstTheReactorBackend) {
@@ -268,9 +267,7 @@ TEST(Loadgen, EpollClientSmokesCleanlyAgainstTheReactorBackend) {
   smoke.rate = 200.0;
   smoke.duration_s = 0.5;
   smoke.connections = 16;
-  smoke.backend = loadgen::SmokeBackend::kReactor;
   smoke.net_shards = 2;
-  smoke.client = loadgen::ClientMode::kEpoll;
   loadgen::Options used;
   const auto result = loadgen::run_smoke(smoke, &used);
   ASSERT_TRUE(result.has_value())
@@ -290,23 +287,6 @@ TEST(Loadgen, EpollClientSmokesCleanlyAgainstTheReactorBackend) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed.value().number("requests.peak_connections"),
                    16.0);
-}
-
-TEST(Loadgen, AutoClientModePicksEpollAboveTheThreadCeiling) {
-  // Not a behavioural difference a client can observe — both modes speak
-  // the same protocol — but the run must succeed with a connection count
-  // no thread-per-connection pool on this box could carry.
-  loadgen::SmokeOptions smoke;
-  smoke.rate = 300.0;
-  smoke.duration_s = 0.5;
-  smoke.connections = 100;  // kAuto switches to epoll above 64
-  smoke.backend = loadgen::SmokeBackend::kReactor;
-  smoke.max_connections = 256;
-  loadgen::Options used;
-  const auto result = loadgen::run_smoke(smoke, &used);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result.value().completed, result.value().scheduled);
-  EXPECT_EQ(result.value().peak_connections, 100u);
 }
 
 }  // namespace

@@ -539,6 +539,22 @@ TEST(ReactorServer, StopIsIdempotentAndStartAfterStopFails) {
   EXPECT_FALSE(server.running());
 }
 
+TEST(ReactorServer, FixedPortAlreadyServedIsRefused) {
+  // Shard listeners use SO_REUSEPORT; a second server on the same fixed
+  // port must fail to start rather than silently take half the traffic.
+  EchoHandler handler;
+  net::ReactorServer first(net::ReactorOptions{}, handler);
+  ASSERT_TRUE(first.start().has_value());
+  net::ReactorOptions options;
+  options.port = first.port();
+  net::ReactorServer second(options, handler);
+  const pdcu::Status status = second.start();
+  ASSERT_FALSE(status.has_value());
+  EXPECT_EQ(status.error().code, "net.bind");
+  EXPECT_FALSE(second.running());
+  first.stop();
+}
+
 TEST(NetMetrics, RendersPrometheusTextWithPerShardAccepts) {
   net::NetMetrics metrics;
   metrics.set_shard_count(2);

@@ -1,5 +1,5 @@
 // Heavy soak: ten thousand concurrent keep-alive connections against the
-// reactor backend. The server runs as a real `pdcu serve --net reactor`
+// reactor. The server runs as a real `pdcu serve --net-shards 2`
 // subprocess (its own fd table — together with the client's 10k sockets
 // a single process would brush the container's fd ceiling) and the load
 // is driven by the epoll loadgen client in-process.
@@ -19,8 +19,6 @@
 #include <cstring>
 #include <string>
 
-#include "pdcu/loadgen/client.hpp"
-#include "pdcu/loadgen/epoll_client.hpp"
 #include "pdcu/loadgen/loadgen.hpp"
 #include "pdcu/loadgen/schedule.hpp"
 
@@ -49,8 +47,8 @@ struct ServeProcess {
       ::dup2(fds[1], STDOUT_FILENO);
       ::close(fds[0]);
       ::close(fds[1]);
-      ::execl(PDCU_CLI_PATH, PDCU_CLI_PATH, "serve", "--port", "0", "--net",
-              "reactor", "--net-shards", "2", "--max-connections", "12000",
+      ::execl(PDCU_CLI_PATH, PDCU_CLI_PATH, "serve", "--port", "0",
+              "--net-shards", "2", "--max-connections", "12000",
               static_cast<char*>(nullptr));
       std::_Exit(127);
     }
@@ -103,7 +101,6 @@ TEST(ReactorSoak, TenThousandConcurrentKeepAliveConnections) {
   options.host = "127.0.0.1";
   options.port = server.port;
   options.connections = kConnections;
-  options.client = loadgen::ClientMode::kEpoll;
   options.timeout = std::chrono::milliseconds(10000);
   options.schedule.rate = 5000.0;
   options.schedule.duration_s = 4.0;
@@ -117,7 +114,7 @@ TEST(ReactorSoak, TenThousandConcurrentKeepAliveConnections) {
                                                 slugs.value());
   ASSERT_EQ(schedule.size(), 20000u);
 
-  const loadgen::Result result = loadgen::run_epoll(options, schedule);
+  const loadgen::Result result = loadgen::run(options, schedule);
 
   EXPECT_EQ(result.peak_connections, kConnections);
   EXPECT_EQ(result.completed, result.scheduled)

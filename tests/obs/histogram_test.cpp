@@ -98,7 +98,7 @@ TEST(Histogram, MergeAddsCountsAndSums) {
   obs::Histogram b;
   for (const std::uint64_t v : {1u, 10u, 100u}) a.record(v);
   for (const std::uint64_t v : {2u, 20u, 200u, 2000u}) b.record(v);
-  a.merge_from(b);
+  a.merge(b);
   const auto merged = a.snapshot();
   EXPECT_EQ(merged.count, 7u);
   EXPECT_EQ(merged.sum, 111u + 2222u);

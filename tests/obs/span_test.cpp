@@ -114,11 +114,3 @@ TEST(SpanRegistry, ConcurrentRecordsAcrossNewAndExistingSpans) {
     EXPECT_EQ(own->count(), kPerThread);
   }
 }
-
-TEST(LegacyNames, FlagRoundTripsAndDefaultsOff) {
-  EXPECT_FALSE(obs::legacy_names());
-  obs::set_legacy_names(true);
-  EXPECT_TRUE(obs::legacy_names());
-  obs::set_legacy_names(false);
-  EXPECT_FALSE(obs::legacy_names());
-}

@@ -6,8 +6,6 @@
 #include <climits>
 #include <numeric>
 #include <stdexcept>
-#include <random>
-#include <string>
 
 namespace rt = pdcu::rt;
 
@@ -110,65 +108,6 @@ TEST(ThreadPool, ParallelReduceMax) {
       },
       [](int a, int b) { return std::max(a, b); });
   EXPECT_EQ(best, 41);
-}
-
-TEST(ThreadPool, ParallelScanMatchesPartialSum) {
-  rt::ThreadPool pool(4);
-  for (std::size_t n : {0u, 1u, 2u, 7u, 64u, 1001u}) {
-    std::vector<long long> values(n);
-    std::iota(values.begin(), values.end(), 1);
-    std::vector<long long> expected = values;
-    std::partial_sum(expected.begin(), expected.end(), expected.begin());
-    pool.parallel_scan<long long>(values, 0,
-                                  [](long long a, long long b) {
-                                    return a + b;
-                                  });
-    EXPECT_EQ(values, expected) << "n=" << n;
-  }
-}
-
-TEST(ThreadPool, ParallelScanWithNonCommutativeAssociativeOp) {
-  // String concatenation is associative but not commutative: the scan
-  // must preserve order.
-  rt::ThreadPool pool(3);
-  std::vector<std::string> values = {"a", "b", "c", "d", "e", "f", "g"};
-  pool.parallel_scan<std::string>(
-      values, std::string{},
-      [](const std::string& a, const std::string& b) { return a + b; });
-  EXPECT_EQ(values.back(), "abcdefg");
-  EXPECT_EQ(values[2], "abc");
-}
-
-class ParallelSortSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelSortSizes, MatchesStdSort) {
-  rt::ThreadPool pool(4);
-  std::vector<int> values(GetParam());
-  std::mt19937 gen(static_cast<unsigned>(GetParam() + 1));
-  for (auto& v : values) v = static_cast<int>(gen() % 1000);
-  std::vector<int> expected = values;
-  std::sort(expected.begin(), expected.end());
-  pool.parallel_sort(values);
-  EXPECT_EQ(values, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ParallelSortSizes,
-                         ::testing::Values(0, 1, 2, 3, 5, 8, 100, 1000,
-                                           4097));
-
-TEST(ThreadPool, ParallelSortWithCustomComparator) {
-  rt::ThreadPool pool(3);
-  std::vector<int> values = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
-  pool.parallel_sort(values, std::greater<int>{});
-  EXPECT_TRUE(
-      std::is_sorted(values.begin(), values.end(), std::greater<int>{}));
-}
-
-TEST(ThreadPool, ParallelSortSingleWorker) {
-  rt::ThreadPool pool(1);
-  std::vector<int> values = {9, 3, 7, 1};
-  pool.parallel_sort(values);
-  EXPECT_EQ(values, (std::vector<int>{1, 3, 7, 9}));
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {

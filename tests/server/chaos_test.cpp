@@ -86,8 +86,7 @@ std::string body_of(const std::string& reply) {
 /// faults are installed), site build through a cache, server on an
 /// ephemeral port, ReloadManager driven manually via check_once().
 struct Stack {
-  explicit Stack(const std::filesystem::path& content_dir,
-                 server::Backend backend = server::Backend::kPool) {
+  explicit Stack(const std::filesystem::path& content_dir) {
     auto loaded = core::Repository::load_lenient(content_dir);
     EXPECT_TRUE(loaded.has_value());
     const core::LoadReport& report = loaded.value();
@@ -102,7 +101,6 @@ struct Stack {
 
     server::ServerOptions options;
     options.port = 0;
-    options.backend = backend;
     http = std::make_unique<server::HttpServer>(std::move(router),
                                                 std::move(options));
     EXPECT_TRUE(http->start().has_value());
@@ -189,25 +187,21 @@ TEST(Chaos, BrokenFileAtStartupDegradesInsteadOfDying) {
                              "\"quarantined_slugs\":[\"findsmallestcard\"]"));
 }
 
-/// Reload-under-load runs against both server backends: RCU router swaps
-/// must stay invisible to in-flight clients whether requests are served
-/// by the blocking pool or the epoll reactor (whose zero-copy writes keep
-/// the pre-swap snapshot alive via the response guard).
+/// Reload under load: RCU router swaps must stay invisible to in-flight
+/// clients (the reactor's zero-copy writes keep the pre-swap snapshot
+/// alive via the response guard). Parameterized on the connection engine;
+/// the reactor is the only one, and the names keep the test id stable.
 class ChaosBackends : public ::testing::TestWithParam<server::Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    Chaos, ChaosBackends,
-    ::testing::Values(server::Backend::kPool, server::Backend::kReactor),
-    [](const ::testing::TestParamInfo<server::Backend>& info) {
-      return info.param == server::Backend::kReactor ? "reactor" : "pool";
+    Chaos, ChaosBackends, ::testing::Values(server::Backend::kReactor),
+    [](const ::testing::TestParamInfo<server::Backend>&) {
+      return "reactor";
     });
 
 TEST_P(ChaosBackends, FailedReloadKeepsServingLastKnownGoodUnderLoad) {
-  // One directory per backend: ctest runs the two instances concurrently.
-  auto dir = fresh_content_dir(
-      std::string("pdcu_chaos_reload_") +
-      (GetParam() == server::Backend::kReactor ? "reactor" : "pool"));
-  Stack stack(dir, GetParam());  // healthy start
+  auto dir = fresh_content_dir("pdcu_chaos_reload");
+  Stack stack(dir);  // healthy start
   EXPECT_TRUE(strs::contains(body_of(simple_get(stack.port(), "/healthz")),
                              "\"status\":\"ok\""));
 

@@ -1,9 +1,15 @@
 // Unit tests for the HTTP/1.1 message layer: request parsing (valid,
 // truncated, oversized, malformed), header semantics, keep-alive defaults,
-// and response serialization.
+// response serialization, and the client-side response-head parser
+// (strictness table, framing and close semantics, split-anywhere
+// incrementality).
 #include "pdcu/server/http.hpp"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "pdcu/support/strings.hpp"
 
@@ -306,5 +312,226 @@ TEST(HttpErrorResponse, OtherStatusesHaveNoRetryAfter) {
     EXPECT_EQ(response.header("retry-after"), nullptr) << status;
     ASSERT_NE(response.header("connection"), nullptr);
     EXPECT_EQ(*response.header("connection"), "close");
+  }
+}
+
+namespace {
+
+/// Feeds `wire` to parse_response in the given pieces, the way a client
+/// accumulates a socket buffer, and returns the head parsed once the
+/// buffer first stops being kIncomplete (or after the last piece).
+server::ResponseHead feed(const std::vector<std::string>& pieces,
+                          std::string& buffer) {
+  buffer.clear();
+  server::ResponseHead head;
+  for (const std::string& piece : pieces) {
+    buffer += piece;
+    head = server::parse_response(buffer);
+    if (head.parse != server::ParseStatus::kIncomplete) break;
+  }
+  return head;
+}
+
+std::vector<std::pair<std::string, std::string>> header_strings(
+    const server::ResponseHead& head) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [name, value] : head.headers) {
+    out.emplace_back(std::string(name), std::string(value));
+  }
+  return out;
+}
+
+/// Valid responses of every framing the parser distinguishes.
+const std::vector<std::string>& valid_responses() {
+  static const std::vector<std::string> kResponses = {
+      "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+      "Content-Length: 5\r\nConnection: keep-alive\r\n\r\nhello",
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n",
+      "HTTP/1.1 304 Not Modified\r\nETag: \"abc\"\r\n\r\n",
+      "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+      "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n"
+      "Connection: close\r\n\r\nunframed body until EOF",
+      "HTTP/1.1 200\r\ncontent-length:3\r\n\r\nabc",
+  };
+  return kResponses;
+}
+
+}  // namespace
+
+TEST(HttpResponseParse, FramedKeepAliveResponse) {
+  const std::string wire =
+      "HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n"
+      "Content-Length: 5\r\nConnection: keep-alive\r\n\r\nhelloNEXT";
+  const auto head = server::parse_response(wire);
+  ASSERT_EQ(head.parse, server::ParseStatus::kOk);
+  EXPECT_EQ(head.status, 200);
+  EXPECT_EQ(head.body_offset, wire.find("hello"));
+  ASSERT_TRUE(head.content_length.has_value());
+  EXPECT_EQ(*head.content_length, 5u);
+  EXPECT_FALSE(head.close);
+  EXPECT_EQ(head.header("CONTENT-TYPE").value_or(""),
+            "text/html; charset=utf-8");
+  EXPECT_FALSE(head.header("etag").has_value());
+  EXPECT_FALSE(head.complete(head.body_offset + 4));
+  EXPECT_TRUE(head.complete(head.body_offset + 5));
+  EXPECT_TRUE(head.complete(wire.size()));  // trailing bytes are not ours
+}
+
+TEST(HttpResponseParse, MalformedHeadsAreBad) {
+  const std::vector<std::pair<const char*, std::string>> kCases = {
+      {"non-numeric status", "HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n"},
+      {"partly numeric status", "HTTP/1.1 2x0 OK\r\n\r\n"},
+      {"four-digit status", "HTTP/1.1 2000 OK\r\n\r\n"},
+      {"status below 100", "HTTP/1.1 099 Odd\r\n\r\n"},
+      {"status above 599", "HTTP/1.1 600 Odd\r\n\r\n"},
+      {"no space before reason", "HTTP/1.1 200OK\r\n\r\n"},
+      {"unknown major version", "HTTP/2.0 200 OK\r\n\r\n"},
+      {"not HTTP at all", "garbage\r\n\r\n"},
+      {"non-numeric length", "HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n"},
+      {"negative length", "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n"},
+      {"signed length", "HTTP/1.1 200 OK\r\nContent-Length: +3\r\n\r\nabc"},
+      {"empty length", "HTTP/1.1 200 OK\r\nContent-Length:\r\n\r\n"},
+      {"length list", "HTTP/1.1 200 OK\r\nContent-Length: 3, 3\r\n\r\nabc"},
+      {"overflowing length",
+       "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551616\r\n\r\n"},
+      {"conflicting lengths",
+       "HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\n"
+       "abcd"},
+      {"bare-LF head", "HTTP/1.1 200 OK\nContent-Length: 0\n\n"},
+      {"bare LF on one header line",
+       "HTTP/1.1 200 OK\r\nX-A: 1\nContent-Length: 0\r\n\r\n"},
+      {"bare LF ending the head", "HTTP/1.1 200 OK\r\nContent-Length: 0\n\n"},
+      {"obs-fold continuation",
+       "HTTP/1.1 200 OK\r\nX-A: 1\r\n  folded\r\n\r\n"},
+      {"header without colon", "HTTP/1.1 200 OK\r\nNoColon\r\n\r\n"},
+      {"empty header name", "HTTP/1.1 200 OK\r\n: value\r\n\r\n"},
+      {"space in header name", "HTTP/1.1 200 OK\r\nBad Name: x\r\n\r\n"},
+      {"control byte in value", "HTTP/1.1 200 OK\r\nX-A: a\x01z\r\n\r\n"},
+      {"chunked body",
+       "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n"},
+  };
+  for (const auto& [name, wire] : kCases) {
+    const auto head = server::parse_response(wire);
+    EXPECT_EQ(head.parse, server::ParseStatus::kBad) << name;
+    EXPECT_EQ(head.status, 0) << name;
+    EXPECT_TRUE(head.headers.empty()) << name;
+  }
+}
+
+TEST(HttpResponseParse, GarbageFailsBeforeTheHeadEnds) {
+  // A stream that can no longer become a status line is bad at once,
+  // instead of being buffered until a timeout.
+  EXPECT_EQ(server::parse_response("HTTX").parse, server::ParseStatus::kBad);
+  EXPECT_EQ(server::parse_response("<html>").parse,
+            server::ParseStatus::kBad);
+  EXPECT_EQ(server::parse_response("HTTP/1.1 20").parse,
+            server::ParseStatus::kIncomplete);
+  EXPECT_EQ(server::parse_response("").parse,
+            server::ParseStatus::kIncomplete);
+  EXPECT_EQ(server::parse_response("HTTP/1.1 200 OK\r\nContent-Length: abc")
+                .parse,
+            server::ParseStatus::kIncomplete);  // the line is not done yet
+}
+
+TEST(HttpResponseParse, OversizedHeadIsBad) {
+  const auto padded = [](std::size_t pad) {
+    return "HTTP/1.1 200 OK\r\nX-Pad: " + std::string(pad, 'x') +
+           "\r\nContent-Length: 0\r\n\r\n";
+  };
+  EXPECT_EQ(server::parse_response(padded(1000)).parse,
+            server::ParseStatus::kOk);
+  const std::string oversized = padded(server::kMaxResponseHeadBytes);
+  EXPECT_EQ(server::parse_response(oversized).parse,
+            server::ParseStatus::kBad);
+  // Still unterminated, but already past the cap: no point waiting.
+  EXPECT_EQ(server::parse_response(
+                oversized.substr(0, server::kMaxResponseHeadBytes + 1))
+                .parse,
+            server::ParseStatus::kBad);
+}
+
+TEST(HttpResponseParse, FramingAndCloseSemantics) {
+  const auto same_lengths = server::parse_response(
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nok");
+  ASSERT_EQ(same_lengths.parse, server::ParseStatus::kOk);
+  EXPECT_EQ(same_lengths.content_length, std::optional<std::uint64_t>(2));
+
+  // Statuses that never carry a body are framed at zero, whatever the
+  // Content-Length says (a 304 may repeat the full entity's length).
+  for (const char* wire :
+       {"HTTP/1.1 304 Not Modified\r\nContent-Length: 120\r\n\r\n",
+        "HTTP/1.1 204 No Content\r\n\r\n", "HTTP/1.1 100 Continue\r\n\r\n"}) {
+    const auto head = server::parse_response(wire);
+    ASSERT_EQ(head.parse, server::ParseStatus::kOk) << wire;
+    EXPECT_EQ(head.content_length, std::optional<std::uint64_t>(0)) << wire;
+    EXPECT_FALSE(head.close) << wire;
+    EXPECT_TRUE(head.complete(head.body_offset)) << wire;
+  }
+
+  const auto unframed =
+      server::parse_response("HTTP/1.1 200 OK\r\n\r\nbody until EOF");
+  ASSERT_EQ(unframed.parse, server::ParseStatus::kOk);
+  EXPECT_FALSE(unframed.content_length.has_value());
+  EXPECT_TRUE(unframed.close);
+  EXPECT_FALSE(unframed.complete(1000));
+
+  const auto explicit_close = server::parse_response(
+      "HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: Close\r\n\r\n");
+  EXPECT_TRUE(explicit_close.close);
+  const auto token_not_substring = server::parse_response(
+      "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n"
+      "Connection: keep-alive, x-close-hint\r\n\r\n");
+  EXPECT_FALSE(token_not_substring.close);
+  const auto old_default = server::parse_response(
+      "HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_TRUE(old_default.close);
+  const auto old_keep_alive = server::parse_response(
+      "HTTP/1.0 200 OK\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n");
+  EXPECT_FALSE(old_keep_alive.close);
+}
+
+TEST(HttpResponseParse, ReadsWhatTheServerSerializes) {
+  server::Response ok;
+  ok.set("Content-Type", "text/plain");
+  ok.body = "payload";
+  for (const server::Response& response :
+       {ok, server::error_response(400), server::error_response(503)}) {
+    const std::string wire = server::serialize(response);
+    const auto head = server::parse_response(wire);
+    ASSERT_EQ(head.parse, server::ParseStatus::kOk) << wire;
+    EXPECT_EQ(head.status, response.status);
+    ASSERT_TRUE(head.complete(wire.size()));
+    EXPECT_EQ(wire.substr(head.body_offset), response.body);
+  }
+}
+
+TEST(HttpResponseParse, SplitAtEveryOffsetMatchesWhole) {
+  for (const std::string& wire : valid_responses()) {
+    std::string buffer;
+    const auto whole = feed({wire}, buffer);
+    ASSERT_EQ(whole.parse, server::ParseStatus::kOk) << wire;
+    for (std::size_t split = 0; split <= wire.size(); ++split) {
+      const auto head =
+          feed({wire.substr(0, split), wire.substr(split)}, buffer);
+      ASSERT_EQ(head.parse, server::ParseStatus::kOk) << split << ": " << wire;
+      EXPECT_EQ(head.status, whole.status) << split;
+      EXPECT_EQ(head.body_offset, whole.body_offset) << split;
+      EXPECT_EQ(head.content_length, whole.content_length) << split;
+      EXPECT_EQ(head.close, whole.close) << split;
+      EXPECT_EQ(header_strings(head), header_strings(whole)) << split;
+      // Every proper prefix of the head is incomplete, never bad.
+      if (split < whole.body_offset) {
+        EXPECT_EQ(server::parse_response(wire.substr(0, split)).parse,
+                  server::ParseStatus::kIncomplete)
+            << split << ": " << wire;
+      }
+    }
+    // Byte by byte, the way a slow peer delivers it.
+    std::vector<std::string> bytes;
+    for (const char c : wire) bytes.emplace_back(1, c);
+    const auto trickled = feed(bytes, buffer);
+    EXPECT_EQ(trickled.parse, server::ParseStatus::kOk);
+    EXPECT_EQ(buffer.size(), whole.body_offset)
+        << "the head completes exactly at its blank line";
   }
 }

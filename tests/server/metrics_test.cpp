@@ -1,6 +1,6 @@
 // Unit tests for the per-route server metrics: route classification, the
-// renamed counter families, per-route latency histograms on /metrics, the
-// legacy-names escape hatch, and the mean<=max consistency fix.
+// renamed counter families, per-route latency histograms on /metrics, and
+// the mean<=max consistency fix.
 #include "pdcu/server/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -143,18 +143,6 @@ TEST(ServerMetrics, RenderTextIsPromtoolClean) {
   metrics.record(server::Route::kOther, 503, 30, microseconds{1});
   const auto problems = obs::lint_exposition(metrics.render_text());
   EXPECT_TRUE(problems.empty()) << strs::join(problems, "\n");
-}
-
-TEST(ServerMetrics, LegacyNamesFlagRestoresOldFamilies) {
-  server::ServerMetrics metrics;
-  metrics.record(server::Route::kPage, 200, 10, microseconds{3});
-  obs::set_legacy_names(true);
-  const std::string text = metrics.render_text();
-  obs::set_legacy_names(false);
-  EXPECT_TRUE(strs::contains(text, "pdcu_requests{class=\"2xx\"} 1"));
-  // The renamed families are still there — legacy lines are additive.
-  EXPECT_TRUE(strs::contains(
-      text, "pdcu_requests_by_class_total{class=\"2xx\"} 1"));
 }
 
 TEST(ReloadMetrics, ReportWhatTheLastReloadReusedPerStage) {

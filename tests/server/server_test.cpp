@@ -108,9 +108,9 @@ struct ScopedServer {
   std::unique_ptr<server::HttpServer> instance;
 };
 
-/// Wire-level tests run against one HttpServer backend at a time;
-/// instantiated for both the blocking pool and the epoll reactor so the
-/// observable HTTP contract can never drift between them.
+/// Wire-level tests, parameterized on the connection engine. The reactor
+/// is the only one; the suite and instance names are kept so the test ids
+/// stay stable.
 class BothBackends : public ::testing::TestWithParam<server::Backend> {
  protected:
   server::ServerOptions opts() const {
@@ -124,9 +124,9 @@ class BothBackends : public ::testing::TestWithParam<server::Backend> {
 
 INSTANTIATE_TEST_SUITE_P(
     HttpServer, BothBackends,
-    ::testing::Values(server::Backend::kPool, server::Backend::kReactor),
-    [](const ::testing::TestParamInfo<server::Backend>& info) {
-      return info.param == server::Backend::kReactor ? "reactor" : "pool";
+    ::testing::Values(server::Backend::kReactor),
+    [](const ::testing::TestParamInfo<server::Backend>&) {
+      return "reactor";
     });
 
 TEST_P(BothBackends, ServesAnActivityPageOverARealSocket) {
@@ -273,11 +273,8 @@ TEST_P(BothBackends, LiveMetricsScrapeIsLintClean) {
 }
 
 TEST_P(BothBackends, AccessLogRecordsOneJsonLinePerRequest) {
-  // Unique per backend: the pool and reactor instances of this test can
-  // run concurrently under `ctest -j` and must not share a file.
   const std::string path =
-      testing::TempDir() + "pdcu_access_log_test_" +
-      std::to_string(static_cast<int>(GetParam())) + ".jsonl";
+      testing::TempDir() + "pdcu_access_log_test.jsonl";
   std::remove(path.c_str());
   {
     pdcu::obs::AccessLog log(path);
@@ -409,13 +406,9 @@ TEST_P(BothBackends, SwapRouterChangesWhatSubsequentRequestsSee) {
 TEST(HttpServer, TwoEphemeralServersRunConcurrently) {
   // Flake-free CI and loadgen self-tests rely on --port 0 never
   // colliding: two servers started concurrently must get distinct kernel-
-  // assigned ports and both must serve. Each gets a private pool — on a
-  // small shared default pool, two servers' connection tasks could starve
-  // each other.
-  server::ServerOptions options;
-  options.threads = 2;
-  ScopedServer first(options);
-  ScopedServer second(options);
+  // assigned ports and both must serve.
+  ScopedServer first;
+  ScopedServer second;
   ASSERT_NE(first.port(), 0);
   ASSERT_NE(second.port(), 0);
   EXPECT_NE(first.port(), second.port());

@@ -1,15 +1,12 @@
 // bench_gate — the perf-trajectory regression gate.
 //
-// Re-measures the two committed baselines with the exact same code that
+// Re-measures the committed baselines with the exact same code that
 // produced them and fails when a fresh number drifts past the tolerance
 // in the worse direction:
 //
 //   * BENCH_serve.json   — `pdcu loadgen --smoke`'s document: an embedded
 //     HttpServer on an ephemeral port driven by the open-loop load
 //     generator (fixed seed, identical schedule on every machine).
-//   * BENCH_serve_reactor.json — the same smoke run against the epoll
-//     reactor backend (--net reactor), so a regression in the reactor
-//     hot path is caught even though the pool stays the default.
 //   * BENCH_search.json  — benchjson::search_summary_json(): index build
 //     time + query-latency percentiles over the canonical query shapes.
 //
@@ -65,14 +62,12 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--tolerance X] [--attempts N]"
                " [--serve-baseline PATH]\n"
-               "          [--reactor-baseline PATH] [--search-baseline PATH]"
-               " [--sweep-baseline PATH]\n"
+               "          [--search-baseline PATH] [--sweep-baseline PATH]\n"
                "          [--scale-baseline PATH] [--stencil-baseline PATH]\n"
-               "          [--skip-serve] [--skip-reactor] [--skip-search]\n"
-               "          [--skip-sweep] [--skip-scale] [--skip-stencil]\n"
-               "Baselines default to BENCH_serve.json /"
-               " BENCH_serve_reactor.json /\nBENCH_search.json /"
-               " BENCH_sweep_serve.json / BENCH_search_scale.json /\n"
+               "          [--skip-serve] [--skip-search] [--skip-sweep]\n"
+               "          [--skip-scale] [--skip-stencil]\n"
+               "Baselines default to BENCH_serve.json / BENCH_search.json /\n"
+               "BENCH_sweep_serve.json / BENCH_search_scale.json /\n"
                "BENCH_stencil.json in the current directory (run from the"
                " repo root).\n",
                argv0);
@@ -158,13 +153,11 @@ int gated(const char* what, const loadgen::BenchDoc& baseline,
 int main(int argc, char** argv) {
   loadgen::GateOptions gate;
   std::string serve_baseline = "BENCH_serve.json";
-  std::string reactor_baseline = "BENCH_serve_reactor.json";
   std::string search_baseline = "BENCH_search.json";
   std::string sweep_baseline = "BENCH_sweep_serve.json";
   std::string scale_baseline = "BENCH_search_scale.json";
   std::string stencil_baseline = "BENCH_stencil.json";
   bool run_serve = true;
-  bool run_reactor = true;
   bool run_search = true;
   bool run_sweep = true;
   bool run_scale = true;
@@ -196,10 +189,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       serve_baseline = v;
-    } else if (arg == "--reactor-baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      reactor_baseline = v;
     } else if (arg == "--search-baseline") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -220,8 +209,6 @@ int main(int argc, char** argv) {
       run_stencil = false;
     } else if (arg == "--skip-serve") {
       run_serve = false;
-    } else if (arg == "--skip-reactor") {
-      run_reactor = false;
     } else if (arg == "--skip-search") {
       run_search = false;
     } else if (arg == "--skip-sweep") {
@@ -246,27 +233,6 @@ int main(int argc, char** argv) {
           if (!result) {
             std::fprintf(
                 stderr, "bench_gate: smoke run failed: %s\n",
-                (result.error().code + ": " + result.error().message)
-                    .c_str());
-            return {};
-          }
-          return loadgen::render_result_json(result.value(), "serve", used);
-        });
-  }
-
-  if (run_reactor) {
-    loadgen::BenchDoc baseline;
-    if (!load_baseline(reactor_baseline, baseline)) return 2;
-    violations += gated(
-        "reactor", baseline, loadgen::serve_gate_rules(), gate, attempts,
-        []() -> std::string {
-          loadgen::SmokeOptions smoke;
-          smoke.backend = loadgen::SmokeBackend::kReactor;
-          loadgen::Options used;
-          auto result = loadgen::run_smoke(smoke, &used);
-          if (!result) {
-            std::fprintf(
-                stderr, "bench_gate: reactor smoke run failed: %s\n",
                 (result.error().code + ": " + result.error().message)
                     .c_str());
             return {};

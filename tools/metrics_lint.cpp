@@ -11,18 +11,15 @@
 //
 // Exit 0 when the exposition is clean, 1 when the lint finds problems
 // (each printed as "line N: ..."), 2 on usage or I/O errors.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/loadgen/loadgen.hpp"
 #include "pdcu/obs/lint.hpp"
 #include "pdcu/search/index.hpp"
 #include "pdcu/server/server.hpp"
@@ -41,44 +38,12 @@ std::string slurp(std::FILE* file) {
   return text;
 }
 
-/// One HTTP/1.1 exchange against 127.0.0.1:`port`; returns the response
-/// body (everything after the header block), or an empty string on any
-/// socket failure.
+/// The body of GET `target` from 127.0.0.1:`port`, or an empty string on
+/// any failure.
 std::string http_get(std::uint16_t port, const std::string& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + target +
-                              " HTTP/1.1\r\n"
-                              "Host: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      ::close(fd);
-      return {};
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof buffer, 0)) > 0) {
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const auto head_end = response.find("\r\n\r\n");
-  if (head_end == std::string::npos) return {};
-  return response.substr(head_end + 4);
+  auto reply = pdcu::loadgen::fetch_once("127.0.0.1", port, target,
+                                         std::chrono::seconds(5));
+  return reply ? reply.value().body : std::string();
 }
 
 /// Serves the builtin site on an ephemeral port, hits every route class

@@ -28,41 +28,35 @@
 //        --synthetic N (index a deterministic N-document generated corpus
 //        instead of the curation), --seed S (corpus seed, default 42)
 //   pdcu serve [options] [content-dir]  serve the site over HTTP from memory
-//        --port N (default 8080, 0 = ephemeral), --host H, --threads N,
-//        --net reactor|pool (connection engine, default pool: blocking
-//        thread-per-connection; reactor: sharded epoll event loops with
-//        a zero-copy hot path), --net-shards N (reactor epoll shards,
-//        default 1), --max-connections N (concurrent cap, default 128,
-//        excess answered 503),
+//        on the sharded epoll reactor (zero-copy hot path for cached pages)
+//        --port N (default 8080, 0 = ephemeral), --host H,
+//        --net-shards N (epoll shards, default 1), --max-connections N
+//        (concurrent cap, default 128, excess answered 503),
 //        --index FILE (cold-start search from a prebuilt index),
 //        --mmap (serve the --index file from a memory map),
 //        --watch (live reload: poll the content dir, rebuild
 //        incrementally, keep serving last-known-good on failure),
 //        --poll-ms N (watch poll interval, default 500),
 //        --access-log FILE (structured JSON access log, one object per
-//        line; "-" for stdout), --legacy-metrics (also expose the
-//        pre-rename pdcu_requests{class=...} series on /metrics).
+//        line; "-" for stdout).
 //        Content loads leniently: malformed files are quarantined and
 //        /healthz reports "degraded" instead of the server not starting.
 //   pdcu loadgen [options]         open-loop HTTP load generator
 //        --port N (target server; or --smoke for an embedded one),
 //        --host H, --rate R (arrivals/sec, default 100), --duration S
-//        (seconds, default 5), --connections N (default 4), --seed N
-//        (default 42; same seed => identical request schedule),
+//        (seconds, default 5), --connections N (default 4; one epoll
+//        thread multiplexes them all, so N can reach tens of thousands),
+//        --seed N (default 42; same seed => identical request schedule),
 //        --mix page:catalog:activity:search or page=6:catalog=1:...,
 //        --zipf S (slug popularity skew, default 1.1),
 //        --keep-alive-ratio F (default 0.9), --timeout-ms N (default
-//        2000), --client blocking|epoll|auto (auto picks the epoll
-//        client above 64 connections — one thread multiplexing every
-//        connection, so --connections can reach tens of thousands),
-//        --out FILE (write the BENCH JSON there; default stdout).
+//        2000), --out FILE (write the BENCH JSON there; default stdout).
 //        --corpus N (--smoke only: serve a deterministic N-document
 //        synthetic corpus with a search-heavy mix whose query terms
 //        come from the generator's vocabulary; --corpus-seed S).
-//        --sweep drives every offered rate against an embedded pool
-//        server and then an embedded reactor server and emits one
-//        "sweep_serve" BENCH document (per-point pool_N/reactor_N
-//        objects plus a saturation-speedup summary).
+//        --sweep drives every offered rate against one embedded server
+//        and emits one "sweep_serve" BENCH document (per-point
+//        reactor_N objects plus a saturation summary).
 //        Latency is measured from each request's *intended* send time
 //        (coordinated-omission-safe); the summary is one versioned
 //        BENCH-schema JSON object.
@@ -262,7 +256,6 @@ int loadgen_cmd(int argc, char** argv) {
   pdcu::loadgen::Options options;
   bool smoke = false;
   bool sweep = false;
-  auto smoke_backend = pdcu::loadgen::SmokeBackend::kPool;
   bool port_given = false;
   bool rate_given = false;
   bool duration_given = false;
@@ -297,21 +290,6 @@ int loadgen_cmd(int argc, char** argv) {
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
       options.timeout =
           std::chrono::milliseconds(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--client" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "blocking") {
-        options.client = pdcu::loadgen::ClientMode::kBlocking;
-      } else if (mode == "epoll") {
-        options.client = pdcu::loadgen::ClientMode::kEpoll;
-      } else if (mode == "auto") {
-        options.client = pdcu::loadgen::ClientMode::kAuto;
-      } else {
-        std::fprintf(stderr,
-                     "loadgen: --client must be blocking, epoll, or auto "
-                     "(got '%s')\n",
-                     mode.c_str());
-        return 2;
-      }
     } else if (arg == "--mix" && i + 1 < argc) {
       auto mix = pdcu::loadgen::parse_mix(argv[++i]);
       if (!mix) {
@@ -329,19 +307,6 @@ int loadgen_cmd(int argc, char** argv) {
       corpus_seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--sweep") {
       sweep = true;
-    } else if (arg == "--backend" && i + 1 < argc) {
-      const std::string backend = argv[++i];
-      if (backend == "pool") {
-        smoke_backend = pdcu::loadgen::SmokeBackend::kPool;
-      } else if (backend == "reactor") {
-        smoke_backend = pdcu::loadgen::SmokeBackend::kReactor;
-      } else {
-        std::fprintf(stderr,
-                     "loadgen: --backend must be pool or reactor (got "
-                     "'%s')\n",
-                     backend.c_str());
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "loadgen: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -354,7 +319,7 @@ int loadgen_cmd(int argc, char** argv) {
     return 2;
   }
   if (sweep) {
-    // Both-backends offered-rate sweep; its own BENCH document shape.
+    // Offered-rate sweep; its own BENCH document shape.
     pdcu::loadgen::SweepOptions sweep_options;
     if (duration_given) sweep_options.duration_s = options.schedule.duration_s;
     if (connections_given) sweep_options.connections = options.connections;
@@ -381,9 +346,7 @@ int loadgen_cmd(int argc, char** argv) {
     }
     for (const auto& point : sweep_points.value()) {
       std::fprintf(
-          stderr, "sweep: %-7s rate %7.0f -> %8.1f req/s, %llu/%llu ok\n",
-          point.backend == pdcu::loadgen::SmokeBackend::kReactor ? "reactor"
-                                                                 : "pool",
+          stderr, "sweep: rate %7.0f -> %8.1f req/s, %llu/%llu ok\n",
           point.rate, point.result.achieved_rate,
           static_cast<unsigned long long>(point.result.completed),
           static_cast<unsigned long long>(point.result.scheduled));
@@ -395,9 +358,8 @@ int loadgen_cmd(int argc, char** argv) {
                  "usage: pdcu loadgen --port N [--host H] [--rate R] "
                  "[--duration S] [--connections N] [--seed N] [--mix M] "
                  "[--zipf S] [--keep-alive-ratio F] [--timeout-ms N] "
-                 "[--client blocking|epoll|auto] [--out FILE] | "
-                 "pdcu loadgen --smoke [--backend pool|reactor] "
-                 "[--corpus N] [--out FILE]"
+                 "[--out FILE] | "
+                 "pdcu loadgen --smoke [--corpus N] [--out FILE]"
                  " | pdcu loadgen --sweep [--out FILE]\n");
     return 2;
   }
@@ -413,8 +375,6 @@ int loadgen_cmd(int argc, char** argv) {
     }
     if (connections_given) smoke_options.connections = options.connections;
     smoke_options.seed = options.schedule.seed;
-    smoke_options.backend = smoke_backend;
-    smoke_options.client = options.client;
     smoke_options.synthetic_docs = corpus_docs;
     smoke_options.corpus_seed = corpus_seed;
     result = pdcu::loadgen::run_smoke(smoke_options, &options);
@@ -725,21 +685,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
           std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads =
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--net" && i + 1 < argc) {
-      const std::string backend = argv[++i];
-      if (backend == "reactor") {
-        options.backend = pdcu::server::Backend::kReactor;
-      } else if (backend == "pool") {
-        options.backend = pdcu::server::Backend::kPool;
-      } else {
-        std::fprintf(stderr,
-                     "serve: --net expects 'reactor' or 'pool', got '%s'\n",
-                     backend.c_str());
-        return 2;
-      }
     } else if (arg == "--net-shards" && i + 1 < argc) {
       options.net_shards =
           static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
@@ -757,8 +702,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
           std::chrono::milliseconds(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--access-log" && i + 1 < argc) {
       access_log_path = argv[++i];
-    } else if (arg == "--legacy-metrics") {
-      pdcu::obs::set_legacy_names(true);
     } else if (arg == "--cluster-id" && i + 1 < argc) {
       cluster_id = argv[++i];
     } else if (arg == "--gossip-peers" && i + 1 < argc) {
@@ -780,7 +723,7 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   // Content health surfaces on /healthz; the reload loop (--watch)
   // additionally reports through pdcu_reload_* on /metrics. The span
   // registry and access log both outlive the server (router snapshots and
-  // worker threads hold pointers into them until run_until_signalled
+  // shard threads hold pointers into them until run_until_signalled
   // returns).
   pdcu::server::HealthTracker health;
   pdcu::server::ReloadMetrics reload_metrics;
@@ -856,16 +799,9 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   router.set_build_stats(build_stats);
   router.set_health(&health);
   router.set_spans(&spans);
-  // Shard /api/search across the default pool when the server's own
-  // handlers do not run there: reactor handlers live on the shard event
-  // loops, and --threads N gives the pool backend a private pool. With the
-  // pool backend sharing rt::default_pool() (threads=0), a handler
-  // blocking on tasks queued to its own busy pool would deadlock, so
-  // queries stay serial in that configuration.
-  if (options.backend == pdcu::server::Backend::kReactor ||
-      options.threads > 0) {
-    router.set_search_pool(&pdcu::rt::default_pool());
-  }
+  // Shard /api/search across the default pool: handlers run on the
+  // reactor's shard threads, never on the pool they would wait for.
+  router.set_search_pool(&pdcu::rt::default_pool());
   if (watch) router.set_reload_metrics(&reload_metrics);
   // Cluster membership: with --cluster-id the replica answers
   // /cluster/gossip and (given --gossip-peers host:port,...) initiates
