@@ -1,6 +1,7 @@
 // Full-pipeline round trip: built-in curation -> Markdown files on disk ->
 // parsed repository -> identical analytics.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -12,17 +13,26 @@ namespace core = pdcu::core;
 
 namespace {
 
-std::filesystem::path export_dir() {
-  static const std::filesystem::path kDir = [] {
-    auto dir =
-        std::filesystem::temp_directory_path() / "pdcu_roundtrip_test";
-    std::filesystem::remove_all(dir);
+/// The builtin curation exported once per process, removed at exit.
+struct ExportDir {
+  ExportDir() {
+    std::filesystem::remove_all(path);
     auto repo = core::Repository::builtin();
-    auto status = repo.export_to(dir);
+    auto status = repo.export_to(path);
     EXPECT_TRUE(status.has_value()) << status.error().message;
-    return dir;
-  }();
-  return kDir;
+  }
+  ~ExportDir() { std::filesystem::remove_all(path); }
+
+  // One directory per process: ctest runs each test of this file in its
+  // own process, concurrently.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("pdcu_roundtrip_test_" + std::to_string(::getpid()));
+};
+
+std::filesystem::path export_dir() {
+  static const ExportDir kDir;
+  return kDir.path;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Integration: the whole site built from the on-disk curation matches the
 // site built from the in-memory curation, page for page.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -17,11 +18,15 @@ namespace site = pdcu::site;
 namespace {
 
 site::Site site_from_disk() {
-  auto dir = std::filesystem::temp_directory_path() / "pdcu_sitebuild_test";
+  // One directory per process: ctest runs each test of this file in its
+  // own process, concurrently, and each one rewrites the directory.
+  auto dir = std::filesystem::temp_directory_path() /
+             ("pdcu_sitebuild_test_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   auto builtin = core::Repository::builtin();
   EXPECT_TRUE(builtin.export_to(dir).has_value());
   auto loaded = core::Repository::load(dir);
+  std::filesystem::remove_all(dir);
   EXPECT_TRUE(loaded.has_value());
   return site::build_site(loaded.value());
 }
