@@ -5,9 +5,11 @@
 // at exit is the committed trajectory (BENCH_stencil.json) that
 // tools/bench_gate re-measures.
 //
-// Honesty notes: the tiled kernel's wall-clock speedup is bounded by real
-// cores (flat on a 1-CPU host even though parity tests prove the tiling
-// correct), and the AVX2 intrinsics are reported next to the compiler's
+// Honesty notes: the tiled kernel steps its row blocks with the dispatched
+// SIMD row kernel, so kernels.tiled_cells_per_s over the serial rate mixes
+// the SIMD gain with the parallel one; only tiled over simd is the
+// speedup of the tiling, and that is bounded by the cores the host really
+// gives the pool. The AVX2 intrinsics are reported next to the compiler's
 // autovectorized loop — kernels.simd_vs_autovec in the summary makes it
 // visible when the compiler wins.
 #include <benchmark/benchmark.h>

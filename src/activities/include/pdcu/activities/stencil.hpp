@@ -4,9 +4,10 @@
 // every student is a cell, looks at eight neighbours, and flips their card
 // simultaneously on the clap.
 //
-// Three honest host kernels (serial scalar, ThreadPool row tiles, SIMD —
-// an autovectorized byte kernel plus AVX2 intrinsics behind runtime cpuid
-// dispatch) are all bit-identical to the serial oracle on every grid, and
+// Three honest host kernels (serial scalar, SIMD — an autovectorized byte
+// kernel plus AVX2 intrinsics behind runtime cpuid dispatch — and
+// ThreadPool row blocks stepped with the dispatched SIMD row kernel) are
+// all bit-identical to the serial oracle on every grid, and
 // a classroom run decomposes the torus into per-rank row blocks with
 // per-generation halo exchange over rt::Comm under the virtual-time cost
 // model.
@@ -14,6 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,11 +26,24 @@
 
 namespace pdcu::act {
 
+/// An allocator whose value-initialization default-initializes instead:
+/// `resize(n)` of a byte vector allocates without zero-filling, for
+/// buffers every kernel overwrites in full. Copies and other constructions
+/// keep the std::allocator_traits default.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* ptr) {
+    ::new (static_cast<void*>(ptr)) U;
+  }
+};
+
 /// Row-major byte grid on a 2D torus; every cell is 0 (dead) or 1 (alive).
 struct LifeGrid {
   std::size_t width = 0;
   std::size_t height = 0;
-  std::vector<std::uint8_t> cells;  ///< width * height, row-major
+  /// width * height, row-major. resize() leaves new cells uninitialized.
+  std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>> cells;
 
   std::uint8_t& at(std::size_t row, std::size_t col) {
     return cells[row * width + col];
@@ -52,7 +68,9 @@ struct LifeGrid {
 /// beat the compiler's autovectorization; bench_stencil reports both).
 enum class LifeKernel {
   kSerial,   ///< scalar reference oracle
-  kTiled,    ///< rt::ThreadPool row blocks; bit-identical at any pool size
+  kTiled,    ///< rt::ThreadPool row blocks, each stepped with the
+             ///< best_simd_kernel() row kernel; bit-identical at any pool
+             ///< size
   kAutovec,  ///< branch-free byte kernel the compiler vectorizes
   kAvx2,     ///< hand-written AVX2 intrinsics (separate -mavx2 TU)
 };

@@ -89,9 +89,6 @@ void life_row_autovec(const std::uint8_t* up, const std::uint8_t* mid,
 
 namespace {
 
-using RowKernel = void (*)(const std::uint8_t*, const std::uint8_t*,
-                           const std::uint8_t*, std::uint8_t*, std::size_t);
-
 /// Steps rows [row_lo, row_hi) of the torus `src` into `dst` with the
 /// given row kernel, wrapping the row neighbours modulo the full height.
 void step_rows(const std::uint8_t* src, std::uint8_t* dst, std::size_t w,
@@ -139,6 +136,23 @@ LifeKernel best_simd_kernel() {
 
 namespace {
 
+/// The row kernel a LifeKernel steps its rows with.
+detail::RowKernel row_kernel(LifeKernel kernel) {
+  switch (kernel) {
+    case LifeKernel::kSerial:
+      return detail::life_row_scalar;
+    case LifeKernel::kTiled:
+      return row_kernel(best_simd_kernel());
+    case LifeKernel::kAutovec:
+      return detail::life_row_autovec;
+    case LifeKernel::kAvx2:
+      // Non-AVX2 host (or non-x86 build): fall back, still bit-identical.
+      return kernel_available(LifeKernel::kAvx2) ? detail::life_row_avx2
+                                                 : detail::life_row_autovec;
+  }
+  return detail::life_row_scalar;
+}
+
 /// One generation from `grid` into `next`, which must already have the
 /// grid's shape; every cell of `next` is overwritten.
 void step_into(const LifeGrid& grid, LifeGrid& next, LifeKernel kernel,
@@ -148,36 +162,21 @@ void step_into(const LifeGrid& grid, LifeGrid& next, LifeKernel kernel,
   if (w == 0 || h == 0) return;
   const std::uint8_t* src = grid.cells.data();
   std::uint8_t* dst = next.cells.data();
-
-  switch (kernel) {
-    case LifeKernel::kSerial:
-      detail::step_rows(src, dst, w, h, 0, h, detail::life_row_scalar);
-      break;
-    case LifeKernel::kTiled: {
-      // Disjoint row blocks, each stepped with the serial row kernel:
-      // bit-identical to kSerial at any pool size by construction.
-      rt::ThreadPool& workers = pool != nullptr ? *pool : rt::default_pool();
-      workers.parallel_for(0, h, [&](std::size_t lo, std::size_t hi) {
-        detail::step_rows(src, dst, w, h, lo, hi, detail::life_row_scalar);
-      });
-      break;
-    }
-    case LifeKernel::kAutovec:
-      detail::step_rows(src, dst, w, h, 0, h, detail::life_row_autovec);
-      break;
-    case LifeKernel::kAvx2:
-      if (!kernel_available(LifeKernel::kAvx2)) {
-        // Non-AVX2 host (or non-x86 build): fall back, still bit-identical.
-        detail::step_rows(src, dst, w, h, 0, h, detail::life_row_autovec);
-      } else {
-        detail::step_rows(src, dst, w, h, 0, h, detail::life_row_avx2);
-      }
-      break;
+  const detail::RowKernel row = row_kernel(kernel);
+  if (kernel != LifeKernel::kTiled) {
+    detail::step_rows(src, dst, w, h, 0, h, row);
+    return;
   }
+  // Disjoint row blocks, one fork-join per generation: bit-identical to
+  // kSerial at any pool size because every row kernel is.
+  rt::ThreadPool& workers = pool != nullptr ? *pool : rt::default_pool();
+  workers.parallel_for(0, h, [&](std::size_t lo, std::size_t hi) {
+    detail::step_rows(src, dst, w, h, lo, hi, row);
+  });
 }
 
 /// A grid of `grid`'s shape whose cells are all about to be overwritten:
-/// sized, not copied.
+/// sized, neither copied nor zero-filled.
 LifeGrid same_shape(const LifeGrid& grid) {
   LifeGrid next;
   next.width = grid.width;

@@ -9,6 +9,12 @@
 
 namespace pdcu::act::detail {
 
+/// One Life row: `out` from the row `mid` and its torus neighbours `up`
+/// and `down`, all `w` cells wide. Every row kernel writes all `w` cells.
+using RowKernel = void (*)(const std::uint8_t* up, const std::uint8_t* mid,
+                           const std::uint8_t* down, std::uint8_t* out,
+                           std::size_t w);
+
 /// True when stencil_avx2.cpp was built with AVX2 code generation. The
 /// runtime dispatch additionally requires cpuid to report AVX2.
 bool avx2_compiled();

@@ -285,8 +285,8 @@ struct SearchOptions {
 
   /// Shard query execution across this pool's workers when the corpus is
   /// large enough (>= 2 * min_shard_docs). Results are bit-identical to a
-  /// serial query. The pool must not be the pool the caller is currently
-  /// running on (nested blocking would deadlock a busy pool).
+  /// serial query. It may be the pool the caller is running on: the
+  /// caller runs every shard no free worker has claimed.
   rt::ThreadPool* pool = nullptr;
 
   enum class Algo {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace act = pdcu::act;
@@ -15,6 +18,48 @@ namespace {
 const std::vector<LifeKernel> kAllKernels = {
     LifeKernel::kSerial, LifeKernel::kTiled, LifeKernel::kAutovec,
     LifeKernel::kAvx2};
+
+/// Brute-force Life on the torus, independent of every library kernel:
+/// each cell counts its eight neighbours through at() with explicit
+/// modulo wraps.
+LifeGrid brute_force_run(LifeGrid grid, int generations) {
+  const std::size_t w = grid.width;
+  const std::size_t h = grid.height;
+  for (int g = 0; g < generations; ++g) {
+    LifeGrid next = grid;
+    for (std::size_t r = 0; r < h; ++r) {
+      for (std::size_t c = 0; c < w; ++c) {
+        // Signed offsets wrapped by explicit modulo; on a grid one or two
+        // cells wide, distinct offsets alias one cell and count twice.
+        int count = 0;
+        for (int dr = -1; dr <= 1; ++dr) {
+          for (int dc = -1; dc <= 1; ++dc) {
+            if (dr == 0 && dc == 0) continue;
+            count += grid.at((r + h + dr) % h, (c + w + dc) % w);
+          }
+        }
+        next.at(r, c) = (count == 3 || (grid.at(r, c) != 0 && count == 2))
+                            ? 1
+                            : 0;
+      }
+    }
+    grid = std::move(next);
+  }
+  return grid;
+}
+
+/// Allocates and frees two byte buffers of `bytes` filled with a value no
+/// Life cell can hold, so the next two same-size allocations (the run's
+/// two grids) likely reuse them: a kernel that leaves a cell unwritten
+/// then shows a stray byte instead of a plausible 0 or 1.
+void poison_heap(std::size_t bytes) {
+  auto first = std::make_unique<std::uint8_t[]>(bytes);
+  auto second = std::make_unique<std::uint8_t[]>(bytes);
+  std::fill_n(first.get(), bytes, std::uint8_t{0xA5});
+  std::fill_n(second.get(), bytes, std::uint8_t{0xA5});
+  // The compiler must assume the fills are read, so it keeps them.
+  asm volatile("" : : "r"(first.get()), "r"(second.get()) : "memory");
+}
 
 }  // namespace
 
@@ -93,6 +138,40 @@ TEST(LifeKernelParityTest, AllKernelsMatchSerialOracle) {
       SCOPED_TRACE(std::string(act::kernel_name(kernel)) + " " +
                    std::to_string(shape[0]) + "x" + std::to_string(shape[1]));
       EXPECT_EQ(act::life_run(start, 8, kernel), oracle);
+    }
+  }
+}
+
+// Every kernel against the brute-force oracle, through life_run's two
+// unfilled buffers: widths straddle the AVX2 narrow-grid fallback (< 34),
+// its 32-byte blocks and scalar tail, and the wrap columns; heights run
+// below the pool sizes so some workers get no rows.
+TEST(LifeKernelParityTest, EveryKernelMatchesBruteForceOracle) {
+  constexpr int kGenerations = 8;
+  std::vector<std::unique_ptr<rt::ThreadPool>> pools;
+  for (unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+    pools.push_back(std::make_unique<rt::ThreadPool>(workers));
+  }
+  for (std::size_t width : {1u, 2u, 3u, 33u, 34u, 35u, 65u, 100u}) {
+    for (std::size_t height : {1u, 2u, 3u, 6u, 17u}) {
+      const LifeGrid start =
+          LifeGrid::random(width, height, /*seed=*/width * 977 + height);
+      const LifeGrid oracle = brute_force_run(start, kGenerations);
+      const std::string shape =
+          std::to_string(width) + "x" + std::to_string(height);
+      for (LifeKernel kernel : kAllKernels) {
+        SCOPED_TRACE(std::string(act::kernel_name(kernel)) + " " + shape);
+        poison_heap(width * height);
+        EXPECT_EQ(act::life_run(start, kGenerations, kernel), oracle);
+      }
+      for (const auto& pool : pools) {
+        SCOPED_TRACE("tiled " + shape + " on " +
+                     std::to_string(pool->size()) + " workers");
+        poison_heap(width * height);
+        EXPECT_EQ(
+            act::life_run(start, kGenerations, LifeKernel::kTiled, pool.get()),
+            oracle);
+      }
     }
   }
 }

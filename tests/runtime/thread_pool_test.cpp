@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <climits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 namespace rt = pdcu::rt;
 
@@ -108,6 +111,83 @@ TEST(ThreadPool, ParallelReduceMax) {
       },
       [](int a, int b) { return std::max(a, b); });
   EXPECT_EQ(best, 41);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryClaimedBlockFinished) {
+  rt::ThreadPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t) {
+      started.fetch_add(1);
+      if (lo == 0) {
+        finished.fetch_add(1);
+        throw std::runtime_error("block 0");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+    FAIL() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "block 0");
+  }
+  EXPECT_GE(started.load(), 1);
+  EXPECT_EQ(finished.load(), started.load());
+}
+
+TEST(ThreadPool, NestedParallelForInsideAPoolTaskCompletes) {
+  rt::ThreadPool pool(1);
+  auto outer = pool.submit([&pool] {
+    std::atomic<int> covered{0};
+    pool.parallel_for(0, 100, [&](std::size_t lo, std::size_t hi) {
+      covered.fetch_add(static_cast<int>(hi - lo));
+    });
+    return covered.load();
+  });
+  ASSERT_EQ(outer.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(outer.get(), 100);
+}
+
+TEST(ThreadPool, NestedParallelForOnEveryWorkerCompletes) {
+  // Every worker runs an outer block that forks again on the same pool:
+  // the inner helpers queue behind busy workers, so each inner caller
+  // must run its own blocks.
+  rt::ThreadPool pool(2);
+  std::atomic<int> covered{0};
+  pool.parallel_for(0, 2, [&](std::size_t, std::size_t) {
+    pool.parallel_for(0, 50, [&](std::size_t lo, std::size_t hi) {
+      covered.fetch_add(static_cast<int>(hi - lo));
+    });
+  });
+  EXPECT_EQ(covered.load(), 100);
+}
+
+TEST(ThreadPool, BackToBackParallelForsAllFinish) {
+  rt::ThreadPool pool(3);
+  std::vector<int> hits(9, 0);
+  for (int call = 0; call < 10'000; ++call) {
+    pool.parallel_for(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+    });
+  }
+  for (int count : hits) EXPECT_EQ(count, 10'000);
+}
+
+TEST(ThreadPool, ParallelReduceCombinesBlocksInIndexOrder) {
+  // A non-commutative op over fewer items than workers: uneven blocks
+  // must still combine left to right.
+  rt::ThreadPool pool(4);
+  const std::string letters = "abcde";
+  const std::string joined = pool.parallel_reduce<std::string>(
+      0, letters.size(), "",
+      [&](std::size_t lo, std::size_t hi) {
+        return "[" + letters.substr(lo, hi - lo) + "]";
+      },
+      [](std::string left, const std::string& right) {
+        return left + right;
+      });
+  EXPECT_EQ(joined, "[ab][cd][e]");
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {
