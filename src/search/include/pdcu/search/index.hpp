@@ -10,8 +10,9 @@
 // The buffer is either heap-owned (built or deserialized) or a shared
 // memory-mapped file (`mmap_index` in serialize.hpp), and the query path is
 // identical either way: postings decode on the fly from the packed
-// little-endian records, so `pdcu serve --index --mmap` serves straight
-// from the page cache without materializing a single heap posting.
+// little-endian records (one word load per field), so
+// `pdcu serve --index --mmap` serves straight from the page cache without
+// materializing a single heap posting.
 //
 // Construction can run in parallel on the existing rt::ThreadPool: each
 // block of documents tokenizes and numbers its own terms, and one pass in
@@ -22,15 +23,20 @@
 // concurrently; with a pool in SearchOptions, one query additionally
 // shards across workers (per-shard top-k, deterministic merge).
 //
-// Ranked retrieval runs document-at-a-time block-max WAND by default: per
-// term the index keeps the maximum BM25F contribution of any posting and
-// of every kBlockPostings-posting block, so documents whose bounds cannot
-// reach the current top-k threshold are skipped without scoring — often a
-// whole block at a time. Early termination is rank-safe — candidate
-// documents are always scored with the exact BM25F sum in query-term
-// order, so the returned top-k (documents, scores, and order) is
-// bit-identical to exhaustive scoring; the property suite in
-// tests/search/scale_test.cpp locks this in across synthetic corpora.
+// Ranked retrieval picks a strategy per shard, and every strategy returns
+// the same top-k. Per term the index keeps the maximum BM25F contribution
+// of any posting and of every kBlockPostings-posting block. By default
+// (SearchOptions::Algo::kAuto) a query whose every list is dense — two or
+// more lists, each holding at least 1/8 of the shard's documents — is
+// scored term-at-a-time into one reused score array, because pruning
+// skips little on such lists. Any other query runs document-at-a-time
+// block-max WAND: documents whose bounds cannot reach the current top-k
+// threshold are skipped without scoring, often a whole block at a time.
+// Both are rank-safe: candidate documents are always scored with the
+// exact BM25F sum in query-term order, so the returned top-k (documents,
+// scores, and order) is bit-identical to exhaustive scoring; the property
+// suites in tests/search/scale_test.cpp and ranking_oracle_test.cpp lock
+// this in across synthetic corpora.
 #pragma once
 
 #include <cstddef>
@@ -276,10 +282,10 @@ class IndexCache {
   friend class SearchIndex;
 };
 
-/// How one query executes. The default — MaxScore with block-max bounds,
-/// serial — is correct at every corpus size; a pool adds per-shard top-k
-/// fan-out for large corpora, and kExhaustive forces the reference
-/// scan-everything scorer (benchmarks, parity tests).
+/// How one query executes. The default — kAuto, serial — is correct at
+/// every corpus size; a pool adds per-shard top-k fan-out for large
+/// corpora, kMaxScore forces block-max pruning, and kExhaustive forces the
+/// reference scan-everything scorer (benchmarks, parity tests).
 struct SearchOptions {
   std::size_t limit = 10;
 
@@ -290,7 +296,10 @@ struct SearchOptions {
   rt::ThreadPool* pool = nullptr;
 
   enum class Algo {
-    kAuto,        ///< kMaxScore
+    /// Per shard: term-at-a-time accumulation when every one of two or
+    /// more query lists holds at least 1/8 of the shard's documents, else
+    /// kMaxScore.
+    kAuto,
     kExhaustive,  ///< score every posting of every query term
     kMaxScore,    ///< block-max early termination (rank-safe)
   };
@@ -327,7 +336,8 @@ class SearchIndex {
                            IndexCache* cache = nullptr);
 
   /// Reassembles an index from builder parts, validating invariants
-  /// (terms sorted and unique, postings sorted, doc ids in range).
+  /// (terms sorted and unique, postings sorted, doc ids in range, each
+  /// posting counting at least one and at most its fields' tokens).
   static Expected<SearchIndex> from_parts(std::vector<DocEntry> docs,
                                           std::vector<TermPostings> terms);
 
@@ -395,10 +405,30 @@ class SearchIndex {
   void rank_exhaustive(const Query& query, const std::vector<char>* allowed,
                        std::size_t lo, std::size_t hi, std::size_t limit,
                        Ranked& out) const;
-  /// MaxScore with block-max bounds over [lo, hi); identical results.
-  void rank_maxscore(const Query& query, const std::vector<char>* allowed,
-                     std::size_t lo, std::size_t hi, std::size_t limit,
-                     Ranked& out) const;
+
+  /// One query term's postings inside a shard [lo, hi): positions
+  /// [pos, end) of terms_[term].postings, never empty.
+  struct ListRange {
+    std::uint32_t term = 0;
+    std::size_t pos = 0;
+    std::size_t end = 0;
+  };
+  /// The query's terms that have postings in [lo, hi), in query order.
+  std::vector<ListRange> shard_lists(const Query& query, std::size_t lo,
+                                     std::size_t hi) const;
+  /// True when kAuto should rank [lo, hi) with rank_accumulate: at least
+  /// two lists, each holding at least 1/8 of the range's documents.
+  static bool dense(const std::vector<ListRange>& lists, std::size_t lo,
+                    std::size_t hi);
+  /// Term-at-a-time scoring of [lo, hi) into one score array; identical
+  /// results.
+  void rank_accumulate(const std::vector<ListRange>& lists,
+                       const std::vector<char>* allowed, std::size_t lo,
+                       std::size_t hi, Ranked& out) const;
+  /// MaxScore with block-max bounds over the lists' ranges; identical
+  /// results.
+  void rank_maxscore(const std::vector<ListRange>& lists,
+                     const std::vector<char>* allowed, Ranked& out) const;
 
   /// Byte storage: exactly one of owned_/mapping_ is set (or neither for
   /// the canonical empty index before attach).

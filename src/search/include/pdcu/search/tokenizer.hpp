@@ -48,8 +48,17 @@ class TokenWalker {
   /// Advances to the next surviving token; false at end of text.
   bool next();
 
+  /// next() in two steps, for callers that can reject a word from its raw
+  /// bytes: next_word() advances to the next ASCII-alnum run (false at end
+  /// of text), and normalize() lowercases and stems it into term(), false
+  /// when the word is a stopword and yields no token.
+  bool next_word();
+  bool normalize();
+
+  /// The raw bytes of the current word.
+  std::string_view word() const { return text_.substr(begin_, end_ - begin_); }
   /// The normalized term; a view into an internal buffer that the next
-  /// next() call overwrites.
+  /// normalize() call overwrites.
   std::string_view term() const { return word_; }
   std::size_t begin() const { return begin_; }
   std::size_t end() const { return end_; }

@@ -14,6 +14,7 @@
 #include "pdcu/obs/span.hpp"
 #include "pdcu/search/tokenizer.hpp"
 #include "pdcu/support/hash.hpp"
+#include "little_endian.hpp"
 
 namespace pdcu::search {
 
@@ -33,19 +34,13 @@ constexpr double kBoundPad = 1.0 + 1e-9;
 
 constexpr std::uint32_t kNoDoc = std::numeric_limits<std::uint32_t>::max();
 
-inline std::uint32_t load_u16(const char* p) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1])) << 8);
-}
-
-inline std::uint32_t load_u32(const char* p) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-             << (8 * i);
-  }
-  return value;
-}
+/// kAuto ranks a shard term-at-a-time (rank_accumulate) when the query has
+/// at least two lists and each holds at least 1/kDenseDivisor of the
+/// shard's documents. Block-max WAND takes about one pivot round per
+/// document on such lists and skips little, while one pass per list into a
+/// flat score array touches each posting once; on sparser lists WAND's
+/// skipping wins.
+constexpr std::size_t kDenseDivisor = 8;
 
 /// One term's postings as the encoder takes them.
 struct TermRef {
@@ -126,7 +121,7 @@ class ViewReader {
 
   bool read_u32(std::uint32_t& value) {
     if (bytes_.size() - pos_ < 4) return fail();
-    value = load_u32(bytes_.data() + pos_);
+    value = load_le<std::uint32_t>(bytes_.data() + pos_);
     pos_ += 4;
     return true;
   }
@@ -416,15 +411,15 @@ Inverted invert(const std::vector<BlockTerms>& blocks,
 Posting PostingsView::operator[](std::size_t i) const {
   const char* p = data_ + i * kPostingBytes;
   Posting posting;
-  posting.doc = load_u32(p);
-  posting.tf_title = static_cast<std::uint16_t>(load_u16(p + 4));
-  posting.tf_tags = static_cast<std::uint16_t>(load_u16(p + 6));
-  posting.tf_body = static_cast<std::uint16_t>(load_u16(p + 8));
+  posting.doc = load_le<std::uint32_t>(p);
+  posting.tf_title = load_le<std::uint16_t>(p + 4);
+  posting.tf_tags = load_le<std::uint16_t>(p + 6);
+  posting.tf_body = load_le<std::uint16_t>(p + 8);
   return posting;
 }
 
 std::uint32_t PostingsView::doc_at(std::size_t i) const {
-  return load_u32(data_ + i * kPostingBytes);
+  return load_le<std::uint32_t>(data_ + i * kPostingBytes);
 }
 
 /// Per-shard ranking state: a bounded top-k heap ordered so the *worst*
@@ -633,11 +628,18 @@ Status SearchIndex::attach() {
           "search.index.postings",
           "term '" + std::string(terms_[t].term) + "' has no postings");
     }
+    // Every posting counts at least one occurrence, and no more in a field
+    // than the field has tokens. That keeps every BM25F contribution finite
+    // and above zero, which the scorers rely on (see rank_accumulate).
     std::uint32_t last_doc = 0;
     bool first = true;
-    for (std::size_t p = 0; p < terms_[t].postings.size(); ++p) {
-      const std::uint32_t doc = terms_[t].postings.doc_at(p);
-      if (doc >= docs_.size() || (!first && doc <= last_doc)) {
+    for (const Posting posting : terms_[t].postings) {
+      const std::uint32_t doc = posting.doc;
+      if (doc >= docs_.size() || (!first && doc <= last_doc) ||
+          posting.tf_title + posting.tf_tags + posting.tf_body == 0 ||
+          posting.tf_title > docs_[doc].len_title ||
+          posting.tf_tags > docs_[doc].len_tags ||
+          posting.tf_body > docs_[doc].len_body) {
         return Error::make(
             "search.index.postings",
             "bad posting list for '" + std::string(terms_[t].term) + "'");
@@ -757,10 +759,70 @@ void SearchIndex::rank_exhaustive(const Query& query,
   }
 }
 
-void SearchIndex::rank_maxscore(const Query& query,
+std::vector<SearchIndex::ListRange> SearchIndex::shard_lists(
+    const Query& query, std::size_t lo, std::size_t hi) const {
+  // In query-term order — the canonical score summation order.
+  std::vector<ListRange> lists;
+  lists.reserve(query.terms.size());
+  for (const auto& term : query.terms) {
+    const TermView* entry = find_term(term);
+    if (entry == nullptr) continue;
+    const PostingsView& postings = entry->postings;
+    ListRange list;
+    list.term = static_cast<std::uint32_t>(entry - terms_.data());
+    list.pos = lower_bound_doc(postings, 0, postings.size(),
+                               static_cast<std::uint32_t>(lo));
+    list.end = lower_bound_doc(postings, list.pos, postings.size(),
+                               static_cast<std::uint32_t>(hi));
+    if (list.pos < list.end) lists.push_back(list);
+  }
+  return lists;
+}
+
+bool SearchIndex::dense(const std::vector<ListRange>& lists, std::size_t lo,
+                        std::size_t hi) {
+  const std::size_t min_postings = (hi - lo) / kDenseDivisor;
+  return lists.size() >= 2 &&
+         std::all_of(lists.begin(), lists.end(),
+                     [min_postings](const ListRange& list) {
+                       return list.end - list.pos >= min_postings;
+                     });
+}
+
+void SearchIndex::rank_accumulate(const std::vector<ListRange>& lists,
+                                  const std::vector<char>* allowed,
+                                  std::size_t lo, std::size_t hi,
+                                  Ranked& out) const {
+  // Term-at-a-time: each list adds its contributions into one score slot
+  // per document of the shard, list by list in query-term order — the
+  // summation order of rank_exhaustive, so every score matches it bit for
+  // bit. attach() guarantees every contribution is above zero, so a slot
+  // above zero is exactly a matched document.
+  thread_local std::vector<double> scores;
+  scores.assign(hi - lo, 0.0);
+  for (const ListRange& list : lists) {
+    const double idf = term_idf_[list.term];
+    const PostingsView& postings = terms_[list.term].postings;
+    for (std::size_t p = list.pos; p < list.end; ++p) {
+      const Posting posting = postings[p];
+      scores[posting.doc - lo] += contribution(
+          idf, weighted_tf(boosts_, posting), doc_norm_[posting.doc]);
+    }
+  }
+  for (std::size_t d = lo; d < hi; ++d) {
+    const double score = scores[d - lo];
+    if (score <= 0.0) continue;
+    // Documents arrive in ascending order, so one that only ties the
+    // threshold loses the tie-break to the lower-numbered kept document.
+    if (out.full() && score <= out.threshold()) continue;
+    if (allowed != nullptr && !(*allowed)[d]) continue;
+    out.offer(score, static_cast<std::uint32_t>(d));
+  }
+}
+
+void SearchIndex::rank_maxscore(const std::vector<ListRange>& lists,
                                 const std::vector<char>* allowed,
-                                std::size_t lo, std::size_t hi,
-                                std::size_t limit, Ranked& out) const {
+                                Ranked& out) const {
   // Document-at-a-time block-max WAND. Documents whose whole-list (and then
   // whole-block) upper bounds cannot beat the current top-k threshold are
   // skipped without being scored; every surviving candidate is scored
@@ -791,19 +853,13 @@ void SearchIndex::rank_maxscore(const Query& query,
 
   // Cursors in query-term order — the canonical score summation order.
   std::vector<Cur> cursors;
-  cursors.reserve(query.terms.size());
-  for (const auto& term : query.terms) {
-    const TermView* entry = find_term(term);
-    if (entry == nullptr) continue;
+  cursors.reserve(lists.size());
+  for (const ListRange& list : lists) {
     Cur cursor;
-    cursor.term = static_cast<std::uint32_t>(entry - terms_.data());
-    cursor.postings = entry->postings;
-    cursor.pos = lower_bound_doc(cursor.postings, 0, cursor.postings.size(),
-                                 static_cast<std::uint32_t>(lo));
-    cursor.end = lower_bound_doc(cursor.postings, cursor.pos,
-                                 cursor.postings.size(),
-                                 static_cast<std::uint32_t>(hi));
-    if (cursor.pos == cursor.end) continue;
+    cursor.term = list.term;
+    cursor.postings = terms_[list.term].postings;
+    cursor.pos = list.pos;
+    cursor.end = list.end;
     cursor.doc = cursor.postings.doc_at(cursor.pos);
     cursor.sb = block_offset_[cursor.term] + cursor.pos / kBlockPostings;
     cursors.push_back(cursor);
@@ -897,7 +953,6 @@ void SearchIndex::rank_maxscore(const Query& query,
   std::vector<std::pair<std::uint32_t, double>> parts;
   parts.reserve(m);
 
-  (void)limit;
   while (true) {
     for (std::size_t i = 1; i < m; ++i) {
       const std::uint32_t v = sorted[i];
@@ -1061,13 +1116,18 @@ std::vector<Hit> SearchIndex::search(const Query& query,
       }
     }
   } else {
-    const bool exhaustive = options.algo == SearchOptions::Algo::kExhaustive;
     const auto run_range = [&](std::size_t lo, std::size_t hi) {
       Ranked ranked(limit);
-      if (exhaustive) {
+      if (options.algo == SearchOptions::Algo::kExhaustive) {
         rank_exhaustive(query, allowed, lo, hi, limit, ranked);
       } else {
-        rank_maxscore(query, allowed, lo, hi, limit, ranked);
+        const auto lists = shard_lists(query, lo, hi);
+        if (options.algo == SearchOptions::Algo::kAuto &&
+            dense(lists, lo, hi)) {
+          rank_accumulate(lists, allowed, lo, hi, ranked);
+        } else {
+          rank_maxscore(lists, allowed, ranked);
+        }
       }
       return std::move(ranked).sorted();
     };

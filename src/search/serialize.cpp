@@ -6,6 +6,7 @@
 #include "pdcu/support/fs.hpp"
 #include "pdcu/support/hash.hpp"
 #include "pdcu/support/mmap.hpp"
+#include "little_endian.hpp"
 
 namespace pdcu::search {
 
@@ -26,26 +27,6 @@ void put_u64(std::string& out, std::uint64_t value) {
   }
 }
 
-std::uint32_t load_u32(std::string_view bytes, std::size_t pos) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(bytes[pos + std::size_t(i)]))
-             << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t load_u64(std::string_view bytes, std::size_t pos) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes[pos + std::size_t(i)]))
-             << (8 * i);
-  }
-  return value;
-}
-
 /// Verifies magic, version, and checksum; on success the payload (the
 /// post-header bytes) is bytes.substr(kHeaderBytes).
 Status check_header(std::string_view bytes) {
@@ -53,14 +34,15 @@ Status check_header(std::string_view bytes) {
       bytes.substr(0, kMagic.size()) != kMagic) {
     return Error::make("search.index.magic", "not a pdcu search index");
   }
-  const std::uint32_t version = load_u32(bytes, kMagic.size());
+  const auto version = load_le<std::uint32_t>(bytes.data() + kMagic.size());
   if (version != kIndexFormatVersion) {
     return Error::make("search.index.version",
                        "unsupported index version " + std::to_string(version) +
                            " (expected " +
                            std::to_string(kIndexFormatVersion) + ")");
   }
-  const std::uint64_t checksum = load_u64(bytes, kMagic.size() + 4);
+  const auto checksum =
+      load_le<std::uint64_t>(bytes.data() + kMagic.size() + 4);
   if (hash::fnv1a_64(bytes.substr(kHeaderBytes)) != checksum) {
     return Error::make("search.index.checksum",
                        "index checksum mismatch (corrupted file?)");

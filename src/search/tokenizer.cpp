@@ -71,23 +71,28 @@ std::string stem(std::string word) {
   return word;
 }
 
+bool TokenWalker::next_word() {
+  while (pos_ < text_.size() && !is_word_char(text_[pos_])) ++pos_;
+  if (pos_ == text_.size()) return false;
+  begin_ = pos_;
+  while (pos_ < text_.size() && is_word_char(text_[pos_])) ++pos_;
+  end_ = pos_;
+  return true;
+}
+
+bool TokenWalker::normalize() {
+  word_.resize(end_ - begin_);  // keeps capacity: no allocation per token
+  for (std::size_t i = 0; i < word_.size(); ++i) {
+    word_[i] = lower(text_[begin_ + i]);
+  }
+  if (is_stopword(word_)) return false;
+  word_ = stem(std::move(word_));  // moves through; shrinks in place
+  return !word_.empty();
+}
+
 bool TokenWalker::next() {
-  while (pos_ < text_.size()) {
-    if (!is_word_char(text_[pos_])) {
-      ++pos_;
-      continue;
-    }
-    begin_ = pos_;
-    word_.clear();  // keeps capacity: no allocation after the first token
-    while (pos_ < text_.size() && is_word_char(text_[pos_])) {
-      word_.push_back(lower(text_[pos_]));
-      ++pos_;
-    }
-    end_ = pos_;
-    if (is_stopword(word_)) continue;
-    word_ = stem(std::move(word_));  // moves through; shrinks in place
-    if (word_.empty()) continue;
-    return true;
+  while (next_word()) {
+    if (normalize()) return true;
   }
   return false;
 }
