@@ -17,7 +17,10 @@
 // Construction can run in parallel on the existing rt::ThreadPool: each
 // block of documents tokenizes and numbers its own terms, and one pass in
 // document order places every posting, so the result is bit-identical to a
-// serial build. Queries are
+// serial build. A build through an IndexCache tokenizes only the documents
+// the previous build did not hold and splices the rest out of the previous
+// payload, in time proportional to the edit plus one pass over the bytes;
+// the payload is still the one a cold build writes. Queries are
 // const and lock-free on the index itself (an optional FilterCache takes a
 // shared lock), so any number of server threads can search one index
 // concurrently; with a pool in SearchOptions, one query additionally
@@ -251,36 +254,7 @@ class FilterCache {
   std::map<std::string, std::shared_ptr<const Entry>, std::less<>> entries_;
 };
 
-/// Per-document postings carried from one SearchIndex::build to the next,
-/// keyed by core::activity_fingerprint. A build through the cache
-/// tokenizes only documents whose fingerprint it does not hold, and leaves
-/// the cache holding exactly the documents it indexed. Document ids are
-/// assigned at merge time, so a document keeps its entry when others are
-/// added or removed around it. The built payload is byte-identical to a
-/// build without a cache.
-class IndexCache {
- public:
-  /// One document's field lengths and sorted term list (defined with the
-  /// builder; opaque to callers).
-  struct DocTerms;
-
-  std::size_t size() const { return docs_.size(); }
-  /// The entry for an activity fingerprint; null when absent.
-  std::shared_ptr<const DocTerms> find(std::uint64_t fingerprint) const {
-    const auto it = docs_.find(fingerprint);
-    return it == docs_.end() ? nullptr : it->second;
-  }
-  /// Documents the last build through this cache tokenized / reused.
-  std::size_t tokenized() const { return tokenized_; }
-  std::size_t reused() const { return reused_; }
-
- private:
-  std::unordered_map<std::uint64_t, std::shared_ptr<const DocTerms>> docs_;
-  std::size_t tokenized_ = 0;
-  std::size_t reused_ = 0;
-
-  friend class SearchIndex;
-};
+class IndexCache;
 
 /// How one query executes. The default — kAuto, serial — is correct at
 /// every corpus size; a pool adds per-shard top-k fan-out for large
@@ -329,7 +303,8 @@ class SearchIndex {
   /// With `spans`, the wall time lands there as a "search.build" span (and
   /// "search.merge" for the merge-and-encode tail), so repeated builds —
   /// watch mode reloads, benchmarks — accumulate a latency histogram. With
-  /// `cache`, unchanged documents reuse their postings (see IndexCache).
+  /// `cache`, documents the previous build held are spliced from its
+  /// payload instead of tokenized (see IndexCache).
   static SearchIndex build(const core::Repository& repo,
                            rt::ThreadPool* pool = nullptr,
                            obs::SpanRegistry* spans = nullptr,
@@ -378,10 +353,6 @@ class SearchIndex {
 
   /// True when the payload is a view into a memory-mapped file.
   bool mapped() const { return mapping_ != nullptr; }
-
-  /// FNV-1a fingerprint of the payload — stable identity of the served
-  /// corpus, used to key caches across reloads.
-  std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// The exact per-posting BM25F contribution, exposed so the scale suite
   /// can verify the stored block bounds really dominate every posting.
@@ -435,7 +406,6 @@ class SearchIndex {
   std::shared_ptr<const std::string> owned_;
   std::shared_ptr<const fs::MappedFile> mapping_;
   std::string_view payload_;
-  std::uint64_t fingerprint_ = 0;
 
   /// Directories into payload_.
   std::vector<DocView> docs_;
@@ -451,6 +421,32 @@ class SearchIndex {
   std::vector<std::uint32_t> block_offset_;    ///< per term, into block_*
   std::vector<std::uint32_t> block_last_doc_;  ///< last doc id per block
   std::vector<double> block_max_;  ///< max contribution per block
+};
+
+/// The previous SearchIndex::build carried to the next one: its index and
+/// the core::activity_fingerprint of each of its documents. A build through
+/// the cache matches every document to a previous one with the same
+/// fingerprint, in order (a document that moved back past a matched one is
+/// not matched). Matched documents are not tokenized: their records are
+/// copied from the previous payload and their postings renumbered to the
+/// new ids, merged with the postings of the tokenized rest, and a term
+/// left without postings is dropped. The payload is byte-identical to a
+/// build without a cache, and the cache then holds the new index.
+class IndexCache {
+ public:
+  /// Documents the last build through this cache held.
+  std::size_t size() const { return fingerprints_.size(); }
+  /// Documents the last build through this cache tokenized / reused.
+  std::size_t tokenized() const { return tokenized_; }
+  std::size_t reused() const { return reused_; }
+
+ private:
+  SearchIndex index_;
+  std::vector<std::uint64_t> fingerprints_;  ///< per document of index_
+  std::size_t tokenized_ = 0;
+  std::size_t reused_ = 0;
+
+  friend class SearchIndex;
 };
 
 }  // namespace pdcu::search

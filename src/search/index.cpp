@@ -4,16 +4,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <span>
 #include <utility>
 
 #include "pdcu/obs/span.hpp"
 #include "pdcu/search/tokenizer.hpp"
-#include "pdcu/support/hash.hpp"
 #include "little_endian.hpp"
 
 namespace pdcu::search {
@@ -49,8 +48,9 @@ struct TermRef {
   std::size_t count;
 };
 
-/// Writes little-endian integers and length-prefixed strings into a buffer
-/// sized up front, so encoding is one allocation and straight copies.
+/// Writes little-endian integers, length-prefixed strings and payload
+/// records into a buffer sized up front, so encoding is one allocation and
+/// straight copies.
 class PayloadWriter {
  public:
   explicit PayloadWriter(char* out) : out_(out) {}
@@ -65,15 +65,42 @@ class PayloadWriter {
     }
     out_ += 4;
   }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
+  void bytes(std::string_view s) {
     std::memcpy(out_, s.data(), s.size());
     out_ += s.size();
   }
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes(s);
+  }
+  void doc(const DocEntry& doc) {
+    str(doc.slug);
+    str(doc.title);
+    str(doc.body);
+    u32(doc.len_title);
+    u32(doc.len_tags);
+    u32(doc.len_body);
+  }
+  void posting(const Posting& posting) {
+    u32(posting.doc);
+    u16(posting.tf_title);
+    u16(posting.tf_tags);
+    u16(posting.tf_body);
+  }
+  char* at() const { return out_; }
+  void seek(char* at) { out_ = at; }
 
  private:
   char* out_;
 };
+
+std::size_t doc_bytes(const DocEntry& doc) {
+  return 24 + doc.slug.size() + doc.title.size() + doc.body.size();
+}
+
+std::size_t term_bytes(const TermRef& term) {
+  return 8 + term.term.size() + term.count * kPostingBytes;
+}
 
 /// Encodes documents and posting lists (sorted by term) into the canonical
 /// payload layout (the post-header section of the on-disk format, see
@@ -81,33 +108,19 @@ class PayloadWriter {
 std::string encode_payload(const std::vector<DocEntry>& docs,
                            const std::vector<TermRef>& terms) {
   std::size_t size = 8;
-  for (const auto& doc : docs) {
-    size += 24 + doc.slug.size() + doc.title.size() + doc.body.size();
-  }
-  for (const auto& entry : terms) {
-    size += 8 + entry.term.size() + entry.count * kPostingBytes;
-  }
+  for (const auto& doc : docs) size += doc_bytes(doc);
+  for (const auto& entry : terms) size += term_bytes(entry);
   std::string out(size, '\0');
   PayloadWriter writer(out.data());
   writer.u32(static_cast<std::uint32_t>(docs.size()));
-  for (const auto& doc : docs) {
-    writer.str(doc.slug);
-    writer.str(doc.title);
-    writer.str(doc.body);
-    writer.u32(doc.len_title);
-    writer.u32(doc.len_tags);
-    writer.u32(doc.len_body);
-  }
+  for (const auto& doc : docs) writer.doc(doc);
   writer.u32(static_cast<std::uint32_t>(terms.size()));
   for (const auto& entry : terms) {
     writer.str(entry.term);
     writer.u32(static_cast<std::uint32_t>(entry.count));
     for (const Posting& posting :
          std::span<const Posting>(entry.postings, entry.count)) {
-      writer.u32(posting.doc);
-      writer.u16(posting.tf_title);
-      writer.u16(posting.tf_tags);
-      writer.u16(posting.tf_body);
+      writer.posting(posting);
     }
   }
   return out;
@@ -221,125 +234,74 @@ std::string tag_text(const core::Activity& activity) {
   return text;
 }
 
-using DocTerms = IndexCache::DocTerms;
-
-}  // namespace
-
-/// One document's tokenized fields: per-field token counts plus its
-/// distinct terms in ascending order with their per-field frequencies —
-/// everything the merge needs except the document id.
-struct IndexCache::DocTerms {
-  struct Term {
-    std::uint32_t end = 0;  ///< end of the term's text within `text`
-    std::uint16_t tf_title = 0;
-    std::uint16_t tf_tags = 0;
-    std::uint16_t tf_body = 0;
-  };
-  std::uint32_t len_title = 0;
-  std::uint32_t len_tags = 0;
-  std::uint32_t len_body = 0;
-  std::string text;         ///< the terms back to back
-  std::vector<Term> terms;  ///< ascending by term text
+/// One posting of a block, with the block-local number of its term.
+struct BlockPosting {
+  std::uint32_t term = 0;
+  Posting posting;
 };
 
-namespace {
-
-/// Tokenizes one document's three fields into its DocTerms. `per_doc` is
-/// scratch reused across calls. Tokenization streams through TokenWalker
-/// and the map uses heterogeneous lookup, so a term's text is only copied
-/// the first time the document sees it — tokenizing dominates build time
-/// at corpus scale.
-std::shared_ptr<const DocTerms> tokenize_doc(
-    const core::Activity& activity, const std::string& body,
-    std::map<std::string, Posting, std::less<>>& per_doc) {
-  per_doc.clear();
-  const auto index_field = [&per_doc](std::string_view text,
-                                      std::uint16_t Posting::*tf) {
-    std::uint32_t length = 0;
-    TokenWalker walker(text);
-    while (walker.next()) {
-      ++length;
-      auto it = per_doc.find(walker.term());
-      if (it == per_doc.end()) {
-        it = per_doc.emplace(std::string(walker.term()), Posting{}).first;
-      }
-      bump(it->second.*tf);
-    }
-    return length;
-  };
-  auto doc = std::make_shared<DocTerms>();
-  doc->len_title = index_field(activity.title, &Posting::tf_title);
-  doc->len_tags = index_field(tag_text(activity), &Posting::tf_tags);
-  doc->len_body = index_field(body, &Posting::tf_body);
-  doc->terms.reserve(per_doc.size());
-  for (const auto& [term, posting] : per_doc) {
-    doc->text += term;
-    doc->terms.push_back({static_cast<std::uint32_t>(doc->text.size()),
-                          posting.tf_title, posting.tf_tags,
-                          posting.tf_body});
-  }
-  return doc;
-}
-
-/// The distinct terms of a block of documents, numbered in order of first
-/// appearance, and each posting's term number in document order. Terms are
-/// views into the documents' DocTerms text, which the build keeps alive.
+/// A block of documents tokenized: its distinct terms, numbered in order of
+/// first appearance, and every posting in document order.
 struct BlockTerms {
-  std::size_t lo = 0;  ///< the block's documents: [lo, hi)
-  std::size_t hi = 0;
-  std::unordered_map<std::string_view, std::uint32_t> ids;
-  std::vector<std::string_view> terms;  ///< by block-local id
-  std::vector<std::uint32_t> postings;  ///< block-local id per posting
+  std::deque<std::string> text;  ///< term text by block-local number
+  std::unordered_map<std::string_view, std::uint32_t> ids;  ///< into text
+  std::vector<BlockPosting> postings;
 };
 
-/// Indexes documents [lo, hi): writes their DocEntry rows and DocTerms in
-/// place and numbers the block's terms. A document whose fingerprint
-/// `cache` holds reuses its DocTerms; the rest are tokenized. Safe to run
-/// concurrently on disjoint ranges (the cache is only read).
-BlockTerms index_block(const core::Repository& repo, const IndexCache* cache,
-                       std::vector<DocEntry>& docs,
-                       std::vector<std::shared_ptr<const DocTerms>>& doc_terms,
-                       std::vector<std::uint64_t>& fingerprints,
-                       std::size_t lo, std::size_t hi) {
-  BlockTerms block;
-  block.lo = lo;
-  block.hi = hi;
-  const auto& activities = repo.activities();
-  std::map<std::string, Posting, std::less<>> per_doc;
-  for (std::size_t d = lo; d < hi; ++d) {
-    const auto& activity = activities[d];
-    DocEntry& entry = docs[d];
+/// Tokenizes the documents `ids` (ascending) into `block` and writes their
+/// DocEntry rows to `docs` (one per id). Tokenization streams through
+/// TokenWalker, and a term's text is only copied the first time the block
+/// sees it — tokenizing dominates build time at corpus scale. Safe to run
+/// concurrently on disjoint blocks.
+void index_block(const core::Repository& repo,
+                 std::span<const std::uint32_t> ids, std::span<DocEntry> docs,
+                 BlockTerms& block) {
+  // Per block-local term, the current document's frequencies, stamped with
+  // the document; `seen` lists the document's terms in first-seen order.
+  std::vector<Posting> counts;
+  std::vector<std::uint32_t> seen;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint32_t doc = ids[i];
+    const auto& activity = repo.activities()[doc];
+    const auto index_field = [&](std::string_view text,
+                                 std::uint16_t Posting::*tf) {
+      std::uint32_t length = 0;
+      TokenWalker walker(text);
+      while (walker.next()) {
+        ++length;
+        auto it = block.ids.find(walker.term());
+        if (it == block.ids.end()) {
+          block.text.emplace_back(walker.term());
+          it = block.ids
+                   .emplace(block.text.back(),
+                            static_cast<std::uint32_t>(counts.size()))
+                   .first;
+          counts.push_back({kNoDoc, 0, 0, 0});
+        }
+        Posting& count = counts[it->second];
+        if (count.doc != doc) {
+          count = {doc, 0, 0, 0};
+          seen.push_back(it->second);
+        }
+        bump(count.*tf);
+      }
+      return length;
+    };
+    DocEntry& entry = docs[i];
     entry.slug = activity.slug;
     entry.title = activity.title;
     entry.body = body_text(activity);
-
-    if (cache != nullptr) {
-      fingerprints[d] = repo.fingerprint(d);
-      doc_terms[d] = cache->find(fingerprints[d]);
+    entry.len_title = index_field(activity.title, &Posting::tf_title);
+    entry.len_tags = index_field(tag_text(activity), &Posting::tf_tags);
+    entry.len_body = index_field(entry.body, &Posting::tf_body);
+    for (const std::uint32_t term : seen) {
+      block.postings.push_back({term, counts[term]});
     }
-    if (doc_terms[d] == nullptr) {
-      doc_terms[d] = tokenize_doc(activity, entry.body, per_doc);
-    }
-    const DocTerms& terms = *doc_terms[d];
-    entry.len_title = terms.len_title;
-    entry.len_tags = terms.len_tags;
-    entry.len_body = terms.len_body;
-
-    std::uint32_t begin = 0;
-    for (const DocTerms::Term& term : terms.terms) {
-      const std::string_view text(terms.text.data() + begin,
-                                  term.end - begin);
-      begin = term.end;
-      const auto [it, added] = block.ids.try_emplace(
-          text, static_cast<std::uint32_t>(block.terms.size()));
-      if (added) block.terms.push_back(text);
-      block.postings.push_back(it->second);
-    }
+    seen.clear();
   }
-  return block;
 }
 
-/// Every posting of the corpus grouped by term: `terms` sorted, each
+/// Every posting of some documents grouped by term: `terms` sorted, each
 /// viewing its run of `postings`, which ascend by document.
 struct Inverted {
   std::vector<Posting> postings;
@@ -348,17 +310,16 @@ struct Inverted {
 
 /// Merges the blocks (ascending document ranges, in order) without a map
 /// per term: block-local term numbers map to global ones, a count per term
-/// sizes each term's run, and one pass over the documents in order places
-/// every posting, so each run comes out sorted by document.
-Inverted invert(const std::vector<BlockTerms>& blocks,
-                const std::vector<std::shared_ptr<const DocTerms>>& doc_terms) {
+/// sizes each term's run, and one pass over the blocks' postings in order
+/// places every posting, so each run comes out sorted by document.
+Inverted invert(const std::vector<BlockTerms>& blocks) {
   std::unordered_map<std::string_view, std::uint32_t> ids;
   std::vector<std::string_view> terms;
   std::vector<std::vector<std::uint32_t>> to_global(blocks.size());
   std::size_t total = 0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    to_global[b].reserve(blocks[b].terms.size());
-    for (const std::string_view term : blocks[b].terms) {
+    to_global[b].reserve(blocks[b].text.size());
+    for (const std::string& term : blocks[b].text) {
       const auto [it, added] =
           ids.try_emplace(term, static_cast<std::uint32_t>(terms.size()));
       if (added) terms.push_back(term);
@@ -377,8 +338,8 @@ Inverted invert(const std::vector<BlockTerms>& blocks,
   // free slot in the flat postings array.
   std::vector<std::size_t> cursor(terms.size(), 0);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (const std::uint32_t local : blocks[b].postings) {
-      ++cursor[to_global[b][local]];
+    for (const BlockPosting& posting : blocks[b].postings) {
+      ++cursor[to_global[b][posting.term]];
     }
   }
   Inverted out;
@@ -393,16 +354,95 @@ Inverted invert(const std::vector<BlockTerms>& blocks,
   }
 
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    std::size_t next = 0;
-    for (std::size_t d = blocks[b].lo; d < blocks[b].hi; ++d) {
-      for (const DocTerms::Term& term : doc_terms[d]->terms) {
-        const std::uint32_t id = to_global[b][blocks[b].postings[next++]];
-        out.postings[cursor[id]++] = {static_cast<std::uint32_t>(d),
-                                      term.tf_title, term.tf_tags,
-                                      term.tf_body};
-      }
+    for (const BlockPosting& posting : blocks[b].postings) {
+      out.postings[cursor[to_global[b][posting.term]]++] = posting.posting;
     }
   }
+  return out;
+}
+
+/// The bytes of one document's record in its index's payload.
+std::string_view doc_record(const DocView& doc) {
+  const char* begin = doc.slug.data() - 4;
+  const char* end = doc.body.data() + doc.body.size() + 12;
+  return {begin, static_cast<std::size_t>(end - begin)};
+}
+
+/// The payload of `old` with its documents renumbered and the tokenized
+/// ones spliced in. `new_to_old` holds, per new document, its old id, or
+/// kNoDoc for a tokenized one, whose row is the next of `fresh_docs`;
+/// `old_to_new` is its inverse, kNoDoc for a removed old document. Both are
+/// monotone, so a term's kept postings stay ascending once renumbered.
+std::string splice_payload(const SearchIndex& old,
+                           const std::vector<std::uint32_t>& old_to_new,
+                           const std::vector<std::uint32_t>& new_to_old,
+                           const std::vector<DocEntry>& fresh_docs,
+                           const Inverted& fresh) {
+  // Kept records and postings fit in the old payload's bytes.
+  std::size_t bound = 8 + old.payload().size();
+  for (const auto& doc : fresh_docs) bound += doc_bytes(doc);
+  for (const auto& entry : fresh.terms) bound += term_bytes(entry);
+  std::string out(bound, '\0');
+  PayloadWriter writer(out.data());
+
+  writer.u32(static_cast<std::uint32_t>(new_to_old.size()));
+  std::size_t next_fresh = 0;
+  for (const std::uint32_t from : new_to_old) {
+    if (from == kNoDoc) {
+      writer.doc(fresh_docs[next_fresh++]);
+    } else {
+      writer.bytes(doc_record(old.docs()[from]));
+    }
+  }
+
+  // Old and fresh terms merge in sorted order; a term's kept postings
+  // (renumbered) and fresh postings merge by document.
+  char* const term_count_at = writer.at();
+  writer.u32(0);
+  std::uint32_t term_count = 0;
+  const auto& old_terms = old.terms();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < old_terms.size() || j < fresh.terms.size()) {
+    // Below zero: the old term comes first; zero: both hold it.
+    const int order = i == old_terms.size()     ? 1
+                      : j == fresh.terms.size() ? -1
+                      : old_terms[i].term.compare(fresh.terms[j].term);
+    const std::string_view term =
+        order <= 0 ? old_terms[i].term : fresh.terms[j].term;
+    const PostingsView kept =
+        order <= 0 ? old_terms[i++].postings : PostingsView();
+    std::span<const Posting> added;
+    if (order >= 0) {
+      added = {fresh.terms[j].postings, fresh.terms[j].count};
+      ++j;
+    }
+
+    char* const term_at = writer.at();
+    writer.str(term);
+    char* const count_at = writer.at();
+    writer.u32(0);
+    std::size_t a = 0;
+    for (Posting posting : kept) {
+      posting.doc = old_to_new[posting.doc];
+      if (posting.doc == kNoDoc) continue;
+      for (; a < added.size() && added[a].doc < posting.doc; ++a) {
+        writer.posting(added[a]);
+      }
+      writer.posting(posting);
+    }
+    for (; a < added.size(); ++a) writer.posting(added[a]);
+    const std::size_t count =
+        static_cast<std::size_t>(writer.at() - count_at - 4) / kPostingBytes;
+    if (count == 0) {
+      writer.seek(term_at);  // every posting left with its document
+      continue;
+    }
+    PayloadWriter(count_at).u32(static_cast<std::uint32_t>(count));
+    ++term_count;
+  }
+  PayloadWriter(term_count_at).u32(term_count);
+  out.resize(static_cast<std::size_t>(writer.at() - out.data()));
   return out;
 }
 
@@ -481,21 +521,61 @@ SearchIndex SearchIndex::build(const core::Repository& repo,
                                obs::SpanRegistry* spans, IndexCache* cache) {
   const auto started = std::chrono::steady_clock::now();
   const std::size_t n = repo.activities().size();
-  std::vector<DocEntry> docs(n);
-  std::vector<std::shared_ptr<const DocTerms>> doc_terms(n);
-  std::vector<std::uint64_t> fingerprints(cache != nullptr ? n : 0);
+  static const SearchIndex kEmpty;
+  const SearchIndex& old = cache != nullptr ? cache->index_ : kEmpty;
 
-  // Ascending document ranges, one per worker (or one for a serial build).
+  // Match each document to the first previous one with its fingerprint
+  // past the last match, so both id tables stay monotone. `next_same`
+  // links the previous documents of one fingerprint in id order. Without
+  // a cache there is no previous document and every one is tokenized.
+  std::vector<std::uint64_t> fingerprints(cache != nullptr ? n : 0);
+  std::vector<std::uint32_t> new_to_old(n, kNoDoc);
+  std::vector<std::uint32_t> old_to_new(old.doc_count(), kNoDoc);
+  std::unordered_map<std::uint64_t, std::uint32_t> first_old;
+  first_old.reserve(old.doc_count());
+  std::vector<std::uint32_t> next_same(old.doc_count(), kNoDoc);
+  for (std::size_t o = old.doc_count(); o-- > 0;) {
+    const auto [it, added] = first_old.try_emplace(
+        cache->fingerprints_[o], static_cast<std::uint32_t>(o));
+    if (!added) {
+      next_same[o] = it->second;
+      it->second = static_cast<std::uint32_t>(o);
+    }
+  }
+  std::vector<std::uint32_t> fresh_ids;  // the documents to tokenize
+  std::uint32_t min_old = 0;  // the lowest previous id a match may take
+  for (std::size_t d = 0; d < n; ++d) {
+    if (cache != nullptr) {
+      fingerprints[d] = repo.fingerprint(d);
+      const auto it = first_old.find(fingerprints[d]);
+      std::uint32_t o = it == first_old.end() ? kNoDoc : it->second;
+      while (o < min_old) o = next_same[o];  // kNoDoc ends the walk
+      if (o != kNoDoc) {
+        new_to_old[d] = o;
+        old_to_new[o] = static_cast<std::uint32_t>(d);
+        min_old = o + 1;
+        continue;
+      }
+    }
+    fresh_ids.push_back(static_cast<std::uint32_t>(d));
+  }
+
+  // The unmatched documents in ascending blocks, one per worker (or one
+  // for a serial build).
+  const std::size_t fresh_count = fresh_ids.size();
+  std::vector<DocEntry> fresh_docs(fresh_count);
   const std::size_t block_count =
-      pool != nullptr && n > 1 ? std::min<std::size_t>(pool->size(), n) : 1;
-  const std::size_t chunk = (n + block_count - 1) / block_count;
+      pool != nullptr && fresh_count > 1
+          ? std::min<std::size_t>(pool->size(), fresh_count)
+          : 1;
+  const std::size_t chunk = (fresh_count + block_count - 1) / block_count;
   std::vector<BlockTerms> blocks(block_count);
   const auto index_blocks = [&](std::size_t first, std::size_t last) {
     for (std::size_t b = first; b < last; ++b) {
-      const std::size_t lo = std::min(n, b * chunk);
-      const std::size_t hi = std::min(n, lo + chunk);
-      blocks[b] = index_block(repo, cache, docs, doc_terms, fingerprints, lo,
-                              hi);
+      const std::size_t lo = std::min(fresh_count, b * chunk);
+      const std::size_t hi = std::min(fresh_count, lo + chunk);
+      index_block(repo, std::span(fresh_ids).subspan(lo, hi - lo),
+                  std::span(fresh_docs).subspan(lo, hi - lo), blocks[b]);
     }
   };
   if (block_count > 1) {
@@ -505,24 +585,16 @@ SearchIndex SearchIndex::build(const core::Repository& repo,
   }
 
   const auto indexed = std::chrono::steady_clock::now();
-  const Inverted inverted = invert(blocks, doc_terms);
-  auto index = from_payload(encode_payload(docs, inverted.terms));
-  // A freshly built index satisfies every invariant by construction.
+  auto index = from_payload(splice_payload(old, old_to_new, new_to_old,
+                                           fresh_docs, invert(blocks)));
+  // A spliced index satisfies every invariant by construction.
   SearchIndex result = std::move(index).value();
 
   if (cache != nullptr) {
-    // The cache now describes exactly this build's documents.
-    std::unordered_map<std::uint64_t, std::shared_ptr<const DocTerms>> next;
-    next.reserve(n);
-    std::size_t reused = 0;
-    for (std::size_t d = 0; d < n; ++d) {
-      const auto it = cache->docs_.find(fingerprints[d]);
-      if (it != cache->docs_.end() && it->second == doc_terms[d]) ++reused;
-      next.emplace(fingerprints[d], std::move(doc_terms[d]));
-    }
-    cache->docs_ = std::move(next);
-    cache->reused_ = reused;
-    cache->tokenized_ = n - reused;
+    cache->index_ = result;
+    cache->fingerprints_ = std::move(fingerprints);
+    cache->tokenized_ = fresh_count;
+    cache->reused_ = n - fresh_count;
   }
 
   if (spans != nullptr) {
@@ -700,7 +772,6 @@ Status SearchIndex::attach() {
     block_offset_.push_back(static_cast<std::uint32_t>(block_max_.size()));
   }
 
-  fingerprint_ = hash::fnv1a_64(payload_);
   return Status::ok();
 }
 

@@ -1,9 +1,9 @@
 // LRU cache of search results. The cached value is the result *fragment*
 // of the /api/search body (everything after the echoed raw query), keyed by
-// the normalized parsed query — terms, filters, limit — plus the served
-// index's fingerprint, so two inputs that normalize identically ("Sorting
-// cards!" / "sorting CARD") share one entry while a reindex can never serve
-// a stale one.
+// the normalized parsed query — terms, filters, limit — so two inputs that
+// normalize identically ("Sorting cards!" / "sorting CARD") share one
+// entry. A reindex can never serve a stale one, because each index gets a
+// fresh cache (below).
 //
 // Invalidation rides the existing RCU snapshot swap: the cache is a member
 // of the Router, and a reload builds a whole new Router. A successful

@@ -11,7 +11,9 @@
 //            added or restamped files are read and parsed;
 //   site   — the site::BuildCache: only pages whose input fingerprints
 //            moved are rendered, the rest share the cached bytes;
-//   search — a search::IndexCache: only changed documents are tokenized;
+//   search — a search::IndexCache holding the previous index: only changed
+//            documents are tokenized, the rest are spliced out of the
+//            previous payload under their new ids;
 //   server — the new Router takes over the PageCache entries (body, ETag,
 //            header blocks) of unchanged pages and activity JSON from the
 //            snapshot this manager last published.

@@ -74,14 +74,12 @@ std::string search_results_fragment(const std::vector<search::Hit>& hits) {
   return json;
 }
 
-/// Cache key: index fingerprint, limit, normalized terms, filters. The
-/// 0x1f separators cannot appear in tokenized terms, and the section
-/// separators keep terms and filters from aliasing each other.
-std::string search_cache_key(std::uint64_t fingerprint,
-                             const search::Query& query, std::size_t limit) {
-  std::string key = std::to_string(fingerprint);
-  key += '|';
-  key += std::to_string(limit);
+/// Cache key: limit, normalized terms, filters. The QueryCache belongs to
+/// one Router and so to one index. The 0x1f separators cannot appear in
+/// tokenized terms, and the section separators keep terms and filters from
+/// aliasing each other.
+std::string search_cache_key(const search::Query& query, std::size_t limit) {
+  std::string key = std::to_string(limit);
   for (const auto& term : query.terms) {
     key += '\x1f';
     key += term;
@@ -254,8 +252,7 @@ Response Router::handle_search(const Request& request) const {
   // Serve the result fragment from the per-snapshot cache when the
   // normalized query has been answered before against this exact index;
   // otherwise run the (possibly sharded) ranked search and remember it.
-  const std::string key =
-      search_cache_key(index_.fingerprint(), query, limit);
+  const std::string key = search_cache_key(query, limit);
   std::string fragment;
   auto cached = query_cache_.get(key);
   if (cached.has_value()) {

@@ -159,7 +159,6 @@ TEST(SearchScale, MmapIndexMatchesLoadedIndex) {
   EXPECT_TRUE(mapped.value().mapped());
   EXPECT_TRUE(loaded.value() == mapped.value());
   EXPECT_TRUE(fix.index == mapped.value());
-  EXPECT_EQ(fix.index.fingerprint(), mapped.value().fingerprint());
 
   for (const auto& input : adversarial_queries()) {
     const auto query = search::parse_query(input);
@@ -304,5 +303,4 @@ TEST(SearchScale, PayloadRoundTripsThroughFromPayload) {
       search::SearchIndex::from_payload(std::string(fix.index.payload()));
   ASSERT_TRUE(copy.has_value()) << copy.error().message;
   EXPECT_TRUE(copy.value() == fix.index);
-  EXPECT_EQ(copy.value().fingerprint(), fix.index.fingerprint());
 }

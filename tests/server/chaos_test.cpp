@@ -289,7 +289,7 @@ TEST(Chaos, ReloadInvalidatesQueryCacheFailedReloadKeepsIt) {
   Stack stack(dir);
 
   // Warm the query cache with a term no activity contains yet: the result
-  // ("count":0) is cached against the current index fingerprint.
+  // ("count":0) is cached in the serving router's query cache.
   const std::string target = "/api/search?q=zanzibar";
   EXPECT_TRUE(strs::contains(body_of(simple_get(stack.port(), target)),
                              "\"count\":0"));

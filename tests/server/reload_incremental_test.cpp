@@ -4,7 +4,7 @@
 // the next. After every step the served snapshot must equal, byte for
 // byte, a cold build_site + SearchIndex::build + Router over the same
 // directory: every cached body, ETag and header block, the catalog and
-// activity JSON, the index fingerprint, and the answers to a fixed set of
+// activity JSON, the index payload, and the answers to a fixed set of
 // searches.
 #include <gtest/gtest.h>
 
@@ -152,7 +152,6 @@ void expect_matches_cold_build(const server::Router& served,
     EXPECT_EQ(got->head_304, want->head_304) << path;
   }
 
-  EXPECT_EQ(served.index().fingerprint(), cold.index().fingerprint());
   EXPECT_TRUE(served.index() == cold.index());
   for (const char* query : kQueries) {
     const std::string target =
