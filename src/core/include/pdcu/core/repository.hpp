@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pdcu/core/activity.hpp"
@@ -15,6 +14,7 @@
 #include "pdcu/core/stats.hpp"
 #include "pdcu/core/validate.hpp"
 #include "pdcu/support/expected.hpp"
+#include "pdcu/support/fs.hpp"
 #include "pdcu/taxonomy/term_index.hpp"
 
 namespace pdcu::core {
@@ -32,16 +32,12 @@ struct LoadReport;
 /// One activities/*.md content file as listed, with the (size, mtime)
 /// stamp of a single stat. The stamp is what a reloading server trusts:
 /// a file whose path, size and mtime are all unchanged is taken to hold
-/// the same bytes (an edit that keeps all three is not seen).
-struct ContentFile {
-  std::filesystem::path path;
-  std::uint64_t size = 0;
-  std::int64_t mtime_ns = 0;
-  bool stat_ok = false;  ///< false when the stat failed (never memoized)
-};
+/// the same bytes (an edit that keeps all three is not seen). A file whose
+/// stat failed (stat_ok false) is never memoized.
+using ContentFile = fs::StampedFile;
 
-/// Lists `content_dir`/activities/*.md sorted by path, one stat per file.
-/// Error when the directory itself cannot be listed.
+/// Lists `content_dir`/activities/*.md sorted by path, one stat per file
+/// (fs::list_stamped). Error when the directory itself cannot be listed.
 Expected<std::vector<ContentFile>> list_content(
     const std::filesystem::path& content_dir);
 
@@ -49,23 +45,32 @@ Expected<std::vector<ContentFile>> list_content(
 /// count: moves whenever a file is added, removed, renamed or restamped.
 std::uint64_t listing_fingerprint(const std::vector<ContentFile>& files);
 
-/// The per-file parse memo a reloading server carries from one load to
-/// the next: each file's parsed activity (or its parse error) and the
-/// activity's fingerprint, keyed by path and trusted while the file's
-/// stamp is unchanged. A load through it reads and parses only added or
+/// The state a reloading server carries from one load to the next: the
+/// per-file parse memo and the last repository's term index.
+///
+/// The memo holds each file's parsed activity (or its parse error) and the
+/// activity's fingerprint, in the listing's path order, each trusted while
+/// the file's stamp is unchanged. A load through it merge-walks the memo
+/// against the new sorted listing, reads and parses only added or
 /// restamped files, and drops deleted and renamed ones.
+///
+/// The term index is shared by the next repository when its taxonomy
+/// fingerprint is unchanged, which is what a body-only edit leaves.
 class LoadCache {
  public:
   std::size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
+    std::string path;  ///< the listed path's native string
     std::uint64_t size = 0;
     std::int64_t mtime_ns = 0;
     Expected<Activity> parsed;  ///< the activity, or why it failed to parse
     std::uint64_t fingerprint = 0;
   };
-  std::unordered_map<std::string, Entry> entries_;
+  std::vector<Entry> entries_;  ///< sorted by path, like the listing
+  std::shared_ptr<const tax::TermIndex> index_;
+  std::uint64_t index_taxonomy_ = 0;  ///< taxonomy fingerprint of index_
 
   friend class Repository;
 };
@@ -97,7 +102,10 @@ class Repository {
   /// through `cache`: files whose stamp matches their memo entry are not
   /// read, and the cache is left describing exactly `files`. An empty
   /// cache loads every file, like the overload above. The repository
-  /// carries each activity's fingerprint.
+  /// carries each activity's fingerprint, and shares the cache's term
+  /// index when its taxonomy fingerprint is the cached one. `files` must
+  /// be sorted by path, as list_content gives them (an unsorted listing
+  /// loads correctly but misses memo hits).
   static LoadReport load_lenient(const std::vector<ContentFile>& files,
                                  LoadCache& cache);
 
@@ -120,6 +128,11 @@ class Repository {
   /// computed now when the repository was built without them.
   std::uint64_t fingerprint(std::size_t i) const;
 
+  /// FNV-1a over every activity's slug, title and seven tag lists, in
+  /// order, plus the activity count: everything the term index (and so
+  /// every taxonomy view) depends on. A body-only edit leaves it unchanged.
+  std::uint64_t taxonomy_fingerprint() const { return taxonomy_fingerprint_; }
+
   const Activity* find(std::string_view slug) const;
 
   CoverageAnalyzer coverage() const { return CoverageAnalyzer(activities_); }
@@ -133,11 +146,19 @@ class Repository {
   Status export_to(const std::filesystem::path& content_dir) const;
 
  private:
+  /// Shares `index` when `index_taxonomy` is the activities' taxonomy
+  /// fingerprint, and builds a fresh index otherwise (or when it is null).
+  Repository(std::vector<Activity> activities,
+             std::vector<std::uint64_t> fingerprints,
+             std::shared_ptr<const tax::TermIndex> index,
+             std::uint64_t index_taxonomy);
+
   static LoadReport load_files(const std::vector<ContentFile>& files,
                                LoadCache* cache);
 
   std::vector<Activity> activities_;
   std::vector<std::uint64_t> fingerprints_;  ///< empty, or one per activity
+  std::uint64_t taxonomy_fingerprint_ = 0;
   std::shared_ptr<const tax::TermIndex> index_;
 };
 

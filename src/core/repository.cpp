@@ -1,7 +1,5 @@
 #include "pdcu/core/repository.hpp"
 
-#include <sys/stat.h>
-
 #include <optional>
 #include <utility>
 
@@ -13,20 +11,54 @@
 
 namespace pdcu::core {
 
+namespace {
+
+std::uint64_t taxonomy_fingerprint_of(const std::vector<Activity>& activities) {
+  hash::Fingerprint fp;
+  const auto mix_list = [&fp](const std::vector<std::string>& terms) {
+    fp.mix(static_cast<std::uint64_t>(terms.size()));
+    for (const auto& term : terms) fp.mix(term);
+  };
+  for (const auto& activity : activities) {
+    fp.mix(activity.slug).mix(activity.title);
+    mix_list(activity.cs2013);
+    mix_list(activity.cs2013details);
+    mix_list(activity.tcpp);
+    mix_list(activity.tcppdetails);
+    mix_list(activity.courses);
+    mix_list(activity.senses);
+    mix_list(activity.mediums);
+  }
+  return fp.mix(static_cast<std::uint64_t>(activities.size())).value();
+}
+
+}  // namespace
+
 Repository::Repository(std::vector<Activity> activities)
     : Repository(std::move(activities), {}) {}
 
 Repository::Repository(std::vector<Activity> activities,
                        std::vector<std::uint64_t> fingerprints)
+    : Repository(std::move(activities), std::move(fingerprints), nullptr, 0) {}
+
+Repository::Repository(std::vector<Activity> activities,
+                       std::vector<std::uint64_t> fingerprints,
+                       std::shared_ptr<const tax::TermIndex> index,
+                       std::uint64_t index_taxonomy)
     : activities_(std::move(activities)),
-      fingerprints_(std::move(fingerprints)) {
+      fingerprints_(std::move(fingerprints)),
+      taxonomy_fingerprint_(taxonomy_fingerprint_of(activities_)) {
   if (fingerprints_.size() != activities_.size()) fingerprints_.clear();
-  auto index =
+  if (index != nullptr && index_taxonomy == taxonomy_fingerprint_) {
+    index_ = std::move(index);
+    return;
+  }
+  auto fresh =
       std::make_shared<tax::TermIndex>(tax::TaxonomyConfig::pdcunplugged());
   for (const auto& activity : activities_) {
-    index->add_page(activity.page_ref(), activity.tags());
+    fresh->add_page(activity.page_ref(), activity.tags());
   }
-  index_ = std::move(index);
+  index_ = std::move(fresh);
 }
 
 std::uint64_t Repository::fingerprint(std::size_t i) const {
@@ -41,51 +73,27 @@ const Repository& Repository::builtin() {
 
 Expected<std::vector<ContentFile>> list_content(
     const std::filesystem::path& content_dir) {
-  auto paths = fs::list_files(content_dir / "activities", ".md");
-  if (!paths) return paths.error();
-  std::vector<ContentFile> files;
-  files.reserve(paths.value().size());
-  for (auto& path : paths.value()) {
-    ContentFile file;
-    struct ::stat st {};
-    if (::stat(path.c_str(), &st) == 0) {
-      file.size = static_cast<std::uint64_t>(st.st_size);
-      file.mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) *
-                          1'000'000'000 +
-                      st.st_mtim.tv_nsec;
-      file.stat_ok = true;
-    }
-    file.path = std::move(path);
-    files.push_back(std::move(file));
-  }
-  return files;
+  return fs::list_stamped(content_dir / "activities", ".md");
 }
 
 std::uint64_t listing_fingerprint(const std::vector<ContentFile>& files) {
-  std::uint64_t state = hash::kFnv1aInit;
-  const auto mix = [&state](std::string_view bytes) {
-    state = hash::fnv1a_64_update(state, bytes);
-    state = hash::fnv1a_64_update(state, std::string_view("\x1f", 1));
-  };
+  hash::Fingerprint fp;
   for (const auto& file : files) {
-    mix(file.path.native());
-    mix(file.stat_ok ? std::to_string(file.size) : "?");
-    mix(file.stat_ok ? std::to_string(file.mtime_ns) : "?");
+    fp.mix(file.path.native());
+    if (file.stat_ok) {
+      fp.mix(file.size).mix(static_cast<std::uint64_t>(file.mtime_ns));
+    } else {
+      fp.mix("?");
+    }
   }
-  mix(std::to_string(files.size()));
-  return state;
+  return fp.mix(static_cast<std::uint64_t>(files.size())).value();
 }
 
 Expected<LoadReport> Repository::load_lenient(
     const std::filesystem::path& content_dir) {
-  auto paths = fs::list_files(content_dir / "activities", ".md");
-  if (!paths) return paths.error().context("loading repository");
-  // A one-off load needs no stamps: without a cache nothing is memoized.
-  std::vector<ContentFile> files(paths.value().size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    files[i].path = std::move(paths.value()[i]);
-  }
-  return load_files(files, nullptr);
+  auto files = list_content(content_dir);
+  if (!files) return files.error().context("loading repository");
+  return load_files(files.value(), nullptr);
 }
 
 LoadReport Repository::load_lenient(const std::vector<ContentFile>& files,
@@ -98,16 +106,22 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
   const std::size_t n = files.size();
 
   // Memo hits: a stat'ed file whose stamp matches its entry is not read.
-  // Lookups happen here, serially, so the parallel phase below never
-  // touches the map.
+  // The memo and the listing are both sorted by path, so one merge walk
+  // finds every hit, serially, and the parallel phase below never touches
+  // the memo. Each entry is matched at most once.
   std::vector<LoadCache::Entry*> hits(n, nullptr);
   if (cache != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto it = cache->entries_.find(files[i].path.native());
-      if (files[i].stat_ok && it != cache->entries_.end() &&
-          it->second.size == files[i].size &&
-          it->second.mtime_ns == files[i].mtime_ns) {
-        hits[i] = &it->second;
+    auto& memo = cache->entries_;
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < n && j < memo.size(); ++i) {
+      const std::string& key = files[i].path.native();
+      int order = memo[j].path.compare(key);
+      while (order < 0 && ++j < memo.size()) order = memo[j].path.compare(key);
+      if (order != 0) continue;
+      LoadCache::Entry& entry = memo[j++];
+      if (files[i].stat_ok && entry.size == files[i].size &&
+          entry.mtime_ns == files[i].mtime_ns) {
+        hits[i] = &entry;
       }
     }
   }
@@ -160,11 +174,12 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
     return report;
   }
 
-  // Refill the memo with exactly this listing: hits move over, fresh
-  // parses (activities and parse errors alike) go in, and entries of
-  // deleted or renamed files are dropped. Read errors are not memoized —
-  // the next load retries them.
-  std::unordered_map<std::string, LoadCache::Entry> next;
+  // Refill the memo with exactly this listing, in its order: hits move
+  // over, fresh parses (activities and parse errors alike) go in, and
+  // entries of deleted or renamed files are dropped. Read errors are not
+  // memoized — the next load retries them. Both vectors are reserved for
+  // every file, so the pointers in `sources` stay valid.
+  std::vector<LoadCache::Entry> next;
   next.reserve(n);
   std::vector<LoadCache::Entry> unstamped;  // parsed but not memoized
   unstamped.reserve(n);
@@ -178,10 +193,9 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
     }
   };
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string& key = files[i].path.native();
     if (hits[i] != nullptr) {
       ++report.files_reused;
-      take(i, next.emplace(key, std::move(*hits[i])).first->second);
+      take(i, next.emplace_back(std::move(*hits[i])));
       continue;
     }
     ++report.files_parsed;
@@ -189,11 +203,12 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
       quarantine(i, std::move(*read_errors[i]));
       continue;
     }
-    LoadCache::Entry fresh{files[i].size, files[i].mtime_ns,
-                           std::move(*parsed[i]), parsed_fingerprints[i]};
+    LoadCache::Entry fresh{files[i].path.native(), files[i].size,
+                           files[i].mtime_ns, std::move(*parsed[i]),
+                           parsed_fingerprints[i]};
     // Without a stamp there is nothing to trust next time: use the parse,
     // do not memoize it.
-    take(i, files[i].stat_ok ? next.emplace(key, std::move(fresh)).first->second
+    take(i, files[i].stat_ok ? next.emplace_back(std::move(fresh))
                              : unstamped.emplace_back(std::move(fresh)));
   }
 
@@ -209,7 +224,11 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
         }
       });
   cache->entries_ = std::move(next);
-  report.repository = Repository(std::move(healthy), std::move(fingerprints));
+  report.repository = Repository(std::move(healthy), std::move(fingerprints),
+                                 std::move(cache->index_),
+                                 cache->index_taxonomy_);
+  cache->index_ = report.repository.shared_index();
+  cache->index_taxonomy_ = report.repository.taxonomy_fingerprint();
   return report;
 }
 

@@ -1,14 +1,18 @@
 // Live reload with last-known-good serving. A ReloadManager watches a
-// content directory from a background thread: it lists activities/*.md
-// with one stat per file every poll interval and, when the listing's
-// fingerprint (paths, sizes, mtimes) moves, reloads and publishes a fresh
-// Router snapshot via HttpServer::swap_router().
+// content directory from a background thread: every poll interval it
+// lists activities/*.md in one directory read with one stat per entry
+// (fs::list_stamped) and, when the listing's fingerprint (paths, sizes,
+// mtimes) moves, reloads and publishes a fresh Router snapshot via
+// HttpServer::swap_router(). The same listing feeds the load.
 //
 // A reload costs work in proportion to the edit, not to the corpus. The
 // manager carries per-document state from one reload to the next, and a
 // first reload runs the same code with empty caches:
-//   core   — a core::LoadCache memo keyed by (path, size, mtime): only
-//            added or restamped files are read and parsed;
+//   core   — a core::LoadCache memo keyed by (path, size, mtime) and
+//            merge-walked against the sorted listing: only added or
+//            restamped files are read and parsed; and the last term
+//            index, shared while the taxonomy fingerprint (slugs, titles,
+//            tags) is unchanged, as it is after a body-only edit;
 //   site   — the site::BuildCache: only pages whose input fingerprints
 //            moved are rendered, the rest share the cached bytes;
 //   search — a search::IndexCache holding the previous index: only changed
@@ -17,16 +21,19 @@
 //   server — the new Router takes over the PageCache entries (body, ETag,
 //            header blocks) of unchanged pages and activity JSON from the
 //            snapshot this manager last published.
-// Everything past the listing is keyed on the (path, size, mtime) stamp
-// and on core::activity_fingerprint, so a reload serves exactly the bytes
-// a cold build of the same directory would.
+// Everything past the listing is keyed on the (path, size, mtime) stamp,
+// on core::activity_fingerprint and on the repository's taxonomy
+// fingerprint, so a reload serves exactly the bytes a cold build of the
+// same directory would.
 //
 // Failure policy — the heart of it: a reload that cannot produce a
 // serving site (unlistable directory, or *every* activity quarantined)
 // never replaces the last-known-good snapshot. The manager records the
 // failure in the shared HealthTracker/ReloadMetrics, then retries with
 // capped exponential backoff until content heals, at which point the next
-// clean rebuild swaps in and /healthz returns to "ok".
+// clean rebuild swaps in and /healthz returns to "ok". A single file that
+// cannot be stat'ed or read (a symlink loop, say) is quarantined like a
+// malformed one; nothing on disk makes the listing throw.
 #pragma once
 
 #include <atomic>

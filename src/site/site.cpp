@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -93,25 +92,7 @@ std::string render_activity_page_from(const core::Activity& activity,
   return body;
 }
 
-/// Streaming FNV-1a with a field separator, so ("ab","c") and ("a","bc")
-/// fingerprint differently.
-class Fingerprint {
- public:
-  Fingerprint& mix(std::string_view bytes) {
-    state_ = hash::fnv1a_64_update(state_, bytes);
-    state_ = hash::fnv1a_64_update(state_, std::string_view("\x1f", 1));
-    return *this;
-  }
-  Fingerprint& mix(std::uint64_t value) {
-    char bytes[sizeof value];
-    std::memcpy(bytes, &value, sizeof value);
-    return mix(std::string_view(bytes, sizeof bytes));
-  }
-  std::uint64_t value() const { return state_; }
-
- private:
-  std::uint64_t state_ = hash::kFnv1aInit;
-};
+using hash::Fingerprint;
 
 /// One planned page: where it goes, a fingerprint of everything its bytes
 /// depend on, and how to produce those bytes if the fingerprint is new.
@@ -189,7 +170,10 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
                      });
     Fingerprint fp = opts_fp;
     for (const auto* a : sorted) {
-      fp.mix(a->slug).mix(a->title).mix(a->date.to_string());
+      fp.mix(a->slug).mix(a->title);
+      fp.mix(static_cast<std::uint64_t>(a->date.year) << 16 |
+             static_cast<std::uint64_t>(a->date.month) << 8 |
+             static_cast<std::uint64_t>(a->date.day));
     }
     jobs.push_back(
         {"index.html", fp.value(), [sorted = std::move(sorted), &options] {
@@ -220,15 +204,14 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
   }
 
   // One listing page per (taxonomy, term); inputs are the term's
-  // membership (slugs and titles, in order).
+  // membership (slugs and titles, in order), which the index fingerprints
+  // as it is built.
   if (options.include_term_pages) {
     for (const auto& taxonomy : config().all()) {
       for (const auto& term : repo.index().terms(taxonomy.key)) {
         Fingerprint fp = opts_fp;
         fp.mix(taxonomy.key).mix(taxonomy.display_name).mix(term);
-        for (const auto& page : *repo.index().find_pages(taxonomy.key, term)) {
-          fp.mix(page.slug).mix(page.title);
-        }
+        fp.mix(repo.index().membership_fingerprint(taxonomy.key, term));
         jobs.push_back(
             {taxonomy.key + "/" + slugify(term) + "/index.html", fp.value(),
              [&taxonomy, term, &repo, &options] {
@@ -242,18 +225,13 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
     }
   }
 
-  // The four views of §II.C. Their bytes depend on every activity's
-  // identity and tags (membership per outcome/topic/course/sense) but not
-  // on body prose, so body edits never invalidate them.
+  // The four views of §II.C. Their bytes depend on the term index alone
+  // (membership per outcome/topic/course/sense, by slug and title), which
+  // the repository's taxonomy fingerprint covers, so body edits never
+  // invalidate them.
   if (options.include_views) {
     Fingerprint tags_fp = opts_fp;
-    for (const auto& a : activities) {
-      tags_fp.mix(a.slug).mix(a.title);
-      for (const auto& [key, terms] : a.tags()) {
-        tags_fp.mix(key);
-        for (const auto& term : terms) tags_fp.mix(term);
-      }
-    }
+    tags_fp.mix(repo.taxonomy_fingerprint());
     const auto view_fp = [&tags_fp](std::string_view name) {
       Fingerprint fp = tags_fp;
       fp.mix(name);

@@ -1,6 +1,8 @@
 #include "pdcu/support/fs.hpp"
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -29,6 +31,15 @@ FaultInjector::Action intercept(const std::filesystem::path& path) {
     std::this_thread::sleep_for(action.latency);
   }
   return action;
+}
+
+/// path::extension() of a bare filename: from its last '.', unless that
+/// dot starts the name (".md" and ".." have no extension).
+std::string_view extension_of(std::string_view name) {
+  if (name == "..") return {};
+  const std::size_t dot = name.rfind('.');
+  if (dot == std::string_view::npos || dot == 0) return {};
+  return name.substr(dot);
 }
 
 }  // namespace
@@ -138,7 +149,7 @@ Status replace_file(const std::filesystem::path& path,
   return Status::ok();
 }
 
-Expected<std::vector<std::filesystem::path>> list_files(
+Expected<std::vector<StampedFile>> list_stamped(
     const std::filesystem::path& dir, const std::string& extension) {
   // kTruncate has no short-read analogue for a listing, so any non-latency
   // fault on a directory is a listing error.
@@ -147,26 +158,75 @@ Expected<std::vector<std::filesystem::path>> list_files(
     return Error::make("fs.listdir", "cannot list '" + dir.string() +
                                          "' (injected fault)");
   }
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return Error::make("fs.listdir",
-                       "cannot list '" + dir.string() + "': " + ec.message());
+  const auto list_error = [&dir](int error) {
+    return Error::make("fs.listdir", "cannot list '" + dir.string() +
+                                         "': " + std::strerror(error));
+  };
+  const int dir_fd =
+      ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return list_error(errno);
+  DIR* stream = ::fdopendir(dir_fd);
+  if (stream == nullptr) {
+    const int error = errno;
+    ::close(dir_fd);
+    return list_error(error);
   }
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : it) {
-    if (entry.is_regular_file() && entry.path().extension() == extension) {
-      files.push_back(entry.path());
+  // Names and stamps first, then one path per entry in sorted order:
+  // sorting paths would also move each one's parsed components.
+  struct Entry {
+    std::string name;
+    StampedFile stamp;
+  };
+  std::vector<Entry> entries;
+  int read_error = 0;
+  for (;;) {
+    errno = 0;
+    const dirent* entry = ::readdir(stream);
+    if (entry == nullptr) {
+      read_error = errno;
+      break;
     }
+    const std::string_view name(entry->d_name);
+    if (extension_of(name) != extension) continue;
+    StampedFile stamp;
+    struct ::stat st {};
+    if (::fstatat(dir_fd, entry->d_name, &st, 0) == 0) {
+      if (!S_ISREG(st.st_mode)) continue;
+      stamp.size = static_cast<std::uint64_t>(st.st_size);
+      stamp.mtime_ns =
+          static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+          st.st_mtim.tv_nsec;
+      stamp.stat_ok = true;
+    } else if (errno == ENOENT) {
+      continue;  // removed since the read, or a dangling symlink
+    }
+    entries.push_back({std::string(name), std::move(stamp)});
   }
-  // All entries share `dir`, so comparing the native strings orders them
-  // by filename exactly as path comparison would, without splitting each
-  // path into components per comparison.
-  std::sort(files.begin(), files.end(),
-            [](const std::filesystem::path& a, const std::filesystem::path& b) {
-              return a.native() < b.native();
-            });
+  ::closedir(stream);  // closes dir_fd too
+  if (read_error != 0) return list_error(read_error);
+  // All entries share `dir`, so ordering the names orders the paths
+  // exactly as comparing their native strings would.
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.name < b.name; });
+  std::string prefix = dir.native();
+  if (!prefix.empty() && prefix.back() != '/') prefix += '/';
+  std::vector<StampedFile> files;
+  files.reserve(entries.size());
+  for (Entry& entry : entries) {
+    entry.stamp.path = prefix + entry.name;  // what `dir / name` gives
+    files.push_back(std::move(entry.stamp));
+  }
   return files;
+}
+
+Expected<std::vector<std::filesystem::path>> list_files(
+    const std::filesystem::path& dir, const std::string& extension) {
+  auto listed = list_stamped(dir, extension);
+  if (!listed) return listed.error();
+  std::vector<std::filesystem::path> paths;
+  paths.reserve(listed.value().size());
+  for (auto& file : listed.value()) paths.push_back(std::move(file.path));
+  return paths;
 }
 
 }  // namespace pdcu::fs

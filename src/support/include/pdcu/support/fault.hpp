@@ -1,5 +1,5 @@
 // Test-scoped filesystem fault injection. A FaultInjector installed with
-// ScopedFaultInjection is consulted by fs::read_file and fs::list_files
+// ScopedFaultInjection is consulted by fs::read_file and fs::list_stamped
 // before they touch the disk, so tests can make exactly the Nth read of a
 // matching path fail (open error, mid-stream I/O error, short read) or run
 // slow — deterministically, and without needing unreadable files (which a
@@ -78,7 +78,7 @@ class FaultInjector {
   std::atomic<std::uint64_t> injected_{0};
 };
 
-/// Installs the process-wide injector consulted by read_file/list_files;
+/// Installs the process-wide injector consulted by read_file/list_stamped;
 /// nullptr uninstalls. Prefer ScopedFaultInjection in tests.
 void install_fault_injector(FaultInjector* injector);
 FaultInjector* installed_fault_injector();

@@ -1,6 +1,7 @@
 // Filesystem helpers returning Expected instead of throwing.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -25,8 +26,25 @@ Status write_file(const std::filesystem::path& path,
 Status replace_file(const std::filesystem::path& path,
                     std::string_view content);
 
-/// Non-recursive listing of regular files with the given extension
-/// (e.g. ".md"), sorted by filename for deterministic iteration order.
+/// One listed file with the (size, mtime) stamp of the stat that listed it.
+struct StampedFile {
+  std::filesystem::path path;
+  std::uint64_t size = 0;
+  std::int64_t mtime_ns = 0;
+  bool stat_ok = false;  ///< false when the stat failed (e.g. a symlink loop)
+};
+
+/// Non-recursive listing of the regular files (symlinks followed) whose
+/// extension, as path::extension() reads it, is `extension` (e.g. ".md"),
+/// sorted by filename for deterministic iteration order. One directory
+/// read and one stat per matching entry; that stat is the stamp. An entry
+/// that is gone by its stat (or a dangling symlink) is not listed; one
+/// whose stat fails otherwise is listed unstamped, so whoever reads it
+/// meets the error. Error only when the directory itself cannot be read.
+Expected<std::vector<StampedFile>> list_stamped(
+    const std::filesystem::path& dir, const std::string& extension);
+
+/// The paths of list_stamped(dir, extension).
 Expected<std::vector<std::filesystem::path>> list_files(
     const std::filesystem::path& dir, const std::string& extension);
 

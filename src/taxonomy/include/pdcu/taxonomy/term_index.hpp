@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -11,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "pdcu/support/hash.hpp"
 #include "pdcu/taxonomy/taxonomy.hpp"
 
 namespace pdcu::tax {
@@ -50,6 +52,13 @@ class TermIndex {
   const std::vector<PageRef>* find_pages(std::string_view taxonomy,
                                          std::string_view term) const;
 
+  /// FNV-1a over the slug and title of every page carrying a term, in
+  /// order, kept as pages are added: it moves exactly when pages() would
+  /// answer differently, so a term page can be keyed on it without
+  /// walking the pages. 0 when the taxonomy or term is unknown.
+  std::uint64_t membership_fingerprint(std::string_view taxonomy,
+                                       std::string_view term) const;
+
   /// Number of pages carrying a term.
   std::size_t count(std::string_view taxonomy, std::string_view term) const;
 
@@ -77,10 +86,16 @@ class TermIndex {
   const TaxonomyConfig& config() const { return config_; }
 
  private:
+  struct Term {
+    std::vector<PageRef> pages;  ///< insertion order
+    hash::Fingerprint membership;  ///< over the pages' slugs and titles
+  };
+  const Term* find_term(std::string_view taxonomy,
+                        std::string_view term) const;
+
   TaxonomyConfig config_;
-  // taxonomy key -> term -> pages (insertion order).
-  std::map<std::string, std::map<std::string, std::vector<PageRef>,
-                                 std::less<>>,
+  // taxonomy key -> term -> its pages.
+  std::map<std::string, std::map<std::string, Term, std::less<>>,
            std::less<>>
       index_;
   std::unordered_set<std::string> slugs_;  ///< every slug added so far

@@ -16,12 +16,16 @@ void TermIndex::add_page(const PageRef& page, const PageTags& tags) {
     if (!config_.is_taxonomy_key(key)) continue;
     auto& term_map = index_[key];
     for (const auto& term : terms) {
-      auto& pages = term_map[term];
+      Term& entry = term_map[term];
+      auto& pages = entry.pages;
       const bool listed =
           new_slug ? !pages.empty() && pages.back() == page
                    : std::find(pages.begin(), pages.end(), page) !=
                          pages.end();
-      if (!listed) pages.push_back(page);
+      if (!listed) {
+        pages.push_back(page);
+        entry.membership.mix(page.slug).mix(page.title);
+      }
     }
   }
 }
@@ -31,7 +35,7 @@ std::vector<std::string> TermIndex::terms(std::string_view taxonomy) const {
   auto it = index_.find(taxonomy);
   if (it == index_.end()) return out;
   out.reserve(it->second.size());
-  for (const auto& [term, pages] : it->second) out.push_back(term);
+  for (const auto& [term, entry] : it->second) out.push_back(term);
   return out;  // std::map iterates sorted
 }
 
@@ -41,12 +45,24 @@ std::vector<PageRef> TermIndex::pages(std::string_view taxonomy,
   return found != nullptr ? *found : std::vector<PageRef>{};
 }
 
-const std::vector<PageRef>* TermIndex::find_pages(std::string_view taxonomy,
-                                                  std::string_view term) const {
+const TermIndex::Term* TermIndex::find_term(std::string_view taxonomy,
+                                            std::string_view term) const {
   auto it = index_.find(taxonomy);
   if (it == index_.end()) return nullptr;
   auto jt = it->second.find(term);
   return jt == it->second.end() ? nullptr : &jt->second;
+}
+
+const std::vector<PageRef>* TermIndex::find_pages(std::string_view taxonomy,
+                                                  std::string_view term) const {
+  const Term* found = find_term(taxonomy, term);
+  return found != nullptr ? &found->pages : nullptr;
+}
+
+std::uint64_t TermIndex::membership_fingerprint(std::string_view taxonomy,
+                                                std::string_view term) const {
+  const Term* found = find_term(taxonomy, term);
+  return found != nullptr ? found->membership.value() : 0;
 }
 
 std::size_t TermIndex::count(std::string_view taxonomy,
@@ -108,7 +124,7 @@ std::optional<std::string> TermIndex::resolve_term(
 
   std::optional<std::string> prefix_match;
   bool ambiguous = false;
-  for (const auto& [term, pages] : it->second) {
+  for (const auto& [term, entry] : it->second) {
     const std::string folded = fold_term(term);
     if (folded == needle) return term;  // exact beats any prefix
     if (strings::starts_with(folded, needle)) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <string>
@@ -16,11 +18,14 @@
 #include "pdcu/core/activity_io.hpp"
 #include "pdcu/support/fault.hpp"
 #include "pdcu/support/fs.hpp"
+#include "pdcu/support/slug.hpp"
 #include "pdcu/support/strings.hpp"
+#include "pdcu/taxonomy/term_index.hpp"
 
 namespace core = pdcu::core;
 namespace fs = pdcu::fs;
 namespace strs = pdcu::strings;
+namespace tax = pdcu::tax;
 
 namespace {
 
@@ -37,6 +42,23 @@ void corrupt(const std::filesystem::path& dir, const std::string& slug) {
   // A file with front matter but no title fails to parse.
   EXPECT_TRUE(fs::write_file(dir / "activities" / (slug + ".md"),
                              "---\ndate: 2020-01-01\n---\nno title\n"));
+}
+
+/// Every term of every taxonomy with its pages (slug and title, in
+/// order), plus the page count: all that terms()/pages() can tell apart.
+std::vector<std::string> describe(const tax::TermIndex& index) {
+  std::vector<std::string> lines;
+  for (const auto& taxonomy : index.config().all()) {
+    for (const auto& term : index.terms(taxonomy.key)) {
+      std::string line = taxonomy.key + ":" + term + " ->";
+      for (const auto& page : index.pages(taxonomy.key, term)) {
+        line += " " + page.slug + "|" + page.title;
+      }
+      lines.push_back(std::move(line));
+    }
+  }
+  lines.push_back("pages " + std::to_string(index.page_count()));
+  return lines;
 }
 
 }  // namespace
@@ -254,4 +276,128 @@ TEST(LoadCache, ReadErrorsAreRetriedNotMemoized) {
   const auto healed = core::Repository::load_lenient(files.value(), cache);
   EXPECT_EQ(healed.files_parsed, 1u);
   EXPECT_FALSE(healed.degraded());
+}
+
+TEST(LoadCache, SharesTheTermIndexOnlyWhileTheTaxonomyHolds) {
+  auto dir = fresh_content_dir("pdcu_load_cache_term_index");
+  const auto path_of = [&dir](const std::string& slug) {
+    return dir / "activities" / (slug + ".md");
+  };
+  auto stamp = std::filesystem::file_time_type::clock::now();
+  const auto write = [&](const std::filesystem::path& path,
+                         const core::Activity& activity) {
+    ASSERT_TRUE(fs::write_file(path, core::write_activity(activity)));
+    stamp += std::chrono::seconds(2);
+    std::filesystem::last_write_time(path, stamp);
+  };
+  core::LoadCache cache;
+  const auto load = [&dir, &cache] {
+    auto files = core::list_content(dir);
+    EXPECT_TRUE(files.has_value());
+    core::LoadReport report =
+        core::Repository::load_lenient(files.value(), cache);
+    EXPECT_FALSE(report.degraded());
+    return report;
+  };
+  core::LoadReport previous = load();
+  std::vector<core::Activity> current = previous.repository.activities();
+  const auto find = [&current](const std::string& slug) -> core::Activity& {
+    const auto it =
+        std::find_if(current.begin(), current.end(),
+                     [&slug](const core::Activity& a) { return a.slug == slug; });
+    EXPECT_NE(it, current.end()) << slug;
+    return *it;
+  };
+
+  // A body-only edit keeps every slug, title and tag: the index is shared.
+  core::Activity& body = find("findsmallestcard");
+  body.details += "\n\nEdited body.";
+  write(path_of(body.slug), body);
+  core::LoadReport shared = load();
+  EXPECT_EQ(shared.files_parsed, 1u);
+  EXPECT_EQ(shared.repository.taxonomy_fingerprint(),
+            previous.repository.taxonomy_fingerprint());
+  EXPECT_EQ(shared.repository.shared_index(),
+            previous.repository.shared_index());
+  EXPECT_EQ(describe(shared.repository.index()),
+            describe(core::Repository(shared.repository.activities()).index()));
+  previous = std::move(shared);
+
+  // Every other edit moves the index: it must be rebuilt, and equal the
+  // index a cold repository over the same activities builds.
+  const auto expect_fresh = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    core::LoadReport next = load();
+    EXPECT_NE(next.repository.taxonomy_fingerprint(),
+              previous.repository.taxonomy_fingerprint());
+    EXPECT_NE(next.repository.shared_index(),
+              previous.repository.shared_index());
+    EXPECT_EQ(
+        describe(next.repository.index()),
+        describe(core::Repository(next.repository.activities()).index()));
+    previous = std::move(next);
+  };
+
+  // One toggled term in each of the seven tag lists: a term some other
+  // activity carries is added to the first activity that lacks it.
+  using List = std::vector<std::string> core::Activity::*;
+  const std::vector<std::pair<std::string, List>> lists = {
+      {"cs2013", &core::Activity::cs2013},
+      {"cs2013details", &core::Activity::cs2013details},
+      {"tcpp", &core::Activity::tcpp},
+      {"tcppdetails", &core::Activity::tcppdetails},
+      {"courses", &core::Activity::courses},
+      {"senses", &core::Activity::senses},
+      {"medium", &core::Activity::mediums},
+  };
+  for (const auto& [name, list] : lists) {
+    bool toggled = false;
+    for (std::size_t donor = 0; donor < current.size() && !toggled; ++donor) {
+      for (const auto& term : current[donor].*list) {
+        const auto lacks = std::find_if(
+            current.begin(), current.end(), [&](const core::Activity& a) {
+              const auto& terms = a.*list;
+              return std::find(terms.begin(), terms.end(), term) ==
+                     terms.end();
+            });
+        if (lacks == current.end()) continue;
+        ((*lacks).*list).push_back(term);
+        write(path_of(lacks->slug), *lacks);
+        toggled = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(toggled) << name;
+    expect_fresh("toggle a " + name + " term");
+  }
+
+  // A title edit that keeps the slug.
+  core::Activity& titled = find("sortingnetworks");
+  std::transform(titled.title.begin(), titled.title.end(),
+                 titled.title.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
+  ASSERT_EQ(pdcu::slugify(titled.title), titled.slug);
+  write(path_of(titled.slug), titled);
+  expect_fresh("title edit");
+
+  // An added activity.
+  core::Activity added = current.front();
+  added.title = "Added Activity";
+  added.slug = pdcu::slugify(added.title);
+  write(path_of(added.slug), added);
+  current.push_back(added);
+  expect_fresh("add");
+
+  // A deleted activity.
+  std::filesystem::remove(path_of(added.slug));
+  current.pop_back();
+  expect_fresh("delete");
+
+  // A rename: a new title, hence a new slug and file.
+  core::Activity& renamed = find("findsmallestcard");
+  std::filesystem::remove(path_of(renamed.slug));
+  renamed.title = "Zz Renamed Card";
+  renamed.slug = pdcu::slugify(renamed.title);
+  write(path_of(renamed.slug), renamed);
+  expect_fresh("rename");
 }

@@ -140,6 +140,24 @@ TEST(ReloadManager, PartialQuarantineSwapsInDegradedSite) {
   EXPECT_EQ(snapshot->handle(request).status, 404);
 }
 
+TEST(ReloadManager, SymlinkLoopIsQuarantinedNotACrash) {
+  auto dir = fresh_content_dir("pdcu_reload_symlink_loop");
+  Fixture fx(dir);
+  // A self-referential link: stat and open both fail with ELOOP. The
+  // replica must list it, fail to read it, and keep serving the rest.
+  std::filesystem::create_symlink("loop.md", dir / "activities" / "loop.md");
+  EXPECT_EQ(fx.manager->check_once(),
+            server::ReloadManager::Step::kReloaded);
+  EXPECT_TRUE(fx.health.degraded());
+  EXPECT_TRUE(strs::contains(fx.health.render_json(),
+                             "\"quarantined_slugs\":[\"loop\"]"));
+  server::Request request;
+  request.method = "GET";
+  request.target = "/activities/findsmallestcard/";
+  request.version = "HTTP/1.1";
+  EXPECT_EQ(fx.http->router()->handle(request).status, 200);
+}
+
 TEST(ReloadManager, MassQuarantineKeepsLastKnownGood) {
   auto dir = fresh_content_dir("pdcu_reload_mass");
   Fixture fx(dir);

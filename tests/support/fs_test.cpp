@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
 namespace fs = pdcu::fs;
 
@@ -76,6 +78,56 @@ TEST(Fs, ListEmptyDirectorySucceedsWithNoFiles) {
   auto files = fs::list_files(dir, ".md");
   ASSERT_TRUE(files.has_value());
   EXPECT_TRUE(files.value().empty());
+}
+
+TEST(Fs, ListingFollowsPathExtensionAndByteOrder) {
+  auto dir = temp_dir() / "parity";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "sub.md");  // a directory
+  ASSERT_TRUE(fs::write_file(dir / "target.md", "target"));
+  std::filesystem::create_symlink("target.md", dir / "link.md");
+  std::filesystem::create_symlink("missing.md", dir / "dangling.md");
+  for (const char* name : {"notes.txt", ".hidden.md", ".md", "B.md",
+                           "a-b.md", "a.md"}) {
+    ASSERT_TRUE(fs::write_file(dir / name, name));
+  }
+  // path::extension() gives ".md" no extension and ".hidden.md" one; the
+  // order is by bytes, not by locale.
+  const std::vector<std::filesystem::path> expected = {
+      dir / ".hidden.md", dir / "B.md",    dir / "a-b.md",
+      dir / "a.md",       dir / "link.md", dir / "target.md"};
+  auto files = fs::list_files(dir, ".md");
+  ASSERT_TRUE(files.has_value());
+  EXPECT_EQ(files.value(), expected);
+
+  // The stamped listing lists the same files, each stamped by one stat
+  // that follows symlinks.
+  auto stamped = fs::list_stamped(dir, ".md");
+  ASSERT_TRUE(stamped.has_value());
+  ASSERT_EQ(stamped.value().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& file = stamped.value()[i];
+    EXPECT_EQ(file.path, expected[i]);
+    EXPECT_TRUE(file.stat_ok) << file.path;
+    EXPECT_EQ(file.size, std::filesystem::file_size(file.path)) << file.path;
+  }
+  EXPECT_EQ(stamped.value()[4].size, std::string("target").size());
+}
+
+TEST(Fs, ListingKeepsASymlinkLoopUnstamped) {
+  auto dir = temp_dir() / "loop";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(fs::write_file(dir / "a.md", "a"));
+  std::filesystem::create_symlink("loop.md", dir / "loop.md");
+  auto stamped = fs::list_stamped(dir, ".md");
+  ASSERT_TRUE(stamped.has_value());
+  ASSERT_EQ(stamped.value().size(), 2u);
+  EXPECT_TRUE(stamped.value()[0].stat_ok);
+  EXPECT_EQ(stamped.value()[1].path, dir / "loop.md");
+  EXPECT_FALSE(stamped.value()[1].stat_ok);
+  // Reading it is where the loop surfaces, as an error.
+  EXPECT_FALSE(fs::read_file(dir / "loop.md").has_value());
 }
 
 TEST(Fs, ReadErrorNamesThePath) {

@@ -82,6 +82,36 @@ TEST(TermIndex, PagesWithAllIntersects) {
   EXPECT_TRUE(index.pages_with_all("courses", {}).empty());
 }
 
+TEST(TermIndex, MembershipFingerprintMovesExactlyWithPages) {
+  const auto index = make_index();
+  // Same pages, same order, built again: the same fingerprint.
+  EXPECT_EQ(index.membership_fingerprint("courses", "CS2"),
+            make_index().membership_fingerprint("courses", "CS2"));
+  EXPECT_NE(index.membership_fingerprint("courses", "CS1"),
+            index.membership_fingerprint("courses", "CS2"));
+  EXPECT_EQ(index.membership_fingerprint("courses", "nope"), 0u);
+
+  // A retitled page, a reordering and a duplicate page each move it or
+  // keep it exactly as pages() does.
+  tax::TermIndex retitled(tax::TaxonomyConfig::pdcunplugged());
+  retitled.add_page({"alpha", "Alpha"}, {{"courses", {"CS1"}}});
+  retitled.add_page({"gamma", "Gamma (2nd ed.)"}, {{"courses", {"CS1"}}});
+  EXPECT_NE(retitled.membership_fingerprint("courses", "CS1"),
+            index.membership_fingerprint("courses", "CS1"));
+  tax::TermIndex reordered(tax::TaxonomyConfig::pdcunplugged());
+  reordered.add_page({"gamma", "Gamma"}, {{"courses", {"CS1"}}});
+  reordered.add_page({"alpha", "Alpha"}, {{"courses", {"CS1"}}});
+  EXPECT_NE(reordered.membership_fingerprint("courses", "CS1"),
+            index.membership_fingerprint("courses", "CS1"));
+  tax::TermIndex same(tax::TaxonomyConfig::pdcunplugged());
+  same.add_page({"alpha", "Alpha"}, {{"courses", {"CS1", "CS1"}}});
+  same.add_page({"gamma", "Gamma"}, {{"courses", {"CS1"}}});
+  same.add_page({"alpha", "Alpha"}, {{"courses", {"CS1"}}});
+  EXPECT_EQ(same.pages("courses", "CS1"), index.pages("courses", "CS1"));
+  EXPECT_EQ(same.membership_fingerprint("courses", "CS1"),
+            index.membership_fingerprint("courses", "CS1"));
+}
+
 TEST(TermIndexResolve, ExactAndCaseInsensitiveMatches) {
   const auto& index = pdcu::core::Repository::builtin().index();
   EXPECT_EQ(index.resolve_term("cs2013", "PD_ParallelAlgorithms"),
