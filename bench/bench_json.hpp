@@ -6,14 +6,13 @@
 //
 //   * write_summary(): emit the one-line JSON document to stdout, or to
 //     $BENCH_JSON_OUT when set — which is how the committed baselines are
-//     refreshed:  BENCH_JSON_OUT=BENCH_search.json ./bench/bench_search
+//     refreshed:  BENCH_JSON_OUT=BENCH_stencil.json ./bench/bench_stencil
 //     --benchmark_filter='^$'
 //
-//   * search_summary_json(): the canonical search-trajectory measurement
-//     (index build time + query-latency histogram over the query shapes
-//     the server actually issues). bench_search emits it; bench_gate
-//     re-measures with the same code and compares against the committed
-//     BENCH_search.json, so the two can never measure different things.
+//   * search_scale_summary_json() and stencil_summary_json(): the
+//     measurements behind BENCH_search_scale.json and BENCH_stencil.json.
+//     bench_gate re-measures the first with the same code and validates
+//     the second structurally.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +28,6 @@
 #include "pdcu/core/repository.hpp"
 #include "pdcu/loadgen/bench_json.hpp"
 #include "pdcu/loadgen/schedule.hpp"
-#include "pdcu/obs/histogram.hpp"
 #include "pdcu/search/corpus.hpp"
 #include "pdcu/search/index.hpp"
 #include "pdcu/search/query.hpp"
@@ -54,76 +52,6 @@ inline void write_summary(const std::string& json) {
   std::fwrite(json.data(), 1, json.size(), file);
   std::fclose(file);
   std::fprintf(stderr, "bench_json: wrote %s\n", out_path);
-}
-
-/// The canonical "search" trajectory document: serial index build time
-/// (best of `build_reps`) and a query-latency histogram over the three
-/// canonical query shapes — free text, multi-term, and taxonomy-filtered
-/// — each issued `query_reps` times against the builtin corpus.
-inline std::string search_summary_json(std::string_view source,
-                                       int build_reps = 3,
-                                       int query_reps = 2000) {
-  using SteadyClock = std::chrono::steady_clock;
-  const auto& repo = core::Repository::builtin();
-
-  double build_ms = 1e300;
-  search::SearchIndex index;
-  for (int rep = 0; rep < build_reps; ++rep) {
-    const auto start = SteadyClock::now();
-    index = search::SearchIndex::build(repo);
-    const std::chrono::duration<double, std::milli> elapsed =
-        SteadyClock::now() - start;
-    build_ms = std::min(build_ms, elapsed.count());
-  }
-
-  const char* kQueries[] = {
-      "sorting",
-      "message passing network rounds",
-      "message passing cs2013:PD-Communication",
-  };
-  obs::Histogram query_us;
-  std::uint64_t max_us = 0;
-  const auto sweep_start = SteadyClock::now();
-  for (const char* text : kQueries) {
-    const auto query = search::parse_query(text);
-    for (int rep = 0; rep < query_reps; ++rep) {
-      const auto start = SteadyClock::now();
-      const auto hits = index.search(query, &repo.index(), 10);
-      const auto us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              SteadyClock::now() - start)
-              .count());
-      query_us.record(us);
-      max_us = std::max(max_us, us);
-      if (hits.empty()) {
-        std::fprintf(stderr, "bench_json: query '%s' found nothing\n", text);
-      }
-    }
-  }
-  const double sweep_s =
-      std::chrono::duration<double>(SteadyClock::now() - sweep_start)
-          .count();
-  const auto snapshot = query_us.snapshot();
-
-  loadgen::BenchWriter writer("search", source);
-  writer.number("index_build_ms", build_ms);
-  writer.integer("corpus_docs",
-                 static_cast<std::uint64_t>(repo.activities().size()));
-  writer.integer("index_terms",
-                 static_cast<std::uint64_t>(index.term_count()));
-  writer.integer("queries", snapshot.count);
-  writer.number("queries_per_s",
-                sweep_s > 0.0
-                    ? static_cast<double>(snapshot.count) / sweep_s
-                    : 0.0);
-  writer.open("query_us");
-  writer.integer("p50", snapshot.quantile(0.50));
-  writer.integer("p90", snapshot.quantile(0.90));
-  writer.integer("p99", snapshot.quantile(0.99));
-  writer.number("mean", snapshot.mean());
-  writer.integer("max", max_us);
-  writer.close();
-  return writer.finish();
 }
 
 namespace detail {
@@ -353,15 +281,16 @@ inline std::string search_scale_summary_json(
 /// whatever runtime dispatch actually picked (`simd.dispatched` says
 /// which), and `kernels.simd_vs_autovec` makes it visible when the
 /// compiler's autovectorized loop beats the hand-written intrinsics.
-/// bench_stencil emits this document; bench_gate re-measures a smaller
-/// grid with the same code and compares via loadgen::stencil_gate_rules.
-inline std::string stencil_summary_json(std::string_view source,
-                                        std::size_t width = 256,
-                                        std::size_t height = 256,
-                                        int generations = 48,
-                                        int reps = 3) {
+/// bench_stencil emits this document on a 256x256 torus; bench_gate
+/// validates the committed one structurally (loadgen::
+/// stencil_schema_violations).
+inline std::string stencil_summary_json(std::string_view source) {
   using SteadyClock = std::chrono::steady_clock;
   namespace act = pdcu::act;
+  constexpr std::size_t width = 256;
+  constexpr std::size_t height = 256;
+  constexpr int generations = 48;
+  constexpr int reps = 3;
 
   const act::LifeGrid start = act::LifeGrid::random(width, height, 42);
   std::uint64_t errors = 0;

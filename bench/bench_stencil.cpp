@@ -2,8 +2,8 @@
 // serial, thread-tiled, autovectorized, and AVX2 kernels, plus the
 // classroom halo-exchange run under the virtual-time cost model. The
 // google-benchmark cases give per-kernel detail; the BENCH-schema summary
-// at exit is the committed trajectory (BENCH_stencil.json) that
-// tools/bench_gate re-measures.
+// at exit is the committed BENCH_stencil.json, whose parity, halo and
+// speedup claims tools/bench_gate validates.
 //
 // Honesty notes: the tiled kernel steps its row blocks with the dispatched
 // SIMD row kernel, so kernels.tiled_cells_per_s over the serial rate mixes
@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // The trajectory line: the same measurement tools/bench_gate re-runs
-  // and compares against the committed BENCH_stencil.json.
+  // The trajectory line, committed as BENCH_stencil.json.
   pdcu::benchjson::write_summary(
       pdcu::benchjson::stencil_summary_json("bench_stencil"));
   return 0;

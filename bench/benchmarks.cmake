@@ -41,20 +41,9 @@ pdcu_add_gbench(bench_sitegen bench/bench_sitegen.cpp)
 pdcu_add_gbench(bench_taxonomy bench/bench_taxonomy.cpp)
 pdcu_add_gbench(bench_sync_methods bench/bench_sync_methods.cpp)
 
-# Serving path (pdcu::server): router/cache throughput and loopback RPS.
-# Links pdcu_loadgen for the shared BENCH-schema JSON writer.
-pdcu_add_gbench(bench_serve bench/bench_serve.cpp)
-target_link_libraries(bench_serve PRIVATE pdcu_server pdcu_loadgen pdcu_obs)
-
 # Resilience path: fingerprint polls, lenient loads, reload-and-swap.
 pdcu_add_gbench(bench_reload bench/bench_reload.cpp)
 target_link_libraries(bench_reload PRIVATE pdcu_server)
-
-# Search engine (pdcu::search): index build scaling, query latency, and
-# index (de)serialization throughput.
-pdcu_add_gbench(bench_search bench/bench_search.cpp)
-target_link_libraries(bench_search PRIVATE
-  pdcu_search pdcu_server pdcu_loadgen pdcu_obs)
 
 # Corpus-scale search: synthetic corpora, exhaustive-vs-MaxScore latency,
 # and the query-cache hit/miss split (BENCH_search_scale.json).

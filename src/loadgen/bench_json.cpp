@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "pdcu/support/strings.hpp"
+
 namespace pdcu::loadgen {
 
 namespace {
@@ -84,6 +86,23 @@ void BenchWriter::text(std::string_view name, std::string_view value) {
   append_escaped(out_, value);
 }
 
+void BenchWriter::raw(std::string_view name, std::string_view json) {
+  key(name);
+  out_ += json;
+}
+
+void BenchWriter::splice(std::string_view object) {
+  // Everything between the object's outer braces.
+  object = strings::trim(object);
+  if (object.size() < 2) return;
+  const std::string_view members =
+      strings::trim(object.substr(1, object.size() - 2));
+  if (members.empty()) return;
+  if (!first_in_scope_) out_ += ',';
+  first_in_scope_ = false;
+  out_ += members;
+}
+
 void BenchWriter::open(std::string_view name) {
   key(name);
   out_ += '{';
@@ -127,7 +146,7 @@ class Parser {
 
   Status run() {
     skip_ws();
-    if (auto status = parse_object(""); !status) return status;
+    if (auto status = parse_object("", 1); !status) return status;
     skip_ws();
     if (at_ != text_.size()) {
       return fail("trailing content after the object");
@@ -197,11 +216,11 @@ class Parser {
     return fail("unterminated string");
   }
 
-  Status parse_value(const std::string& dotted_key) {
+  Status parse_value(const std::string& dotted_key, int depth) {
     skip_ws();
     if (at_ >= text_.size()) return fail("expected a value");
     const char c = text_[at_];
-    if (c == '{') return parse_object(dotted_key);
+    if (c == '{') return parse_object(dotted_key, depth + 1);
     if (c == '"') {
       std::string value;
       if (auto status = parse_string(value); !status) return status;
@@ -209,13 +228,12 @@ class Parser {
       return Status::ok();
     }
     if (c == '[') return fail("arrays are not part of the BENCH schema");
-    if (c == 't' || c == 'f' || c == 'n') {
+    for (const std::string_view literal : {"true", "false", "null"}) {
       // Booleans/null: skip the token, store nothing.
-      while (at_ < text_.size() &&
-             std::isalpha(static_cast<unsigned char>(text_[at_]))) {
-        ++at_;
+      if (text_.substr(at_, literal.size()) == literal) {
+        at_ += literal.size();
+        return Status::ok();
       }
-      return Status::ok();
     }
     // Number.
     const std::size_t start = at_;
@@ -234,8 +252,10 @@ class Parser {
     return Status::ok();
   }
 
-  Status parse_object(const std::string& prefix) {
+  /// `depth` counts this object: the top-level object is depth 1.
+  Status parse_object(const std::string& prefix, int depth) {
     if (!consume('{')) return fail("expected '{'");
+    if (depth > kBenchMaxDepth) return fail("objects nested too deeply");
     skip_ws();
     if (consume('}')) return Status::ok();
     while (true) {
@@ -246,7 +266,7 @@ class Parser {
       if (!consume(':')) return fail("expected ':'");
       const std::string dotted =
           prefix.empty() ? name : prefix + "." + name;
-      if (auto status = parse_value(dotted); !status) return status;
+      if (auto status = parse_value(dotted, depth); !status) return status;
       skip_ws();
       if (consume('}')) return Status::ok();
       if (!consume(',')) return fail("expected ',' or '}'");

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "pdcu/support/strings.hpp"
+
 namespace pdcu::loadgen {
 
 namespace {
@@ -19,51 +21,140 @@ std::string format_violation(const GateRule& rule, double baseline,
   return buffer;
 }
 
-}  // namespace
-
-std::vector<GateRule> serve_gate_rules() {
-  return {
-      {"latency_us.p50", /*higher_is_worse=*/true, /*required=*/true},
-      {"latency_us.p99", /*higher_is_worse=*/true, /*required=*/true},
-      {"achieved_rate", /*higher_is_worse=*/false, /*required=*/true},
-  };
+/// The violation of a document that is not a current-schema `name`
+/// document, or empty when it is one. Every structural check starts here.
+std::vector<std::string> header_violations(const BenchDoc& doc,
+                                           const std::string& name) {
+  if (doc.schema_version() != kBenchSchemaVersion) {
+    return {name + " bench_schema " + std::to_string(doc.schema_version()) +
+            " != expected " + std::to_string(kBenchSchemaVersion)};
+  }
+  if (doc.bench_name() != name) {
+    return {"bench name '" + doc.bench_name() + "' != '" + name + "'"};
+  }
+  return {};
 }
 
-std::vector<GateRule> search_gate_rules() {
-  return {
-      {"query_us.p50", /*higher_is_worse=*/true, /*required=*/true},
-      {"query_us.p99", /*higher_is_worse=*/true, /*required=*/true},
-      {"index_build_ms", /*higher_is_worse=*/true, /*required=*/true},
+/// A "<key> missing" violation for each of `keys` without a number.
+void require_numbers(const BenchDoc& doc,
+                     const std::vector<std::string>& keys,
+                     std::vector<std::string>& violations) {
+  for (const std::string& key : keys) {
+    if (!doc.has_number(key)) violations.push_back(key + " missing");
+  }
+}
+
+/// The non-blank lines of `text`, trimmed.
+std::vector<std::string> json_lines(std::string_view text) {
+  std::vector<std::string> lines;
+  for (const auto& line : strings::split_lines(text)) {
+    const auto trimmed = strings::trim(line);
+    if (!trimmed.empty()) lines.emplace_back(trimmed);
+  }
+  return lines;
+}
+
+}  // namespace
+
+std::vector<GateRule> perf_gate_rules(std::string_view workload) {
+  const auto result = [](const char* metric, bool higher_is_worse) {
+    return GateRule{std::string("result.metrics.") + metric + ".value",
+                    higher_is_worse};
   };
+  const auto layer = [](const char* metric, bool higher_is_worse) {
+    return GateRule{std::string("layers.metrics.") + metric + ".value",
+                    higher_is_worse};
+  };
+  std::vector<GateRule> rules = {
+      result("throughput_per_s", /*higher_is_worse=*/false),
+      result("latency_p50_us", /*higher_is_worse=*/true),
+  };
+  if (workload == "browse") {
+    rules.push_back(layer("client.latency_p99_us", true));
+  } else if (workload == "search_corpus") {
+    rules.push_back(result("setup_s", true));
+    rules.push_back(layer("search.rank_us.p50", true));
+    rules.push_back(layer("search.rank_us.p99", true));
+  } else if (workload == "stencil_lab") {
+    rules.push_back(layer("stencil.serial_cells_per_s", false));
+    rules.push_back(layer("stencil.tiled_cells_per_s", false));
+    rules.push_back(layer("stencil.autovec_cells_per_s", false));
+  }
+  return rules;
+}
+
+std::vector<std::string> perf_schema_violations(const BenchDoc& doc,
+                                                std::string_view workload) {
+  auto violations = header_violations(doc, "perf_" + std::string(workload));
+  if (!violations.empty()) return violations;
+  require_numbers(doc, {"seed", "seconds", "result.attempted",
+                        "result.failed", "layers.failed"},
+                  violations);
+  if (doc.text("revision").empty()) violations.push_back("revision missing");
+  if (doc.number("result.attempted", 0.0) <= 0.0) {
+    violations.push_back("result.attempted is zero — nothing was measured");
+  }
+  for (const char* counter : {"result.failed", "layers.failed"}) {
+    if (doc.number(counter, 0.0) != 0.0) {
+      violations.push_back(std::string(counter) +
+                           " != 0 — the committed run failed operations "
+                           "or answer checks");
+    }
+  }
+  for (const GateRule& rule : perf_gate_rules(workload)) {
+    if (!doc.has_number(rule.key)) violations.push_back(rule.key + " missing");
+  }
+  return violations;
+}
+
+Expected<std::string> perf_doc_json(std::string_view workload,
+                                    std::uint64_t seed, double seconds,
+                                    std::string_view revision,
+                                    std::string_view untraced_stdout,
+                                    std::string_view traced_stdout) {
+  const auto untraced = json_lines(untraced_stdout);
+  const auto traced = json_lines(traced_stdout);
+  if (untraced.size() != 3 || traced.size() != 3) {
+    return Error::make("perf_doc.lines",
+                       "expected three JSON lines from each run.py run, got " +
+                           std::to_string(untraced.size()) + " untraced and " +
+                           std::to_string(traced.size()) + " traced");
+  }
+  for (const auto* lines : {&untraced, &traced}) {
+    for (const std::string& line : *lines) {
+      if (line.front() != '{' || line.back() != '}') {
+        return Error::make("perf_doc.lines", "not a JSON object: " + line);
+      }
+    }
+  }
+  BenchWriter writer("perf_" + std::string(workload), "perfbench");
+  writer.integer("seed", seed);
+  writer.number("seconds", seconds);
+  writer.text("revision", revision);
+  writer.splice(untraced[0]);  // {"env": {...}}
+  writer.splice(untraced[1]);  // {"samples": {...}, "uncorrected": {...}}
+  writer.raw("result", untraced[2]);
+  writer.raw("layers", traced[2]);
+  std::string json = writer.finish();
+  if (auto parsed = parse_bench_json(json); !parsed) {
+    return parsed.error().context("assembled perf_" + std::string(workload));
+  }
+  return json;
 }
 
 std::vector<GateRule> scale_gate_rules() {
   return {
-      {"docs_10000.maxscore_p50_us", /*higher_is_worse=*/true,
-       /*required=*/true},
-      {"docs_10000.maxscore_p99_us", /*higher_is_worse=*/true,
-       /*required=*/true},
-      {"docs_10000.build_ms", /*higher_is_worse=*/true, /*required=*/true},
-      {"docs_10000.cache_hit_p99_us", /*higher_is_worse=*/true,
-       /*required=*/true},
+      {"docs_10000.maxscore_p50_us", /*higher_is_worse=*/true},
+      {"docs_10000.maxscore_p99_us", /*higher_is_worse=*/true},
+      {"docs_10000.build_ms", /*higher_is_worse=*/true},
+      {"docs_10000.cache_hit_p99_us", /*higher_is_worse=*/true},
   };
 }
 
 std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
                                                  double min_speedup) {
-  std::vector<std::string> violations;
-  if (doc.schema_version() != kBenchSchemaVersion) {
-    violations.push_back("search_scale bench_schema " +
-                         std::to_string(doc.schema_version()) +
-                         " != expected " +
-                         std::to_string(kBenchSchemaVersion));
-    return violations;
-  }
-  if (doc.bench_name() != "search_scale") {
-    violations.push_back("bench name '" + doc.bench_name() +
-                         "' != 'search_scale'");
-    return violations;
-  }
+  auto violations = header_violations(doc, "search_scale");
+  if (!violations.empty()) return violations;
 
   for (const char* size : {"docs_10000", "docs_100000"}) {
     for (const char* field :
@@ -72,8 +163,7 @@ std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
           "cache_misses", "cache_hit_p99_us", "cache_miss_p99_us",
           "end_to_end_p99_us", "dense_pair_exhaustive_us",
           "dense_pair_pruned_us"}) {
-      const std::string key = std::string(size) + "." + field;
-      if (!doc.has_number(key)) violations.push_back(key + " missing");
+      require_numbers(doc, {std::string(size) + "." + field}, violations);
     }
   }
 
@@ -95,47 +185,20 @@ std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
   return violations;
 }
 
-std::vector<GateRule> stencil_gate_rules() {
-  return {
-      {"kernels.serial_cells_per_s", /*higher_is_worse=*/false,
-       /*required=*/true},
-      {"kernels.tiled_cells_per_s", /*higher_is_worse=*/false,
-       /*required=*/true},
-      {"kernels.autovec_cells_per_s", /*higher_is_worse=*/false,
-       /*required=*/true},
-  };
-}
-
 std::vector<std::string> stencil_schema_violations(const BenchDoc& doc,
                                                    double min_speedup) {
-  std::vector<std::string> violations;
-  if (doc.schema_version() != kBenchSchemaVersion) {
-    violations.push_back("stencil bench_schema " +
-                         std::to_string(doc.schema_version()) +
-                         " != expected " +
-                         std::to_string(kBenchSchemaVersion));
-    return violations;
-  }
-  if (doc.bench_name() != "stencil") {
-    violations.push_back("bench name '" + doc.bench_name() +
-                         "' != 'stencil'");
-    return violations;
-  }
+  auto violations = header_violations(doc, "stencil");
+  if (!violations.empty()) return violations;
 
-  for (const char* field :
-       {"width", "height", "generations", "kernels.serial_cells_per_s",
-        "kernels.tiled_cells_per_s", "kernels.autovec_cells_per_s",
-        "kernels.simd_cells_per_s", "kernels.simd_vs_autovec",
-        "parity.checked", "parity.mismatches", "virtual.halo_mismatches",
-        "errors.total"}) {
-    if (!doc.has_number(field)) {
-      violations.push_back(std::string(field) + " missing");
-    }
-  }
-  for (const char* p : {"p1", "p2", "p4", "p8", "p16"}) {
-    const std::string key = std::string("virtual.") + p + "_speedup";
-    if (!doc.has_number(key)) violations.push_back(key + " missing");
-  }
+  require_numbers(
+      doc,
+      {"width", "height", "generations", "kernels.serial_cells_per_s",
+       "kernels.tiled_cells_per_s", "kernels.autovec_cells_per_s",
+       "kernels.simd_cells_per_s", "kernels.simd_vs_autovec",
+       "parity.checked", "parity.mismatches", "virtual.halo_mismatches",
+       "errors.total", "virtual.p1_speedup", "virtual.p2_speedup",
+       "virtual.p4_speedup", "virtual.p8_speedup", "virtual.p16_speedup"},
+      violations);
   if (!violations.empty()) return violations;
 
   // Honesty anchors: the baseline must have been measured with every
@@ -170,19 +233,8 @@ std::vector<std::string> stencil_schema_violations(const BenchDoc& doc,
 }
 
 std::vector<std::string> sweep_schema_violations(const BenchDoc& doc) {
-  std::vector<std::string> violations;
-  if (doc.schema_version() != kBenchSchemaVersion) {
-    violations.push_back("sweep bench_schema " +
-                         std::to_string(doc.schema_version()) +
-                         " != expected " +
-                         std::to_string(kBenchSchemaVersion));
-    return violations;
-  }
-  if (doc.bench_name() != "sweep_serve") {
-    violations.push_back("bench name '" + doc.bench_name() +
-                         "' != 'sweep_serve'");
-    return violations;
-  }
+  auto violations = header_violations(doc, "sweep_serve");
+  if (!violations.empty()) return violations;
 
   // Check each reactor_N point and remember the best served rate so the
   // summary can be cross-checked.
@@ -202,19 +254,18 @@ std::vector<std::string> sweep_schema_violations(const BenchDoc& doc) {
   if (reactor_points == 0) {
     violations.push_back("no reactor_N points in the sweep");
   }
-  // 'points' counts every top-level point object ("<name>.rate"), so a
-  // document that also records points of a since-deleted backend stays
-  // self-consistent.
-  int point_objects = 0;
+  // Every point object ("<name>.rate") must be one of the reactor_N points
+  // just checked.
   for (const auto& [key, value] : doc.numbers) {
     const auto dot = key.find('.');
     if (dot != std::string::npos && key.compare(dot, std::string::npos,
-                                                ".rate") == 0) {
-      ++point_objects;
+                                                ".rate") == 0 &&
+        key.compare(0, 8, "reactor_") != 0) {
+      violations.push_back(key.substr(0, dot) + " is not a reactor_N point");
     }
   }
-  if (doc.number("points", 0.0) != point_objects) {
-    violations.push_back("'points' does not match the point objects found");
+  if (doc.number("points", 0.0) != reactor_points) {
+    violations.push_back("'points' does not match the reactor_N points");
   }
 
   // The summary must describe the points it sits next to (small slack for
@@ -254,10 +305,10 @@ std::vector<std::string> gate_compare(const BenchDoc& baseline,
     return violations;
   }
 
-  // A fresh run that errored is a failure regardless of how fast the
-  // successful requests were.
+  // A fresh run that failed an operation or an answer check is a failure
+  // regardless of how fast the rest was.
   for (const auto& [key, value] : fresh.numbers) {
-    if (key.rfind("errors.", 0) == 0 && value != 0.0) {
+    if ((key == "failed" || key.ends_with(".failed")) && value != 0.0) {
       violations.push_back(key + " is " + std::to_string(value) +
                            " in the fresh run (expected 0)");
     }
@@ -267,10 +318,8 @@ std::vector<std::string> gate_compare(const BenchDoc& baseline,
     const bool in_baseline = baseline.has_number(rule.key);
     const bool in_fresh = fresh.has_number(rule.key);
     if (!in_baseline || !in_fresh) {
-      if (rule.required) {
-        violations.push_back(rule.key + " missing from the " +
-                             (in_baseline ? "fresh run" : "baseline"));
-      }
+      violations.push_back(rule.key + " missing from the " +
+                           (in_baseline ? "fresh run" : "baseline"));
       continue;
     }
     const double base = baseline.number(rule.key);

@@ -1,14 +1,17 @@
 // The versioned BENCH_*.json schema every perf-trajectory file in the
-// repo speaks: one flat-ish JSON object per benchmark run, opened by
+// repo speaks: one JSON object per benchmark run, opened by
 //
 //   {"bench_schema": 1, "bench": "<name>", "source": "<binary>", ...}
 //
-// with at most one level of nesting ("latency_us": {"p50": ...}). The
-// writer emits keys in insertion order so committed baselines diff
-// cleanly; the parser flattens nested keys with dots ("latency_us.p50"),
-// which is what the bench_gate comparator keys its tolerance rules on.
-// Both ends live here so the load generator, the bench binaries, and the
-// gate can never drift apart on the format.
+// The writer emits keys in insertion order so committed baselines diff
+// cleanly; the parser flattens nested keys with dots ("latency_us.p50",
+// "result.metrics.setup_s.value"), which is what the bench_gate
+// comparator keys its tolerance rules on. The deepest documents are
+// BENCH_perf_<workload>.json, which splice perfbench's output lines in
+// (BenchWriter::splice/raw) and nest four objects deep; the parser
+// refuses anything deeper, so no input can exhaust its stack. Both ends
+// live here so the load generator, the bench binaries, and the gate can
+// never drift apart on the format.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +28,13 @@ namespace pdcu::loadgen {
 /// compare documents across schema versions.
 inline constexpr int kBenchSchemaVersion = 1;
 
-/// Ordered single-object JSON writer with one level of nesting. Keys are
-/// emitted in call order; numbers are rendered with enough precision to
-/// round-trip through the parser.
+/// The deepest object nesting the parser accepts. A perf document is the
+/// deepest BENCH doc: doc → result → metrics → <metric> → value.
+inline constexpr int kBenchMaxDepth = 4;
+
+/// Ordered single-object JSON writer. Keys are emitted in call order;
+/// numbers are rendered with enough precision to round-trip through the
+/// parser.
 class BenchWriter {
  public:
   /// Opens the document and writes the three schema fields.
@@ -36,6 +43,12 @@ class BenchWriter {
   void number(std::string_view key, double value);
   void integer(std::string_view key, std::uint64_t value);
   void text(std::string_view key, std::string_view value);
+
+  /// Writes `json`, an already rendered JSON value, under `key`.
+  void raw(std::string_view key, std::string_view json);
+  /// Appends the members of `object`, an already rendered JSON object, to
+  /// the current scope.
+  void splice(std::string_view object);
 
   /// Opens a nested object; subsequent fields land inside until close().
   void open(std::string_view key);
@@ -73,9 +86,11 @@ struct BenchDoc {
 };
 
 /// Parses one BENCH-schema JSON object (objects, strings, numbers;
-/// booleans and nulls are skipped, arrays are rejected — the schema has
-/// none). Nested keys flatten with dots. Leading/trailing whitespace is
-/// fine; anything else trailing the object is an error.
+/// `true`, `false` and `null` are skipped, any other bare word and every
+/// array is rejected — the schema has none). Nested keys flatten with
+/// dots; objects nested deeper than kBenchMaxDepth are an error.
+/// Leading/trailing whitespace is fine; anything else trailing the object
+/// is an error.
 Expected<BenchDoc> parse_bench_json(std::string_view text);
 
 }  // namespace pdcu::loadgen

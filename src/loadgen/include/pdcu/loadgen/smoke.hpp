@@ -1,8 +1,10 @@
 // Self-test mode: boot a real HttpServer over the builtin repository on
 // an ephemeral loopback port, drive a short loadgen run against it, and
-// return the Result. This is what `pdcu loadgen --smoke` and the
-// bench_gate CI comparator run — no fixture server to deploy, no port to
+// return the Result. This is what `pdcu loadgen --smoke` (and CI's
+// CLI-boundary smoke step) runs — no fixture server to deploy, no port to
 // coordinate, identical request schedule on every machine (fixed seed).
+// It is a smoke test, not a baseline: the gated serving numbers are
+// perfbench's (BENCH_perf_*.json, see tools/bench_gate.cpp).
 // Server and client share no thread: the server runs on its reactor
 // shards, the load generator on the calling thread.
 #pragma once

@@ -50,7 +50,9 @@ class Router {
   /// `previous` (the snapshot this one replaces), every page or document
   /// whose bytes the site carried over from the build that made
   /// `previous` takes over the previous entry — body, ETag and header
-  /// blocks — instead of being rebuilt.
+  /// blocks — instead of being rebuilt — and the new router inherits
+  /// `previous`'s wiring (every set_* pointer below), so a reload never
+  /// drops an endpoint.
   Router(const site::Site& site, const core::Repository& repo,
          std::optional<search::SearchIndex> index = std::nullopt,
          const Router* previous = nullptr);

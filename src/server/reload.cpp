@@ -103,9 +103,6 @@ ReloadManager::Step ReloadManager::attempt_reload(
       report.repository, &rt::default_pool(), spans_, &index_cache_);
   Router router(site, report.repository, std::move(index), published_.get());
   router.set_build_stats(stats);
-  router.set_health(&health_);
-  router.set_spans(spans_);
-  router.set_reload_metrics(&metrics_);
   ReloadReuse reuse;
   reuse.files_parsed = report.files_parsed;
   reuse.files_reused = report.files_reused;

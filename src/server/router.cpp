@@ -124,6 +124,17 @@ Router::Router(const site::Site& site, const core::Repository& repo,
       index_(index.has_value() ? std::move(*index)
                                : search::SearchIndex::build(repo)),
       taxonomy_(repo.shared_index()) {
+  // The process-lifetime wiring outlives every snapshot, so a replacement
+  // serves the same endpoints as the router it replaces.
+  if (previous != nullptr) {
+    search_pool_ = previous->search_pool_;
+    metrics_ = previous->metrics_;
+    health_ = previous->health_;
+    reload_metrics_ = previous->reload_metrics_;
+    gossip_ = previous->gossip_;
+    spans_ = previous->spans_;
+    net_metrics_ = previous->net_metrics_;
+  }
   // The catalog document is the site's index.json page, shared.
   const std::string catalog_path = "api/catalog.json";
   auto catalog = cache_.entry("index.json");

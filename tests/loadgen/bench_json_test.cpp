@@ -85,4 +85,28 @@ TEST(ParseBenchJson, RejectsMalformedInput) {
   EXPECT_FALSE(loadgen::parse_bench_json("{\"unterminated").has_value());
 }
 
+TEST(ParseBenchJson, AcceptsFourLevelsOfNestingAndNoMore) {
+  // A perf document's deepest key: doc → result → metrics → <metric>.
+  const auto four = loadgen::parse_bench_json(
+      "{\"result\":{\"metrics\":{\"setup_s\":{\"value\":0.5}}}}");
+  ASSERT_TRUE(four.has_value());
+  EXPECT_DOUBLE_EQ(four.value().number("result.metrics.setup_s.value"), 0.5);
+  EXPECT_FALSE(loadgen::parse_bench_json(
+                   "{\"a\":{\"b\":{\"c\":{\"d\":{\"e\":1}}}}}")
+                   .has_value());
+}
+
+TEST(ParseBenchJson, AcceptsOnlyTheThreeLiterals) {
+  EXPECT_TRUE(loadgen::parse_bench_json(
+                  "{\"a\":true,\"b\":false,\"c\":null}")
+                  .has_value());
+  for (const char* literal : {"tru", "nul", "fals", "nothing", "truex",
+                              "nan", "inf", "yes"}) {
+    EXPECT_FALSE(loadgen::parse_bench_json(std::string("{\"a\":") +
+                                           literal + "}")
+                     .has_value())
+        << literal;
+  }
+}
+
 }  // namespace

@@ -10,9 +10,12 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/server/gossip_hook.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 #include "pdcu/support/fs.hpp"
@@ -53,14 +56,16 @@ struct Fixture {
   explicit Fixture(const std::filesystem::path& content_dir,
                    server::ReloadOptions options = {.backoff_initial =
                                                         std::chrono::
-                                                            milliseconds(0)}) {
+                                                            milliseconds(0)},
+                   const server::GossipEndpoint* gossip = nullptr) {
     auto loaded = core::Repository::load_lenient(content_dir);
     EXPECT_TRUE(loaded.has_value());
     site::SiteOptions site_options;
     site::Site built = site::rebuild(loaded.value().repository, cache,
                                      site_options);
-    http = std::make_unique<server::HttpServer>(
-        server::Router(built, loaded.value().repository));
+    server::Router router(built, loaded.value().repository);
+    router.set_gossip(gossip);
+    http = std::make_unique<server::HttpServer>(std::move(router));
     auto fingerprint = server::content_fingerprint(content_dir);
     EXPECT_TRUE(fingerprint.has_value());
     manager = std::make_unique<server::ReloadManager>(
@@ -138,6 +143,31 @@ TEST(ReloadManager, PartialQuarantineSwapsInDegradedSite) {
   request.target = "/activities/findsmallestcard/";
   request.version = "HTTP/1.1";
   EXPECT_EQ(snapshot->handle(request).status, 404);
+}
+
+/// Answers every gossip exchange with a fixed digest.
+class StubGossip final : public server::GossipEndpoint {
+ public:
+  std::string exchange(std::string_view) const override { return "{}"; }
+};
+
+TEST(ReloadManager, ReloadedRouterKeepsTheGossipEndpoint) {
+  auto dir = fresh_content_dir("pdcu_reload_gossip");
+  const StubGossip gossip;
+  Fixture fx(dir, {.backoff_initial = std::chrono::milliseconds(0)},
+             &gossip);
+  server::Request request;
+  request.method = "GET";
+  request.target = "/cluster/gossip?digest=";
+  request.version = "HTTP/1.1";
+  ASSERT_EQ(fx.http->router()->handle(request).status, 200);
+
+  grow(dir, "findsmallestcard");
+  ASSERT_EQ(fx.manager->check_once(),
+            server::ReloadManager::Step::kReloaded);
+  // The swapped-in snapshot inherits the replica's gossip wiring: a reload
+  // must not take the replica out of the cluster.
+  EXPECT_EQ(fx.http->router()->handle(request).status, 200);
 }
 
 TEST(ReloadManager, SymlinkLoopIsQuarantinedNotACrash) {

@@ -400,7 +400,7 @@ int loadgen_cmd(int argc, char** argv) {
     std::fclose(file);
   }
   // The human summary goes to stderr so stdout stays a clean JSON object
-  // for `pdcu loadgen ... > BENCH_serve.json`.
+  // for `pdcu loadgen ... > out.json`.
   std::fprintf(stderr,
                "loadgen: %llu/%llu ok, %.1f req/s (target %.1f), p50 %llu us, "
                "p99 %llu us, max %llu us, errors %llu\n",
