@@ -1,6 +1,8 @@
 // Race-condition demonstrations: how often the classroom bug fires as
 // concurrency grows (SweeteningTheJuice, ConcertTickets), and that every
-// coordinated strategy stays correct.
+// coordinated strategy stays correct. The racy modes run on interleavings
+// drawn from the seed, so every run prints the same counts; the
+// coordinated ones run on real threads.
 #include <cstdio>
 
 #include "pdcu/activities/races.hpp"

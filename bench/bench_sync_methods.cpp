@@ -38,7 +38,7 @@ void BM_TicketStrategies(benchmark::State& state) {
   state.counters["double_sold_total"] = double_sold;
 }
 BENCHMARK(BM_TicketStrategies)
-    ->Arg(0)  // kNoCoordination (expected to show double sales)
+    ->Arg(0)  // kNoCoordination (one seeded schedule, no threads; double sales)
     ->Arg(1)  // kCoarseLock
     ->Arg(2)  // kPerSeatLock
     ->Arg(3)  // kOptimistic

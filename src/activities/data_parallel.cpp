@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <mutex>
 
 #include "pdcu/support/rng.hpp"
@@ -54,35 +55,38 @@ SearchResult parallel_search(std::span<const std::int64_t> cards,
                              rt::TraceLog* trace) {
   assert(teams >= 1);
   SearchResult result;
-  std::vector<std::int64_t> row(cards.begin(), cards.end());
+  const std::int64_t n = static_cast<std::int64_t>(cards.size());
+  const std::int64_t chunk = (n + teams - 1) / teams;
+  constexpr std::int64_t kNoHit = std::numeric_limits<std::int64_t>::max();
   std::atomic<std::int64_t> found{-1};
   std::atomic<std::int64_t> flipped{0};
 
-  const std::size_t n = row.size();
-  const std::size_t chunk =
-      (n + static_cast<std::size_t>(teams) - 1) /
-      static_cast<std::size_t>(teams);
-
+  // Every team flips one card per tick, so the shout is decided on the
+  // virtual clock, not by which thread the OS runs first: a team's first
+  // hit at local card k is heard at tick k + 1, the earliest tick wins
+  // (ties go to the lower index), and nobody flips after it.
   auto body = [&](rt::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    const std::size_t lo = std::min(n, rank * chunk);
-    const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      // "Shout 'found'": everyone checks the shout before the next flip.
-      if (found.load(std::memory_order_acquire) >= 0) break;
-      comm.work(1);
-      flipped.fetch_add(1, std::memory_order_relaxed);
-      if (row[i] == target) {
-        std::int64_t expected = -1;
-        found.compare_exchange_strong(expected,
-                                      static_cast<std::int64_t>(i));
-        if (trace != nullptr) {
-          comm.log("shouts FOUND at card " + std::to_string(i));
-        }
+    const std::int64_t lo = std::min(n, comm.rank() * chunk);
+    const std::int64_t hi = std::min(n, lo + chunk);
+    std::int64_t my_hit = kNoHit;  // tick * n + index orders by tick first
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (cards[static_cast<std::size_t>(i)] == target) {
+        my_hit = (i - lo + 1) * n + i;
         break;
       }
     }
-    comm.barrier();
+    const std::int64_t first = comm.allreduce(
+        my_hit, [](std::int64_t a, std::int64_t b) { return std::min(a, b); });
+    const std::int64_t stop_tick = first == kNoHit ? hi - lo : first / n;
+    const std::int64_t flips = std::min(hi - lo, stop_tick);
+    comm.work(flips);
+    flipped.fetch_add(flips, std::memory_order_relaxed);
+    if (first != kNoHit && first == my_hit) {
+      found.store(first % n, std::memory_order_relaxed);
+      if (trace != nullptr) {
+        comm.log("shouts FOUND at card " + std::to_string(first % n));
+      }
+    }
   };
   rt::ClassroomResult run = rt::Classroom::run(teams, body, {}, trace);
   result.found_index = found.load();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -336,50 +337,70 @@ GcResult parallel_gc(int objects, int edges, int mutator_moves,
 
 // --- GardenersAndSharedWork --------------------------------------------------------
 
-GardenResult water_orchard(int gardeners, int trees, GardenScheme scheme,
-                           std::uint64_t seed) {
+namespace {
+
+/// Everyone walks the whole orchard in a personal order and waters what
+/// looks dry: looking at a tree is one step, watering it is the
+/// gardener's next step, on the seeded schedule. Returns waterings per tree.
+std::vector<int> water_uncoordinated(int gardeners, int trees,
+                                     std::uint64_t seed) {
+  struct Gardener {
+    std::vector<std::size_t> order;
+    std::size_t next = 0;  ///< position in `order` of the tree to look at
+    bool walking_to_water = false;
+  };
+  std::vector<Gardener> crew;
+  for (int id = 0; id < gardeners; ++id) {
+    Rng rng(seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(id));
+    crew.push_back({rng.permutation(static_cast<std::size_t>(trees))});
+  }
+  std::vector<int> watered(static_cast<std::size_t>(trees), 0);
+  int finished = trees == 0 ? gardeners : 0;
+  auto step = [&](std::size_t id) {
+    Gardener& g = crew[id];
+    if (g.next == g.order.size()) return;
+    const std::size_t tree = g.order[g.next];
+    if (g.walking_to_water) {
+      ++watered[tree];
+      g.walking_to_water = false;
+    } else if (watered[tree] == 0) {
+      g.walking_to_water = true;
+      return;
+    }
+    if (++g.next == g.order.size()) ++finished;
+  };
+  Rng rng(seed);
+  rt::run_schedule(crew.size(), step, [&] { return finished == gardeners; },
+                   rt::SchedulePolicy::kRandom, rng,
+                   std::numeric_limits<std::size_t>::max());
+  return watered;
+}
+
+/// The coordinated schemes on real threads; each waters every tree once
+/// under any interleaving the OS picks.
+std::vector<int> water_coordinated(int gardeners, int trees,
+                                   GardenScheme scheme, std::uint64_t seed) {
   std::vector<std::atomic<int>> watered(static_cast<std::size_t>(trees));
   for (auto& w : watered) w.store(0);
   std::mutex gate;
 
   auto gardener = [&](int id) {
+    if (scheme == GardenScheme::kStaticRows) {
+      const int chunk = (trees + gardeners - 1) / gardeners;
+      const int lo = id * chunk;
+      const int hi = std::min(trees, lo + chunk);
+      for (int t = lo; t < hi; ++t) {
+        watered[static_cast<std::size_t>(t)].fetch_add(
+            1, std::memory_order_relaxed);
+      }
+      return;
+    }
+    // Gate notes: check and mark the shared list under the gate's lock.
     Rng rng(seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(id));
-    switch (scheme) {
-      case GardenScheme::kNoCoordination: {
-        // Walk the whole orchard in a personal order; water what looks dry.
-        auto order = rng.permutation(static_cast<std::size_t>(trees));
-        for (std::size_t t : order) {
-          if (watered[t].load(std::memory_order_relaxed) == 0) {
-            std::this_thread::yield();  // walk to the tree
-            watered[t].fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        break;
-      }
-      case GardenScheme::kStaticRows: {
-        const int chunk = (trees + gardeners - 1) / gardeners;
-        const int lo = id * chunk;
-        const int hi = std::min(trees, lo + chunk);
-        for (int t = lo; t < hi; ++t) {
-          watered[static_cast<std::size_t>(t)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      case GardenScheme::kGateNotes: {
-        auto order = rng.permutation(static_cast<std::size_t>(trees));
-        for (std::size_t t : order) {
-          bool mine = false;
-          {
-            std::lock_guard lock(gate);
-            if (watered[t].load(std::memory_order_relaxed) == 0) {
-              watered[t].fetch_add(1, std::memory_order_relaxed);
-              mine = true;
-            }
-          }
-          (void)mine;
-        }
-        break;
+    for (std::size_t t : rng.permutation(static_cast<std::size_t>(trees))) {
+      std::lock_guard lock(gate);
+      if (watered[t].load(std::memory_order_relaxed) == 0) {
+        watered[t].fetch_add(1, std::memory_order_relaxed);
       }
     }
   };
@@ -387,11 +408,22 @@ GardenResult water_orchard(int gardeners, int trees, GardenScheme scheme,
   std::vector<std::thread> threads;
   for (int i = 0; i < gardeners; ++i) threads.emplace_back(gardener, i);
   for (auto& t : threads) t.join();
+  std::vector<int> counts;
+  for (auto& w : watered) counts.push_back(w.load());
+  return counts;
+}
 
+}  // namespace
+
+GardenResult water_orchard(int gardeners, int trees, GardenScheme scheme,
+                           std::uint64_t seed) {
+  const std::vector<int> watered =
+      scheme == GardenScheme::kNoCoordination
+          ? water_uncoordinated(gardeners, trees, seed)
+          : water_coordinated(gardeners, trees, scheme, seed);
   GardenResult result;
   result.trees = trees;
-  for (auto& w : watered) {
-    const int times = w.load();
+  for (int times : watered) {
     if (times == 0) {
       ++result.skipped;
     } else if (times == 1) {

@@ -121,7 +121,10 @@ struct GardenResult {
   int skipped = 0;
 };
 
-/// `gardeners` threads water `trees` trees under the scheme.
+/// `gardeners` gardeners water `trees` trees under the scheme. Without
+/// coordination, looking at a tree and watering it are two steps on a
+/// schedule drawn from `seed`; the coordinated schemes run one thread per
+/// gardener.
 GardenResult water_orchard(int gardeners, int trees, GardenScheme scheme,
                            std::uint64_t seed);
 

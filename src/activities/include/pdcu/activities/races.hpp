@@ -3,10 +3,14 @@
 // (Kolikant; Lewandowski et al.), IntersectionSynchronization (Chesebrough
 // & Turner), and DinnerPartyProducers (Andrianoff & Levine).
 //
-// These run on real std::threads. The "unsynchronized" modes reproduce the
-// classroom bug (check-then-act with a window between check and act) using
-// relaxed atomics, so the lost updates are real but the program stays free
-// of undefined behaviour.
+// The coordinated modes run on real std::threads: they are correct under
+// every interleaving, and ThreadSanitizer checks their synchronization. The
+// racy modes reproduce the classroom bug (check-then-act with a window
+// between check and act) as the worksheet does: each student is a machine
+// whose check and act are separate steps, driven by rt::run_schedule on a
+// random schedule drawn from the seed. The seed alone picks the
+// interleaving, so a racy run gives the same result on any host, under any
+// load, and under a sanitizer.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +22,7 @@ namespace pdcu::act {
 
 /// How the robots coordinate access to the shared glass.
 enum class JuiceMode {
-  kUnsynchronized,  ///< read sweetness, think, then add (the classroom bug)
+  kUnsynchronized,  ///< read sweetness, add in a later step (the classroom bug)
   kMutex,           ///< lock the glass around check-and-add
   kCompareExchange  ///< optimistic: re-check atomically before adding
 };
@@ -30,13 +34,17 @@ struct JuiceResult {
   bool oversweetened = false;  ///< final > target: the race fired
 };
 
-/// `robots` threads each repeatedly run "if sweetness < target, add one
-/// spoonful" until everyone observes sweetness >= target.
+/// `robots` robots each repeatedly run "if sweetness < target, add one
+/// spoonful" until everyone observes sweetness >= target. Unsynchronized,
+/// the check and the add are two steps on a schedule drawn from `seed`;
+/// the coordinated modes run one thread per robot.
 JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
                           std::uint64_t seed);
 
-/// Runs `trials` unsynchronized experiments and returns how many
-/// oversweetened — the empirical race probability the class observes.
+/// Runs `trials` unsynchronized experiments on the seeded interleavings
+/// `seed`, `seed + 1`, ... and returns how many oversweetened: the share of
+/// random schedules in which the race fires. The same arguments give the
+/// same count on every run.
 int count_oversweetened(int robots, int target, int trials,
                         std::uint64_t seed);
 
@@ -59,8 +67,10 @@ struct TicketResult {
   std::int64_t nanoseconds = 0;
 };
 
-/// `clerks` threads sell `seats` seats from a shared map until none appear
-/// free.
+/// `clerks` clerks sell `seats` seats from a shared map until none appear
+/// free. Without coordination, checking a seat and selling it are two
+/// steps on a schedule drawn from `seed`; the coordinated strategies run
+/// one thread per clerk.
 TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
                           std::uint64_t seed);
 

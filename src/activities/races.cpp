@@ -5,18 +5,20 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "pdcu/runtime/scheduler.hpp"
 #include "pdcu/support/rng.hpp"
 
 namespace pdcu::act {
 
 namespace {
 
-/// A small busy delay to widen the check-then-act window, seeded per thread
-/// so runs are reproducible in distribution.
+/// A small busy delay that widens the optimistic modes' window between the
+/// check and the compare-exchange, so their retry path gets exercised.
 void think(Rng& rng) {
   const auto spins = rng.below(64);
   for (std::uint64_t i = 0; i < spins; ++i) {
@@ -35,7 +37,46 @@ std::int64_t now_ns() {
 
 // --- SweeteningTheJuice -------------------------------------------------------
 
-JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
+namespace {
+
+/// The classroom bug as a two-step machine per robot: one step reads the
+/// glass and checks it against the target, the robot's next step writes
+/// `seen + 1`. The seeded schedule decides who steps in between.
+int unsynchronized_spoonfuls(int robots, int target, std::uint64_t seed) {
+  struct Robot {
+    int seen = -1;  ///< -1: about to read; else the sweetness it saw
+    bool done = false;
+  };
+  std::vector<Robot> crew(static_cast<std::size_t>(robots));
+  int glass = 0;
+  int added = 0;
+  int finished = 0;
+  auto step = [&](std::size_t id) {
+    Robot& robot = crew[id];
+    if (robot.done) return;
+    if (robot.seen < 0) {
+      robot.seen = glass;
+      if (robot.seen >= target) {
+        robot.done = true;
+        ++finished;
+      }
+      return;
+    }
+    glass = robot.seen + 1;  // may overwrite a spoonful another robot added
+    ++added;
+    robot.seen = -1;
+  };
+  // A lost update can lower the glass again, so a run has no fixed length;
+  // the budget only cuts off a vanishingly unlikely endless ping-pong.
+  Rng rng(seed);
+  rt::run_schedule(crew.size(), step, [&] { return finished == robots; },
+                   rt::SchedulePolicy::kRandom, rng, std::size_t{1} << 20);
+  return added;
+}
+
+/// The coordinated modes on real threads: correct under every
+/// interleaving, so the OS may pick any.
+int coordinated_spoonfuls(int robots, int target, JuiceMode mode,
                           std::uint64_t seed) {
   std::atomic<int> sweetness{0};
   std::atomic<int> added{0};
@@ -44,30 +85,17 @@ JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
   auto robot = [&](int id) {
     Rng rng(seed * 1315423911u + static_cast<std::uint64_t>(id));
     while (true) {
-      switch (mode) {
-        case JuiceMode::kUnsynchronized: {
-          int seen = sweetness.load(std::memory_order_relaxed);
-          if (seen >= target) return;
-          think(rng);  // both robots can pass the check before either adds
-          sweetness.store(seen + 1, std::memory_order_relaxed);
+      if (mode == JuiceMode::kMutex) {
+        std::lock_guard lock(glass);
+        if (sweetness.load(std::memory_order_relaxed) >= target) return;
+        sweetness.fetch_add(1, std::memory_order_relaxed);
+        added.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        int seen = sweetness.load(std::memory_order_relaxed);
+        if (seen >= target) return;
+        think(rng);
+        if (sweetness.compare_exchange_strong(seen, seen + 1)) {
           added.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        case JuiceMode::kMutex: {
-          std::lock_guard lock(glass);
-          if (sweetness.load(std::memory_order_relaxed) >= target) return;
-          sweetness.fetch_add(1, std::memory_order_relaxed);
-          added.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        case JuiceMode::kCompareExchange: {
-          int seen = sweetness.load(std::memory_order_relaxed);
-          if (seen >= target) return;
-          think(rng);
-          if (sweetness.compare_exchange_strong(seen, seen + 1)) {
-            added.fetch_add(1, std::memory_order_relaxed);
-          }
-          break;
         }
       }
     }
@@ -76,10 +104,19 @@ JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
   std::vector<std::thread> threads;
   for (int i = 0; i < robots; ++i) threads.emplace_back(robot, i);
   for (auto& t : threads) t.join();
+  return added.load();
+}
 
+}  // namespace
+
+JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
+                          std::uint64_t seed) {
   JuiceResult result;
   result.target = target;
-  result.spoonfuls_added = added.load();
+  result.spoonfuls_added =
+      mode == JuiceMode::kUnsynchronized
+          ? unsynchronized_spoonfuls(robots, target, seed)
+          : coordinated_spoonfuls(robots, target, mode, seed);
   // In the unsynchronized mode lost updates can make the glass *appear*
   // less sweet than the sugar actually added; the classroom moral is told
   // by spoonfuls_added exceeding the target.
@@ -101,15 +138,69 @@ int count_oversweetened(int robots, int target, int trials,
 
 // --- ConcertTickets -------------------------------------------------------------
 
-TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
-                          std::uint64_t seed) {
-  // state[i]: number of times seat i has been sold (0 = free). Sales are
-  // recorded with relaxed atomics so double-sales are observable, not UB.
+namespace {
+
+/// Each clerk scans the seat map from a random start and sells the first
+/// seat that looks free; a clerk that finds none in a full scan goes home.
+/// Uncoordinated, checking seat i is one step and selling it is the
+/// clerk's next step, on the seeded schedule. Returns sales per seat.
+std::vector<int> sell_uncoordinated(int seats, int clerks,
+                                    std::uint64_t seed) {
+  struct Clerk {
+    Rng rng;
+    std::size_t start = 0;
+    int checked = 0;   ///< seats checked in the current scan
+    int holding = -1;  ///< seat that looked free, sale pending
+    bool done = false;
+  };
+  std::vector<Clerk> office;
+  for (int id = 0; id < clerks; ++id) {
+    office.push_back(
+        {Rng(seed * 2654435761u + static_cast<std::uint64_t>(id))});
+  }
+  std::vector<int> sold(static_cast<std::size_t>(seats), 0);
+  if (seats == 0) return sold;
+  int finished = 0;
+  auto step = [&](std::size_t id) {
+    Clerk& clerk = office[id];
+    if (clerk.done) return;
+    if (clerk.holding >= 0) {
+      ++sold[static_cast<std::size_t>(clerk.holding)];  // take the money
+      clerk.holding = -1;
+      clerk.checked = 0;
+      return;
+    }
+    if (clerk.checked == 0) {
+      clerk.start = clerk.rng.below(static_cast<std::uint64_t>(seats));
+    }
+    const std::size_t i =
+        (clerk.start + static_cast<std::size_t>(clerk.checked)) %
+        static_cast<std::size_t>(seats);
+    ++clerk.checked;
+    if (sold[i] == 0) {
+      clerk.holding = static_cast<int>(i);
+    } else if (clerk.checked == seats) {
+      clerk.done = true;  // no seat appears free anymore
+      ++finished;
+    }
+  };
+  Rng rng(seed);
+  rt::run_schedule(office.size(), step, [&] { return finished == clerks; },
+                   rt::SchedulePolicy::kRandom, rng,
+                   std::numeric_limits<std::size_t>::max());
+  return sold;
+}
+
+/// The coordinated strategies on real threads; each sells every seat
+/// exactly once under any interleaving the OS picks.
+std::vector<int> sell_coordinated(int seats, int clerks,
+                                  TicketStrategy strategy,
+                                  std::uint64_t seed) {
+  // state[i]: number of times seat i has been sold (0 = free).
   std::vector<std::atomic<int>> state(static_cast<std::size_t>(seats));
   for (auto& s : state) s.store(0);
   std::vector<std::atomic_flag> seat_locks(static_cast<std::size_t>(seats));
   std::mutex box_office;
-  std::atomic<int> issued{0};
 
   auto clerk = [&](int id) {
     Rng rng(seed * 2654435761u + static_cast<std::uint64_t>(id));
@@ -117,24 +208,14 @@ TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
     while (true) {
       bool sold_one = false;
       std::size_t start = rng.below(static_cast<std::uint64_t>(seats));
-      for (int k = 0; k < seats; ++k) {
+      for (int k = 0; k < seats && !sold_one; ++k) {
         std::size_t i = (start + static_cast<std::size_t>(k)) %
                         static_cast<std::size_t>(seats);
         switch (strategy) {
-          case TicketStrategy::kNoCoordination: {
-            if (state[i].load(std::memory_order_relaxed) == 0) {
-              think(rng);  // collect the customer's money
-              state[i].fetch_add(1, std::memory_order_relaxed);
-              issued.fetch_add(1, std::memory_order_relaxed);
-              sold_one = true;
-            }
-            break;
-          }
           case TicketStrategy::kCoarseLock: {
             std::lock_guard lock(box_office);
             if (state[i].load(std::memory_order_relaxed) == 0) {
               state[i].fetch_add(1, std::memory_order_relaxed);
-              issued.fetch_add(1, std::memory_order_relaxed);
               sold_one = true;
             }
             break;
@@ -144,7 +225,6 @@ TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
                 !seat_locks[i].test_and_set(std::memory_order_acquire)) {
               // The flag is the per-seat sale record; set wins the seat.
               state[i].fetch_add(1, std::memory_order_relaxed);
-              issued.fetch_add(1, std::memory_order_relaxed);
               sold_one = true;
             }
             break;
@@ -153,33 +233,44 @@ TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
             int expected = 0;
             if (state[i].load(std::memory_order_relaxed) == 0) {
               think(rng);
-              if (state[i].compare_exchange_strong(expected, 1)) {
-                issued.fetch_add(1, std::memory_order_relaxed);
-                sold_one = true;
-              }
+              sold_one = state[i].compare_exchange_strong(expected, 1);
             }
             break;
           }
+          case TicketStrategy::kNoCoordination:
+            break;  // seeded, see sell_uncoordinated
         }
-        if (sold_one) break;
       }
       if (!sold_one) return;  // no seat appears free anymore
     }
   };
 
-  const std::int64_t t0 = now_ns();
   std::vector<std::thread> threads;
   for (int i = 0; i < clerks; ++i) threads.emplace_back(clerk, i);
   for (auto& t : threads) t.join();
+  std::vector<int> sold;
+  for (auto& s : state) sold.push_back(s.load());
+  return sold;
+}
+
+}  // namespace
+
+TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
+                          std::uint64_t seed) {
+  const std::int64_t t0 = now_ns();
+  const std::vector<int> sold =
+      strategy == TicketStrategy::kNoCoordination
+          ? sell_uncoordinated(seats, clerks, seed)
+          : sell_coordinated(seats, clerks, strategy, seed);
   const std::int64_t t1 = now_ns();
 
   TicketResult result;
   result.seats = seats;
   result.clerks = clerks;
   result.nanoseconds = t1 - t0;
-  result.tickets_issued = issued.load();
-  for (auto& s : state) {
-    if (s.load() > 1) ++result.double_sold_seats;
+  for (int times : sold) {
+    result.tickets_issued += times;
+    if (times > 1) ++result.double_sold_seats;
   }
   result.oversold = result.double_sold_seats > 0 ||
                     result.tickets_issued > result.seats;

@@ -66,6 +66,9 @@ TEST(Search, EarlyTerminationSavesWork) {
   auto result = act::parallel_search(cards, -1, 8);
   EXPECT_EQ(result.found_index, 1);
   EXPECT_LT(result.cards_flipped, 100);
+  // Team 0 shouts at tick 2; by then each of the other 7 teams has
+  // flipped 2 cards and stops: 2 + 7 * 2.
+  EXPECT_EQ(result.cards_flipped, 16);
 }
 
 TEST(Search, OneTeamIsSerialScan) {

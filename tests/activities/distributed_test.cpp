@@ -277,6 +277,19 @@ TEST(Gardeners, NoCoordinationWastesWaterSometimes) {
   EXPECT_GT(wasteful_runs, 2);
 }
 
+TEST(Gardeners, NoCoordinationRunIsReplayedBySeed) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    auto first = act::water_orchard(
+        4, 64, act::GardenScheme::kNoCoordination, seed);
+    auto again = act::water_orchard(
+        4, 64, act::GardenScheme::kNoCoordination, seed);
+    EXPECT_EQ(first.watered_exactly_once, again.watered_exactly_once) << seed;
+    EXPECT_EQ(first.watered_twice_or_more, again.watered_twice_or_more)
+        << seed;
+    EXPECT_EQ(first.skipped, again.skipped) << seed;
+  }
+}
+
 // --- Telephone chain ---------------------------------------------------------------
 
 TEST(Telephone, TreeBeatsChain) {

@@ -30,6 +30,18 @@ TEST(Juice, UnsynchronizedRobotsUsuallyOversweeten) {
   EXPECT_GT(bad, 5);
 }
 
+TEST(Juice, UnsynchronizedRunIsReplayedBySeed) {
+  // The seed picks the interleaving, so a rerun shows the same race.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    auto first = act::sweeten_juice(3, 6, act::JuiceMode::kUnsynchronized,
+                                    seed);
+    auto again = act::sweeten_juice(3, 6, act::JuiceMode::kUnsynchronized,
+                                    seed);
+    EXPECT_EQ(first.spoonfuls_added, again.spoonfuls_added) << seed;
+    EXPECT_EQ(first.oversweetened, again.oversweetened) << seed;
+  }
+}
+
 TEST(Juice, SingleRobotIsAlwaysExact) {
   for (auto mode : {act::JuiceMode::kUnsynchronized, act::JuiceMode::kMutex,
                     act::JuiceMode::kCompareExchange}) {
@@ -82,6 +94,17 @@ TEST(Tickets, UncoordinatedClerksOversell) {
     EXPECT_GE(result.tickets_issued, 40);
   }
   EXPECT_GT(oversold_runs, 2);
+}
+
+TEST(Tickets, UncoordinatedRunIsReplayedBySeed) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    auto first = act::sell_tickets(
+        40, 4, act::TicketStrategy::kNoCoordination, seed);
+    auto again = act::sell_tickets(
+        40, 4, act::TicketStrategy::kNoCoordination, seed);
+    EXPECT_EQ(first.tickets_issued, again.tickets_issued) << seed;
+    EXPECT_EQ(first.double_sold_seats, again.double_sold_seats) << seed;
+  }
 }
 
 TEST(Tickets, OneClerkCannotOversell) {
