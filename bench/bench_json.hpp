@@ -5,14 +5,13 @@
 // pieces only bench-side code needs:
 //
 //   * write_summary(): emit the one-line JSON document to stdout, or to
-//     $BENCH_JSON_OUT when set — which is how the committed baselines are
-//     refreshed:  BENCH_JSON_OUT=BENCH_stencil.json ./bench/bench_stencil
-//     --benchmark_filter='^$'
+//     $BENCH_JSON_OUT when set — which is how the committed baseline is
+//     refreshed:  BENCH_JSON_OUT=BENCH_search_scale.json
+//     ./bench/bench_search_scale --benchmark_filter='^$'
 //
-//   * search_scale_summary_json() and stencil_summary_json(): the
-//     measurements behind BENCH_search_scale.json and BENCH_stencil.json.
-//     bench_gate re-measures the first with the same code and validates
-//     the second structurally.
+//   * search_scale_summary_json(): the measurements behind
+//     BENCH_search_scale.json, which bench_gate re-measures with the same
+//     code.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "pdcu/activities/stencil.hpp"
 #include "pdcu/core/repository.hpp"
 #include "pdcu/loadgen/bench_json.hpp"
 #include "pdcu/loadgen/schedule.hpp"
@@ -267,127 +265,6 @@ inline std::string search_scale_summary_json(
   writer.open("summary");
   writer.integer("largest_docs", largest_size);
   writer.number("speedup_p99", largest_speedup);
-  writer.close();
-  return writer.finish();
-}
-
-/// The "stencil" trajectory document: Game of Life host-kernel
-/// throughputs (cells/s, best of `reps` timed runs each), a bit-exact
-/// parity sweep of every kernel against the serial oracle, and the
-/// virtual-time speedup curve of the classroom halo-exchange run for
-/// p in {1,2,4,8,16} with the analytic halo-message count checked.
-///
-/// The SIMD arm is reported honestly: `kernels.simd_cells_per_s` is
-/// whatever runtime dispatch actually picked (`simd.dispatched` says
-/// which), and `kernels.simd_vs_autovec` makes it visible when the
-/// compiler's autovectorized loop beats the hand-written intrinsics.
-/// bench_stencil emits this document on a 256x256 torus; bench_gate
-/// validates the committed one structurally (loadgen::
-/// stencil_schema_violations).
-inline std::string stencil_summary_json(std::string_view source) {
-  using SteadyClock = std::chrono::steady_clock;
-  namespace act = pdcu::act;
-  constexpr std::size_t width = 256;
-  constexpr std::size_t height = 256;
-  constexpr int generations = 48;
-  constexpr int reps = 3;
-
-  const act::LifeGrid start = act::LifeGrid::random(width, height, 42);
-  std::uint64_t errors = 0;
-
-  // Parity sweep: every kernel, several shapes (including AVX2 tail and
-  // narrow-grid fallback widths), bit-compared against the serial oracle.
-  std::uint64_t parity_checked = 0;
-  std::uint64_t parity_mismatches = 0;
-  {
-    const std::size_t shapes[][2] = {{10, 10}, {33, 9}, {100, 17},
-                                     {width, height}};
-    for (const auto& shape : shapes) {
-      const act::LifeGrid soup = act::LifeGrid::random(shape[0], shape[1], 7);
-      const act::LifeGrid oracle =
-          act::life_run(soup, 6, act::LifeKernel::kSerial);
-      for (act::LifeKernel kernel :
-           {act::LifeKernel::kTiled, act::LifeKernel::kAutovec,
-            act::LifeKernel::kAvx2}) {
-        ++parity_checked;
-        if (act::life_run(soup, 6, kernel) != oracle) ++parity_mismatches;
-      }
-    }
-  }
-
-  // Host-kernel throughput, best of `reps` timed runs each. The final
-  // grid's population is the observable sink.
-  volatile std::size_t sink = 0;
-  const auto cells_per_s = [&](act::LifeKernel kernel) {
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto begin = SteadyClock::now();
-      const act::LifeGrid end = act::life_run(start, generations, kernel);
-      const double seconds =
-          std::chrono::duration<double>(SteadyClock::now() - begin).count();
-      sink = sink + end.alive();
-      if (seconds > 0.0) {
-        const double rate = static_cast<double>(width * height) *
-                            static_cast<double>(generations) / seconds;
-        best = std::max(best, rate);
-      }
-    }
-    return best;
-  };
-  const double serial_rate = cells_per_s(act::LifeKernel::kSerial);
-  const double tiled_rate = cells_per_s(act::LifeKernel::kTiled);
-  const double autovec_rate = cells_per_s(act::LifeKernel::kAutovec);
-  const act::LifeKernel simd = act::best_simd_kernel();
-  const double simd_rate =
-      simd == act::LifeKernel::kAutovec ? autovec_rate : cells_per_s(simd);
-
-  // Virtual-time speedup curve of the classroom decomposition, with the
-  // halo-message count checked against the analytic 2 * p * generations.
-  const act::LifeGrid vstart = act::LifeGrid::random(64, 64, 2024);
-  const int vgens = 10;
-  const act::LifeGrid voracle =
-      act::life_run(vstart, vgens, act::LifeKernel::kSerial);
-  std::uint64_t halo_mismatches = 0;
-  std::vector<std::pair<int, double>> curve;
-  for (int ranks : {1, 2, 4, 8, 16}) {
-    const auto run = act::stencil_classroom(vstart, ranks, vgens);
-    if (!run.ok() || run.grid != voracle) ++errors;
-    if (run.halo_messages !=
-        act::expected_halo_messages(run.ranks, run.generations)) {
-      ++halo_mismatches;
-    }
-    curve.emplace_back(ranks, run.speedup_vs_serial);
-  }
-
-  loadgen::BenchWriter writer("stencil", source);
-  writer.integer("width", width);
-  writer.integer("height", height);
-  writer.integer("generations", static_cast<std::uint64_t>(generations));
-  writer.open("simd");
-  writer.text("dispatched", act::kernel_name(simd));
-  writer.integer("avx2_available",
-                 act::kernel_available(act::LifeKernel::kAvx2) ? 1 : 0);
-  writer.close();
-  writer.open("kernels");
-  writer.number("serial_cells_per_s", serial_rate);
-  writer.number("tiled_cells_per_s", tiled_rate);
-  writer.number("autovec_cells_per_s", autovec_rate);
-  writer.number("simd_cells_per_s", simd_rate);
-  writer.number("simd_vs_autovec",
-                autovec_rate > 0.0 ? simd_rate / autovec_rate : 0.0);
-  writer.close();
-  writer.open("parity");
-  writer.integer("checked", parity_checked);
-  writer.integer("mismatches", parity_mismatches);
-  writer.close();
-  writer.open("virtual");
-  for (const auto& [ranks, speedup] : curve) {
-    writer.number("p" + std::to_string(ranks) + "_speedup", speedup);
-  }
-  writer.integer("halo_mismatches", halo_mismatches);
-  writer.close();
-  writer.open("errors");
-  writer.integer("total", errors + parity_mismatches + halo_mismatches);
   writer.close();
   return writer.finish();
 }

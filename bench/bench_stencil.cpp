@@ -1,22 +1,19 @@
 // Stencil (Game of Life) benchmarks: host-kernel throughput for the
-// serial, thread-tiled, autovectorized, and AVX2 kernels, plus the
-// classroom halo-exchange run under the virtual-time cost model. The
-// google-benchmark cases give per-kernel detail; the BENCH-schema summary
-// at exit is the committed BENCH_stencil.json, whose parity, halo and
-// speedup claims tools/bench_gate validates.
+// serial, thread-tiled, autovectorized, and AVX2 kernels on a 256x256
+// torus, plus the classroom halo-exchange run under the virtual-time cost
+// model. Parity, the halo-message count and the virtual-time speedup are
+// asserted in tests/activities/stencil_test.cpp, not here.
 //
 // Honesty notes: the tiled kernel steps its row blocks with the dispatched
-// SIMD row kernel, so kernels.tiled_cells_per_s over the serial rate mixes
-// the SIMD gain with the parallel one; only tiled over simd is the
-// speedup of the tiling, and that is bounded by the cores the host really
-// gives the pool. The AVX2 intrinsics are reported next to the compiler's
-// autovectorized loop — kernels.simd_vs_autovec in the summary makes it
-// visible when the compiler wins.
+// SIMD row kernel, so BM_LifeTiled over the serial rate mixes the SIMD
+// gain with the parallel one; only tiled over simd is the speedup of the
+// tiling, and that is bounded by the cores the host really gives the pool.
+// The AVX2 intrinsics are reported next to the compiler's autovectorized
+// loop, so it shows when the compiler wins.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 
-#include "bench_json.hpp"
 #include "pdcu/activities/stencil.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
 
@@ -83,13 +80,4 @@ BENCHMARK(BM_StencilClassroom)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // The trajectory line, committed as BENCH_stencil.json.
-  pdcu::benchjson::write_summary(
-      pdcu::benchjson::stencil_summary_json("bench_stencil"));
-  return 0;
-}
+BENCHMARK_MAIN();

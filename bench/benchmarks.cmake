@@ -52,8 +52,5 @@ target_link_libraries(bench_search_scale PRIVATE
   pdcu_search pdcu_server pdcu_loadgen pdcu_obs)
 
 # Stencil compute kernels (Game of Life): serial vs tiled vs SIMD
-# throughput and the classroom halo-exchange run (BENCH_stencil.json).
+# throughput and the classroom halo-exchange run.
 pdcu_add_gbench(bench_stencil bench/bench_stencil.cpp)
-target_link_libraries(bench_stencil PRIVATE
-  pdcu_search pdcu_server pdcu_loadgen pdcu_obs)
-target_include_directories(bench_stencil PRIVATE ${CMAKE_SOURCE_DIR})

@@ -29,9 +29,9 @@ enum class JuiceMode {
 
 struct JuiceResult {
   int target = 0;
-  int final_sweetness = 0;
+  int final_sweetness = 0;  ///< the glass at the end; a lost update lowers it
   int spoonfuls_added = 0;
-  bool oversweetened = false;  ///< final > target: the race fired
+  bool oversweetened = false;  ///< spoonfuls_added > target: the race fired
 };
 
 /// `robots` robots each repeatedly run "if sweetness < target, add one

@@ -115,8 +115,9 @@ std::int64_t expected_halo_messages(int ranks, int generations);
 /// Game of Life as a classroom run: the torus is decomposed into
 /// contiguous row blocks (one per rank, ceil-split so non-divisible
 /// heights work), and each generation every rank sends its boundary rows
-/// to its torus neighbours, receives the matching halos, steps its block,
-/// and meets the class at a barrier. Ranks above `height` would own no
+/// to its torus neighbours, receives the matching halos, steps its block
+/// with the best_simd_kernel() row kernel, and meets the class at a
+/// barrier. Ranks above `height` would own no
 /// rows, so the rank count is clamped to the height. The final grid is
 /// gathered at rank 0 and is bit-identical to `generations` serial steps.
 StencilResult stencil_classroom(const LifeGrid& start, int ranks,

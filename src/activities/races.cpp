@@ -42,7 +42,8 @@ namespace {
 /// The classroom bug as a two-step machine per robot: one step reads the
 /// glass and checks it against the target, the robot's next step writes
 /// `seen + 1`. The seeded schedule decides who steps in between.
-int unsynchronized_spoonfuls(int robots, int target, std::uint64_t seed) {
+JuiceResult unsynchronized_spoonfuls(int robots, int target,
+                                     std::uint64_t seed) {
   struct Robot {
     int seen = -1;  ///< -1: about to read; else the sweetness it saw
     bool done = false;
@@ -71,13 +72,13 @@ int unsynchronized_spoonfuls(int robots, int target, std::uint64_t seed) {
   Rng rng(seed);
   rt::run_schedule(crew.size(), step, [&] { return finished == robots; },
                    rt::SchedulePolicy::kRandom, rng, std::size_t{1} << 20);
-  return added;
+  return {.final_sweetness = glass, .spoonfuls_added = added};
 }
 
 /// The coordinated modes on real threads: correct under every
 /// interleaving, so the OS may pick any.
-int coordinated_spoonfuls(int robots, int target, JuiceMode mode,
-                          std::uint64_t seed) {
+JuiceResult coordinated_spoonfuls(int robots, int target, JuiceMode mode,
+                                  std::uint64_t seed) {
   std::atomic<int> sweetness{0};
   std::atomic<int> added{0};
   std::mutex glass;
@@ -104,23 +105,21 @@ int coordinated_spoonfuls(int robots, int target, JuiceMode mode,
   std::vector<std::thread> threads;
   for (int i = 0; i < robots; ++i) threads.emplace_back(robot, i);
   for (auto& t : threads) t.join();
-  return added.load();
+  return {.final_sweetness = sweetness.load(),
+          .spoonfuls_added = added.load()};
 }
 
 }  // namespace
 
 JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
                           std::uint64_t seed) {
-  JuiceResult result;
+  JuiceResult result = mode == JuiceMode::kUnsynchronized
+                           ? unsynchronized_spoonfuls(robots, target, seed)
+                           : coordinated_spoonfuls(robots, target, mode, seed);
   result.target = target;
-  result.spoonfuls_added =
-      mode == JuiceMode::kUnsynchronized
-          ? unsynchronized_spoonfuls(robots, target, seed)
-          : coordinated_spoonfuls(robots, target, mode, seed);
-  // In the unsynchronized mode lost updates can make the glass *appear*
-  // less sweet than the sugar actually added; the classroom moral is told
-  // by spoonfuls_added exceeding the target.
-  result.final_sweetness = result.spoonfuls_added;
+  // Unsynchronized, a lost update leaves the glass reading less than the
+  // sugar actually added, so the classroom moral is told by the spoonfuls
+  // added exceeding the target, not by the glass.
   result.oversweetened = result.spoonfuls_added > target;
   return result;
 }

@@ -58,35 +58,6 @@ void life_row_scalar(const std::uint8_t* up, const std::uint8_t* mid,
   }
 }
 
-void life_row_autovec(const std::uint8_t* up, const std::uint8_t* mid,
-                      const std::uint8_t* down, std::uint8_t* out,
-                      std::size_t w) {
-  if (w < 3) {
-    life_row_scalar(up, mid, down, out, w);
-    return;
-  }
-  // Interior columns: straight-line byte arithmetic with no wraps or
-  // branches — exactly the loop shape compilers autovectorize. Neighbour
-  // counts peak at 8, far below the byte ceiling.
-  for (std::size_t c = 1; c + 1 < w; ++c) {
-    const std::uint8_t count =
-        static_cast<std::uint8_t>(up[c - 1] + up[c] + up[c + 1] + mid[c - 1] +
-                                  mid[c + 1] + down[c - 1] + down[c] +
-                                  down[c + 1]);
-    out[c] = static_cast<std::uint8_t>((count == 3) |
-                                       ((count == 2) & (mid[c] != 0)));
-  }
-  // The two wrap columns take the scalar path.
-  for (std::size_t c : {std::size_t{0}, w - 1}) {
-    const std::size_t left = (c + w - 1) % w;
-    const std::size_t right = (c + 1) % w;
-    const int count = up[left] + up[c] + up[right] + mid[left] + mid[right] +
-                      down[left] + down[c] + down[right];
-    out[c] =
-        static_cast<std::uint8_t>(count == 3 || (mid[c] != 0 && count == 2));
-  }
-}
-
 namespace {
 
 /// Steps rows [row_lo, row_hi) of the torus `src` into `dst` with the
@@ -249,6 +220,9 @@ StencilResult stencil_classroom(const LifeGrid& start, int ranks,
   if (w == 0 || h == 0) return result;
 
   std::uint8_t* final_cells = result.grid.cells.data();
+  // `next` is a buffer of its own, so any row kernel gives the same bytes;
+  // the virtual-time cost below does not depend on which one runs.
+  const detail::RowKernel row = row_kernel(best_simd_kernel());
 
   auto body = [&](rt::Comm& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
@@ -290,10 +264,8 @@ StencilResult stencil_classroom(const LifeGrid& start, int ranks,
       // Step the owned rows; the halo rows provide the vertical
       // neighbours, so no row wrap is needed inside the block.
       for (std::size_t r = 1; r <= rows; ++r) {
-        detail::life_row_scalar(block.data() + (r - 1) * w,
-                                block.data() + r * w,
-                                block.data() + (r + 1) * w,
-                                next.data() + r * w, w);
+        row(block.data() + (r - 1) * w, block.data() + r * w,
+            block.data() + (r + 1) * w, next.data() + r * w, w);
       }
       comm.work(static_cast<std::int64_t>(rows * w));
       std::swap(block, next);

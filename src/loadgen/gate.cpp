@@ -185,53 +185,6 @@ std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
   return violations;
 }
 
-std::vector<std::string> stencil_schema_violations(const BenchDoc& doc,
-                                                   double min_speedup) {
-  auto violations = header_violations(doc, "stencil");
-  if (!violations.empty()) return violations;
-
-  require_numbers(
-      doc,
-      {"width", "height", "generations", "kernels.serial_cells_per_s",
-       "kernels.tiled_cells_per_s", "kernels.autovec_cells_per_s",
-       "kernels.simd_cells_per_s", "kernels.simd_vs_autovec",
-       "parity.checked", "parity.mismatches", "virtual.halo_mismatches",
-       "errors.total", "virtual.p1_speedup", "virtual.p2_speedup",
-       "virtual.p4_speedup", "virtual.p8_speedup", "virtual.p16_speedup"},
-      violations);
-  if (!violations.empty()) return violations;
-
-  // Honesty anchors: the baseline must have been measured with every
-  // kernel agreeing with the serial oracle and the halo-message count
-  // matching the analytic 2 * ranks * generations.
-  if (doc.number("parity.checked", 0.0) <= 0.0) {
-    violations.push_back("parity.checked is zero — no kernels compared");
-  }
-  if (doc.number("parity.mismatches", 0.0) != 0.0) {
-    violations.push_back("parity.mismatches != 0 — a kernel diverged "
-                         "from the serial oracle");
-  }
-  if (doc.number("virtual.halo_mismatches", 0.0) != 0.0) {
-    violations.push_back("virtual.halo_mismatches != 0 — halo rounds "
-                         "disagree with the analytic count");
-  }
-  if (doc.number("errors.total", 0.0) != 0.0) {
-    violations.push_back("errors.total != 0");
-  }
-
-  // The committed headline: decomposing the torus buys real virtual-time
-  // speedup by 4 ranks.
-  const double speedup = doc.number("virtual.p4_speedup", 0.0);
-  if (speedup < min_speedup) {
-    char buffer[128];
-    std::snprintf(buffer, sizeof buffer,
-                  "virtual.p4_speedup %.2f < required %.2fx",
-                  speedup, min_speedup);
-    violations.push_back(buffer);
-  }
-  return violations;
-}
-
 std::vector<std::string> sweep_schema_violations(const BenchDoc& doc) {
   auto violations = header_violations(doc, "sweep_serve");
   if (!violations.empty()) return violations;

@@ -75,15 +75,6 @@ std::vector<GateRule> scale_gate_rules();
 std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
                                                  double min_speedup = 5.0);
 
-/// Structural validation of the committed "stencil" document: grid shape
-/// and kernel throughputs present, bit-exact parity recorded with zero
-/// mismatches, the virtual-time speedup curve complete for p in
-/// {1,2,4,8,16} with the analytic halo count holding, zero errors, and
-/// the committed headline — at least `min_speedup` virtual-time speedup
-/// at 4 ranks — actually measured. Empty means well-formed.
-std::vector<std::string> stencil_schema_violations(const BenchDoc& doc,
-                                                   double min_speedup = 1.5);
-
 /// Structural validation of a "sweep_serve" BENCH document (the
 /// latency-vs-offered-rate sweep committed as BENCH_sweep_serve.json).
 /// The sweep is too expensive to re-measure inside the gate, so the gate

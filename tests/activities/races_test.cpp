@@ -42,6 +42,26 @@ TEST(Juice, UnsynchronizedRunIsReplayedBySeed) {
   }
 }
 
+TEST(Juice, LostUpdateLeavesGlassBelowSugarAdded) {
+  // A robot that writes `seen + 1` over another robot's spoonful loses it:
+  // the glass then reads less than the sugar that went in.
+  bool lost = false;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    auto result =
+        act::sweeten_juice(2, 5, act::JuiceMode::kUnsynchronized, seed);
+    EXPECT_GE(result.final_sweetness, 5) << seed;
+    if (result.final_sweetness < result.spoonfuls_added) lost = true;
+  }
+  EXPECT_TRUE(lost);
+  for (auto mode : {act::JuiceMode::kMutex, act::JuiceMode::kCompareExchange}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      auto result = act::sweeten_juice(2, 5, mode, seed);
+      EXPECT_EQ(result.final_sweetness, 5) << seed;
+      EXPECT_EQ(result.spoonfuls_added, 5) << seed;
+    }
+  }
+}
+
 TEST(Juice, SingleRobotIsAlwaysExact) {
   for (auto mode : {act::JuiceMode::kUnsynchronized, act::JuiceMode::kMutex,
                     act::JuiceMode::kCompareExchange}) {

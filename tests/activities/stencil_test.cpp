@@ -121,14 +121,16 @@ TEST(LifeStepTest, GliderWrapsAroundTheTorus) {
   EXPECT_EQ(after, glider);
 }
 
-// The heart of the tentpole's honesty claim: every kernel produces the
-// same bytes as the scalar oracle on every grid shape, including widths
-// that exercise the AVX2 interior blocks, tails, and the narrow-grid
-// scalar fallback.
+// The kernels' honesty claim: every kernel produces the same bytes as
+// the scalar oracle on every grid shape, including widths that exercise
+// the AVX2 interior blocks, the overlapping last block (2048 wide: 30
+// interior cells left after the full blocks), and the narrow-grid scalar
+// fallback.
 TEST(LifeKernelParityTest, AllKernelsMatchSerialOracle) {
-  const std::size_t shapes[][2] = {{1, 1},  {2, 2},  {3, 5},   {7, 4},
-                                   {10, 10}, {33, 9}, {34, 3}, {64, 16},
-                                   {100, 17}};
+  const std::size_t shapes[][2] = {{1, 1},   {2, 2},   {3, 5},
+                                   {7, 4},   {10, 10}, {33, 9},
+                                   {34, 3},  {64, 16}, {100, 17},
+                                   {2048, 3}};
   for (const auto& shape : shapes) {
     const LifeGrid start = LifeGrid::random(shape[0], shape[1],
                                             /*seed=*/shape[0] * 131 + shape[1]);
@@ -144,7 +146,8 @@ TEST(LifeKernelParityTest, AllKernelsMatchSerialOracle) {
 
 // Every kernel against the brute-force oracle, through life_run's two
 // unfilled buffers: widths straddle the AVX2 narrow-grid fallback (< 34),
-// its 32-byte blocks and scalar tail, and the wrap columns; heights run
+// its 32-byte blocks, the overlapping last block (interiors of 64, 96 and
+// 128 cells need none, 65 and 95 do), and the wrap columns; heights run
 // below the pool sizes so some workers get no rows.
 TEST(LifeKernelParityTest, EveryKernelMatchesBruteForceOracle) {
   constexpr int kGenerations = 8;
@@ -152,7 +155,8 @@ TEST(LifeKernelParityTest, EveryKernelMatchesBruteForceOracle) {
   for (unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
     pools.push_back(std::make_unique<rt::ThreadPool>(workers));
   }
-  for (std::size_t width : {1u, 2u, 3u, 33u, 34u, 35u, 65u, 100u}) {
+  for (std::size_t width :
+       {1u, 2u, 3u, 33u, 34u, 35u, 65u, 66u, 67u, 97u, 98u, 100u, 130u}) {
     for (std::size_t height : {1u, 2u, 3u, 6u, 17u}) {
       const LifeGrid start =
           LifeGrid::random(width, height, /*seed=*/width * 977 + height);
@@ -203,18 +207,24 @@ TEST(LifeKernelTest, NamesAndAvailability) {
 }
 
 TEST(StencilClassroomTest, MatchesSerialOracleForEveryRankCount) {
-  const LifeGrid start = LifeGrid::random(20, 16, 99);
-  const int generations = 5;
-  const LifeGrid oracle = act::life_run(start, generations,
-                                        LifeKernel::kSerial);
-  for (int ranks : {1, 2, 3, 4, 8, 16}) {
-    SCOPED_TRACE(ranks);
-    auto r = act::stencil_classroom(start, ranks, generations);
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.ranks, ranks);
-    EXPECT_EQ(r.grid, oracle);
-    EXPECT_EQ(r.halo_messages,
-              act::expected_halo_messages(ranks, generations));
+  // The ranks step their rows with the SIMD row kernel: 20 cells is its
+  // narrow-row fallback, 34 one exact 32-cell interior block, and 67
+  // needs the overlapping last block.
+  for (std::size_t width : {20u, 34u, 67u}) {
+    const LifeGrid start = LifeGrid::random(width, 16, 99);
+    const int generations = 5;
+    const LifeGrid oracle = act::life_run(start, generations,
+                                          LifeKernel::kSerial);
+    for (int ranks : {1, 2, 3, 4, 8, 16}) {
+      SCOPED_TRACE(std::to_string(width) + " wide, " +
+                   std::to_string(ranks) + " ranks");
+      auto r = act::stencil_classroom(start, ranks, generations);
+      ASSERT_TRUE(r.ok()) << r.error;
+      EXPECT_EQ(r.ranks, ranks);
+      EXPECT_EQ(r.grid, oracle);
+      EXPECT_EQ(r.halo_messages,
+                act::expected_halo_messages(ranks, generations));
+    }
   }
 }
 

@@ -375,86 +375,3 @@ TEST(SweepSchema, SummaryMustDescribeTheBestPoint) {
 }
 
 }  // namespace
-
-namespace {
-
-loadgen::BenchDoc stencil_doc() {
-  loadgen::BenchDoc doc;
-  doc.numbers["bench_schema"] = loadgen::kBenchSchemaVersion;
-  doc.strings["bench"] = "stencil";
-  doc.numbers["width"] = 256;
-  doc.numbers["height"] = 256;
-  doc.numbers["generations"] = 48;
-  doc.strings["simd.dispatched"] = "avx2";
-  doc.numbers["simd.avx2_available"] = 1;
-  doc.numbers["kernels.serial_cells_per_s"] = 1.0e8;
-  doc.numbers["kernels.tiled_cells_per_s"] = 1.1e8;
-  doc.numbers["kernels.autovec_cells_per_s"] = 6.0e8;
-  doc.numbers["kernels.simd_cells_per_s"] = 1.6e9;
-  doc.numbers["kernels.simd_vs_autovec"] = 2.6;
-  doc.numbers["parity.checked"] = 12;
-  doc.numbers["parity.mismatches"] = 0;
-  doc.numbers["virtual.p1_speedup"] = 1.0;
-  doc.numbers["virtual.p2_speedup"] = 1.8;
-  doc.numbers["virtual.p4_speedup"] = 3.4;
-  doc.numbers["virtual.p8_speedup"] = 6.5;
-  doc.numbers["virtual.p16_speedup"] = 11.7;
-  doc.numbers["virtual.halo_mismatches"] = 0;
-  doc.numbers["errors.total"] = 0;
-  return doc;
-}
-
-}  // namespace
-
-TEST(StencilSchema, WellFormedDocumentPasses) {
-  EXPECT_TRUE(loadgen::stencil_schema_violations(stencil_doc()).empty());
-}
-
-TEST(StencilSchema, WrongBenchNameShortCircuits) {
-  auto doc = stencil_doc();
-  doc.strings["bench"] = "serve";
-  const auto violations = loadgen::stencil_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("'serve'"), std::string::npos);
-}
-
-TEST(StencilSchema, MissingKernelKeyIsAViolation) {
-  auto doc = stencil_doc();
-  doc.numbers.erase("kernels.simd_cells_per_s");
-  const auto violations = loadgen::stencil_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("kernels.simd_cells_per_s"),
-            std::string::npos);
-}
-
-TEST(StencilSchema, MissingCurvePointIsAViolation) {
-  auto doc = stencil_doc();
-  doc.numbers.erase("virtual.p8_speedup");
-  const auto violations = loadgen::stencil_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("virtual.p8_speedup"), std::string::npos);
-}
-
-TEST(StencilSchema, ParityMismatchIsAViolation) {
-  auto doc = stencil_doc();
-  doc.numbers["parity.mismatches"] = 1;
-  const auto violations = loadgen::stencil_schema_violations(doc);
-  ASSERT_FALSE(violations.empty());
-  EXPECT_NE(violations[0].find("parity.mismatches"), std::string::npos);
-}
-
-TEST(StencilSchema, HaloMismatchIsAViolation) {
-  auto doc = stencil_doc();
-  doc.numbers["virtual.halo_mismatches"] = 2;
-  const auto violations = loadgen::stencil_schema_violations(doc);
-  ASSERT_FALSE(violations.empty());
-  EXPECT_NE(violations[0].find("halo"), std::string::npos);
-}
-
-TEST(StencilSchema, WeakSpeedupHeadlineIsAViolation) {
-  auto doc = stencil_doc();
-  doc.numbers["virtual.p4_speedup"] = 1.1;
-  const auto violations = loadgen::stencil_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("p4_speedup"), std::string::npos);
-}

@@ -7,8 +7,8 @@
 // (loadgen::perf_schema_violations), then re-measured with the same
 // function that wrote it — 4 s runs on the document's seed — and compared
 // under loadgen::perf_gate_rules. BENCH_search_scale.json re-measures its
-// 10k section and has its 100k claim checked; BENCH_stencil.json and
-// BENCH_sweep_serve.json are checked structurally.
+// 10k section and has its 100k claim checked; BENCH_sweep_serve.json is
+// checked structurally.
 //
 // Tolerance is multiplicative (5x, see loadgen/gate.hpp): absolute numbers
 // vary wildly across CI runners, while an order-of-magnitude cliff is a
@@ -247,15 +247,6 @@ int main(int argc, char** argv) {
     return pdcu::benchjson::search_scale_summary_json("bench_gate",
                                                       {10'000});
   });
-
-  loadgen::BenchDoc stencil;
-  if (!load_baseline("BENCH_stencil.json", stencil)) return 2;
-  std::snprintf(detail, sizeof detail,
-                "%.2fx virtual speedup at 4 ranks, simd=%s",
-                stencil.number("virtual.p4_speedup", 0.0),
-                stencil.text("simd.dispatched").c_str());
-  violations += structural(
-      "stencil", loadgen::stencil_schema_violations(stencil), detail);
 
   loadgen::BenchDoc sweep;
   if (!load_baseline("BENCH_sweep_serve.json", sweep)) return 2;
