@@ -9,10 +9,14 @@
 // posting lists — with small directory vectors of views pointing into it.
 // The buffer is either heap-owned (built or deserialized) or a shared
 // memory-mapped file (`mmap_index` in serialize.hpp), and the query path is
-// identical either way: postings decode on the fly from the packed
-// little-endian records (one word load per field), so
-// `pdcu serve --index --mmap` serves straight from the page cache without
-// materializing a single heap posting.
+// identical either way: document ids and term frequencies decode on the
+// fly from the packed little-endian records (one word load per field), so
+// `pdcu serve --index --mmap` serves its postings straight from the page
+// cache. What attach derives lives on the heap in both cases, `--mmap`
+// included: per-document norms, per-term idf and maxima, per-block maxima,
+// and one double per posting, its BM25F contribution, which the rankers
+// read instead of recomputing it. That double is never serialized, so the
+// payload format does not depend on it.
 //
 // Construction can run in parallel on the existing rt::ThreadPool: each
 // block of documents tokenizes and numbers its own terms, and one pass in
@@ -30,16 +34,23 @@
 // the same top-k. Per term the index keeps the maximum BM25F contribution
 // of any posting and of every kBlockPostings-posting block. By default
 // (SearchOptions::Algo::kAuto) a query whose every list is dense — two or
-// more lists, each holding at least 1/8 of the shard's documents — is
-// scored term-at-a-time into one reused score array, because pruning
-// skips little on such lists. Any other query runs document-at-a-time
-// block-max WAND: documents whose bounds cannot reach the current top-k
-// threshold are skipped without scoring, often a whole block at a time.
-// Both are rank-safe: candidate documents are always scored with the
-// exact BM25F sum in query-term order, so the returned top-k (documents,
-// scores, and order) is bit-identical to exhaustive scoring; the property
-// suites in tests/search/scale_test.cpp and ranking_oracle_test.cpp lock
-// this in across synthetic corpora.
+// more lists, each holding at least 1/kDenseDivisor of the shard's
+// documents — is scored term-at-a-time into one reused score array,
+// because pruning skips little on such lists. Any other query runs
+// document-at-a-time block-max WAND: documents whose bounds cannot reach
+// the current top-k threshold are skipped without scoring, often a whole
+// block at a time. Before WAND seeks the lists that lag behind a pivot
+// document, it probes it: the exact contributions of the lists already on
+// it plus the lagging lists' block maxima there bound its score, and a
+// pivot under the threshold is stepped over without seeking anything.
+// Every strategy is rank-safe: candidate documents are always scored with
+// the exact BM25F sum in query-term order, so the returned top-k
+// (documents, scores, and order) is bit-identical to exhaustive scoring;
+// the property suites in tests/search/scale_test.cpp and
+// ranking_oracle_test.cpp lock this in across synthetic corpora.
+//
+// A hit's snippet looks only for the query terms its body holds (a
+// posting with a body count), since no other term can match there.
 #pragma once
 
 #include <cstddef>
@@ -90,6 +101,15 @@ inline constexpr std::size_t kPostingBytes = 10;
 /// bytes (derived at attach, never serialized) and skips 3-10x more
 /// postings than 128 did on the synthetic corpus.
 inline constexpr std::size_t kBlockPostings = 16;
+
+/// kAuto ranks a shard term-at-a-time when the query has at least two
+/// lists and each holds at least 1/kDenseDivisor of the shard's documents.
+/// With stored contributions a term-at-a-time posting costs one load and
+/// one add, plus one pass over the shard's score slots, while block-max
+/// WAND still takes a pivot round per few documents on such lists. 32 was
+/// the fastest of 8/16/32/64 end to end on perfbench's search_corpus mix
+/// (EXPERIMENTS.md, "Stored contributions").
+inline constexpr std::size_t kDenseDivisor = 32;
 
 /// All postings of one term, ascending by document id (builder/loader
 /// exchange format; the index itself serves packed views).
@@ -271,8 +291,8 @@ struct SearchOptions {
 
   enum class Algo {
     /// Per shard: term-at-a-time accumulation when every one of two or
-    /// more query lists holds at least 1/8 of the shard's documents, else
-    /// kMaxScore.
+    /// more query lists holds at least 1/kDenseDivisor of the shard's
+    /// documents, else kMaxScore.
     kAuto,
     kExhaustive,  ///< score every posting of every query term
     kMaxScore,    ///< block-max early termination (rank-safe)
@@ -354,8 +374,9 @@ class SearchIndex {
   /// True when the payload is a view into a memory-mapped file.
   bool mapped() const { return mapping_ != nullptr; }
 
-  /// The exact per-posting BM25F contribution, exposed so the scale suite
-  /// can verify the stored block bounds really dominate every posting.
+  /// The exact per-posting BM25F contribution, computed from the posting
+  /// (not read from the stored ones), exposed so the scale and oracle
+  /// suites can verify the stored bounds and scores against it.
   double posting_contribution(std::size_t term_index,
                               const Posting& posting) const;
   /// The stored upper bound of one term (max over its postings).
@@ -388,7 +409,8 @@ class SearchIndex {
   std::vector<ListRange> shard_lists(const Query& query, std::size_t lo,
                                      std::size_t hi) const;
   /// True when kAuto should rank [lo, hi) with rank_accumulate: at least
-  /// two lists, each holding at least 1/8 of the range's documents.
+  /// two lists, each holding at least 1/kDenseDivisor of the range's
+  /// documents.
   static bool dense(const std::vector<ListRange>& lists, std::size_t lo,
                     std::size_t hi);
   /// Term-at-a-time scoring of [lo, hi) into one score array; identical
@@ -412,12 +434,20 @@ class SearchIndex {
   std::vector<TermView> terms_;  ///< sorted by term
   std::unordered_map<std::string_view, std::uint32_t> doc_by_slug_;
 
+  /// The stored BM25F contribution of every posting of term `t`, indexed
+  /// like its PostingsView.
+  const double* contributions(std::size_t t) const {
+    return contrib_.data() + contrib_offset_[t];
+  }
+
   /// Scoring metadata, derived from the payload on attach.
   double avg_weighted_len_ = 0.0;
   FieldBoosts boosts_;
   std::vector<double> doc_norm_;   ///< BM25 length normalization per doc
   std::vector<double> term_idf_;   ///< per term
   std::vector<double> term_max_;   ///< max contribution per term
+  std::vector<double> contrib_;    ///< contribution per posting, by term
+  std::vector<std::size_t> contrib_offset_;  ///< per term, into contrib_
   std::vector<std::uint32_t> block_offset_;    ///< per term, into block_*
   std::vector<std::uint32_t> block_last_doc_;  ///< last doc id per block
   std::vector<double> block_max_;  ///< max contribution per block

@@ -33,14 +33,6 @@ constexpr double kBoundPad = 1.0 + 1e-9;
 
 constexpr std::uint32_t kNoDoc = std::numeric_limits<std::uint32_t>::max();
 
-/// kAuto ranks a shard term-at-a-time (rank_accumulate) when the query has
-/// at least two lists and each holds at least 1/kDenseDivisor of the
-/// shard's documents. Block-max WAND takes about one pivot round per
-/// document on such lists and skips little, while one pass per list into a
-/// flat score array touches each posting once; on sparser lists WAND's
-/// skipping wins.
-constexpr std::size_t kDenseDivisor = 8;
-
 /// One term's postings as the encoder takes them.
 struct TermRef {
   std::string_view term;
@@ -585,10 +577,14 @@ SearchIndex SearchIndex::build(const core::Repository& repo,
   }
 
   const auto indexed = std::chrono::steady_clock::now();
-  auto index = from_payload(splice_payload(old, old_to_new, new_to_old,
-                                           fresh_docs, invert(blocks)));
+  std::string payload =
+      splice_payload(old, old_to_new, new_to_old, fresh_docs, invert(blocks));
+  // The payload holds every tokenized row and posting now: free them
+  // before attach derives a score per posting.
+  blocks = {};
+  fresh_docs = {};
   // A spliced index satisfies every invariant by construction.
-  SearchIndex result = std::move(index).value();
+  SearchIndex result = from_payload(std::move(payload)).value();
 
   if (cache != nullptr) {
     cache->index_ = result;
@@ -652,6 +648,8 @@ Status SearchIndex::attach() {
   doc_norm_.clear();
   term_idf_.clear();
   term_max_.clear();
+  contrib_.clear();
+  contrib_offset_.clear();
   block_offset_.clear();
   block_last_doc_.clear();
   block_max_.clear();
@@ -672,6 +670,7 @@ Status SearchIndex::attach() {
   }
   std::uint32_t term_count = 0;
   reader.read_u32(term_count);
+  std::size_t total_postings = 0;
   for (std::uint32_t t = 0; reader.ok() && t < term_count; ++t) {
     std::string_view term;
     reader.read_view(term);
@@ -681,6 +680,7 @@ Status SearchIndex::attach() {
     reader.read_bytes(std::size_t(posting_count) * kPostingBytes, packed);
     if (reader.ok()) {
       terms_.push_back({term, PostingsView(packed.data(), posting_count)});
+      total_postings += posting_count;
     }
   }
   if (!reader.ok() || !reader.exhausted()) {
@@ -739,12 +739,16 @@ Status SearchIndex::attach() {
     doc_norm_[d] = kK1 * (1.0 - kB + kB * doc_len / avg_weighted_len_);
   }
 
-  // Per-term idf plus the MaxScore metadata: the maximum contribution of
-  // any posting of the term, and the same maximum per 128-posting block
-  // alongside each block's last document id (for seek-time block lookup).
+  // Per-term idf, every posting's contribution (the rankers read it
+  // instead of decoding and dividing), plus the MaxScore metadata: the
+  // maximum contribution of any posting of the term, and the same maximum
+  // per kBlockPostings-posting block alongside each block's last document
+  // id (for seek-time block lookup).
   const double n = double(docs_.size());
   term_idf_.resize(terms_.size());
   term_max_.resize(terms_.size());
+  contrib_.reserve(total_postings);
+  contrib_offset_.reserve(terms_.size());
   block_offset_.reserve(terms_.size() + 1);
   block_offset_.push_back(0);
   for (std::size_t t = 0; t < terms_.size(); ++t) {
@@ -752,12 +756,14 @@ Status SearchIndex::attach() {
     const double df = double(postings.size());
     const double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
     term_idf_[t] = idf;
+    contrib_offset_.push_back(contrib_.size());
     double max_term = 0.0;
     double max_block = 0.0;
     for (std::size_t p = 0; p < postings.size(); ++p) {
       const Posting posting = postings[p];
       const double value = contribution(idf, weighted_tf(boosts_, posting),
                                         doc_norm_[posting.doc]);
+      contrib_.push_back(value);
       max_term = std::max(max_term, value);
       max_block = std::max(max_block, value);
       const bool block_end =
@@ -864,20 +870,19 @@ void SearchIndex::rank_accumulate(const std::vector<ListRange>& lists,
                                   const std::vector<char>* allowed,
                                   std::size_t lo, std::size_t hi,
                                   Ranked& out) const {
-  // Term-at-a-time: each list adds its contributions into one score slot
-  // per document of the shard, list by list in query-term order — the
-  // summation order of rank_exhaustive, so every score matches it bit for
-  // bit. attach() guarantees every contribution is above zero, so a slot
-  // above zero is exactly a matched document.
+  // Term-at-a-time: each list adds its stored contributions into one
+  // score slot per document of the shard, list by list in query-term order
+  // — the summation order of rank_exhaustive, and the same doubles, so
+  // every score matches it bit for bit. attach() guarantees every
+  // contribution is above zero, so a slot above zero is exactly a matched
+  // document.
   thread_local std::vector<double> scores;
   scores.assign(hi - lo, 0.0);
   for (const ListRange& list : lists) {
-    const double idf = term_idf_[list.term];
     const PostingsView& postings = terms_[list.term].postings;
+    const double* contrib = contributions(list.term);
     for (std::size_t p = list.pos; p < list.end; ++p) {
-      const Posting posting = postings[p];
-      scores[posting.doc - lo] += contribution(
-          idf, weighted_tf(boosts_, posting), doc_norm_[posting.doc]);
+      scores[postings.doc_at(p) - lo] += contrib[p];
     }
   }
   for (std::size_t d = lo; d < hi; ++d) {
@@ -897,11 +902,12 @@ void SearchIndex::rank_maxscore(const std::vector<ListRange>& lists,
   // Document-at-a-time block-max WAND. Documents whose whole-list (and then
   // whole-block) upper bounds cannot beat the current top-k threshold are
   // skipped without being scored; every surviving candidate is scored
-  // exactly, in query-term order, so results match the exhaustive scorer
-  // bit for bit.
+  // exactly from the stored contributions, in query-term order, so results
+  // match the exhaustive scorer bit for bit.
   struct Cur {
     std::uint32_t term = 0;  ///< index into terms_
     PostingsView postings;
+    const double* contrib = nullptr;  ///< stored contribution per posting
     std::size_t pos = 0;
     std::size_t end = 0;
     std::uint32_t doc = kNoDoc;  ///< doc at pos; kNoDoc when exhausted
@@ -929,6 +935,7 @@ void SearchIndex::rank_maxscore(const std::vector<ListRange>& lists,
     Cur cursor;
     cursor.term = list.term;
     cursor.postings = terms_[list.term].postings;
+    cursor.contrib = contributions(list.term);
     cursor.pos = list.pos;
     cursor.end = list.end;
     cursor.doc = cursor.postings.doc_at(cursor.pos);
@@ -952,9 +959,9 @@ void SearchIndex::rank_maxscore(const std::vector<ListRange>& lists,
         continue;
       }
       for (; c.pos < stop; ++c.pos) {
-        const Posting posting = c.postings[c.pos];
-        if (allowed != nullptr && !(*allowed)[posting.doc]) continue;
-        out.offer(posting_contribution(c.term, posting), posting.doc);
+        const std::uint32_t doc = c.postings.doc_at(c.pos);
+        if (allowed != nullptr && !(*allowed)[doc]) continue;
+        out.offer(c.contrib[c.pos], doc);
       }
     }
     return;
@@ -1090,8 +1097,7 @@ void SearchIndex::rank_maxscore(const std::vector<ListRange>& lists,
         parts.clear();
         for (std::size_t i = 0; i <= p; ++i) {
           const Cur& c = cursors[sorted[i]];
-          parts.emplace_back(sorted[i],
-                             posting_contribution(c.term, c.postings[c.pos]));
+          parts.emplace_back(sorted[i], c.contrib[c.pos]);
         }
         std::sort(parts.begin(), parts.end());
         double score = 0.0;
@@ -1100,10 +1106,35 @@ void SearchIndex::rank_maxscore(const std::vector<ListRange>& lists,
       }
       for (std::size_t i = 0; i <= p; ++i) advance(cursors[sorted[i]]);
     } else {
-      // Not aligned yet: leapfrog the lagging lists to the pivot. The
-      // documents they jump over live only in lists whose combined maxima
-      // sit below the threshold.
-      for (std::size_t i = 0; i < p; ++i) seek(cursors[sorted[i]], pivot_doc);
+      // Not aligned yet, which needs a full heap (while it fills, the pivot
+      // is the first sorted list), so the block refinement above left every
+      // shallow pointer of [0, p] at pivot_doc. Probe before seeking: the
+      // lists on pivot_doc give their exact contributions, each lagging
+      // list at most its block maximum there, and the lists past p start
+      // after it. When that bound misses the threshold, pivot_doc cannot
+      // enter; step the lists on it and leave the lagging ones where they
+      // are.
+      double bound = 0.0;
+      std::size_t lagging = 0;  // sorted[0, lagging) sit before pivot_doc
+      for (std::size_t i = 0; i <= p; ++i) {
+        const Cur& c = cursors[sorted[i]];
+        if (c.doc == pivot_doc) {
+          bound += c.contrib[c.pos];
+        } else {
+          ++lagging;
+          if (c.sb < block_offset_[c.term + 1]) bound += block_max_[c.sb];
+        }
+      }
+      if (bound * kBoundPad < theta) {
+        for (std::size_t i = lagging; i <= p; ++i) advance(cursors[sorted[i]]);
+        continue;
+      }
+      // Leapfrog the lagging lists to the pivot. The documents they jump
+      // over live only in lists whose combined maxima sit below the
+      // threshold.
+      for (std::size_t i = 0; i < lagging; ++i) {
+        seek(cursors[sorted[i]], pivot_doc);
+      }
     }
   }
 }
@@ -1228,6 +1259,17 @@ std::vector<Hit> SearchIndex::search(const Query& query,
     }
   }
 
+  // A snippet looks only for the query terms its hit's body holds:
+  // index_block counts tf_body over exactly the tokens of DocView::body, so
+  // the other terms cannot match there, and without them the snippet's
+  // walk settles once the present terms are covered.
+  std::vector<const TermView*> snippet_lists;
+  if (options.snippets) {
+    for (const auto& term : query.terms) {
+      snippet_lists.push_back(find_term(term));
+    }
+  }
+  std::vector<std::string> body_terms;
   hits.reserve(top.size());
   for (const auto& entry : top) {
     Hit hit;
@@ -1236,7 +1278,18 @@ std::vector<Hit> SearchIndex::search(const Query& query,
     hit.title = std::string(docs_[entry.doc].title);
     hit.score = entry.score;
     if (options.snippets) {
-      hit.snippet = make_snippet(docs_[entry.doc].body, query.terms);
+      body_terms.clear();
+      for (std::size_t t = 0; t < snippet_lists.size(); ++t) {
+        if (snippet_lists[t] == nullptr) continue;
+        const PostingsView& postings = snippet_lists[t]->postings;
+        const std::size_t p =
+            lower_bound_doc(postings, 0, postings.size(), entry.doc);
+        if (p < postings.size() && postings.doc_at(p) == entry.doc &&
+            postings[p].tf_body > 0) {
+          body_terms.push_back(query.terms[t]);
+        }
+      }
+      hit.snippet = make_snippet(docs_[entry.doc].body, body_terms);
     }
     hits.push_back(std::move(hit));
   }

@@ -49,20 +49,24 @@ Snippet make_snippet(std::string_view body,
                      std::size_t window) {
   Snippet snippet;
 
-  // stem() keeps a word's first byte and removes at most 5 bytes ("-s",
-  // "-ing" and a doubled consonant), so a raw word can only normalize to a
-  // term that starts with its lowercased first byte and is 0-5 bytes
-  // shorter. Every other word is dropped before lowercasing and stemming.
+  // stem() only drops trailing bytes (at most 5: "-s", "-ing" and a
+  // doubled consonant), and its one rewrite turns "-ies" into "-y". So a
+  // raw word can only normalize to a term 0-5 bytes shorter whose every
+  // byte but the last is the word's lowercased prefix; a one-byte term
+  // comes only from the same one-byte word, so its byte is compared too.
+  // Every other word is dropped before lowercasing and stemming.
   const auto could_match = [&terms](std::string_view word) {
-    const char first = word[0] >= 'A' && word[0] <= 'Z'
-                           ? static_cast<char>(word[0] - 'A' + 'a')
-                           : word[0];
-    return std::any_of(terms.begin(), terms.end(),
-                       [&](const std::string& term) {
-                         return !term.empty() && term[0] == first &&
-                                term.size() <= word.size() &&
-                                word.size() <= term.size() + 5;
-                       });
+    const auto same = [](char t, char w) {
+      return t == (w >= 'A' && w <= 'Z' ? static_cast<char>(w - 'A' + 'a')
+                                        : w);
+    };
+    return std::any_of(terms.begin(), terms.end(), [&](const std::string& t) {
+      if (t.empty() || t.size() > word.size() || word.size() > t.size() + 5) {
+        return false;
+      }
+      const std::size_t prefix = std::max<std::size_t>(1, t.size() - 1);
+      return std::equal(t.begin(), t.begin() + prefix, word.begin(), same);
+    });
   };
   // A duplicate term matches as its first copy, so only first copies can
   // be covered.
@@ -112,9 +116,11 @@ Snippet make_snippet(std::string_view body,
     if (end < body.size()) end = snap_forward(body, end);
   };
 
+  // Without terms nothing can match: the head of the body, unwalked.
   bool settled = false;
   TokenWalker walker(body);
-  while (walker.next_word() && !(settled && walker.begin() >= end)) {
+  while (!terms.empty() && walker.next_word() &&
+         !(settled && walker.begin() >= end)) {
     if (!could_match(walker.word()) || !walker.normalize()) continue;
     const auto it = std::find(terms.begin(), terms.end(), walker.term());
     if (it == terms.end()) continue;

@@ -219,14 +219,4 @@ Expected<std::vector<StampedFile>> list_stamped(
   return files;
 }
 
-Expected<std::vector<std::filesystem::path>> list_files(
-    const std::filesystem::path& dir, const std::string& extension) {
-  auto listed = list_stamped(dir, extension);
-  if (!listed) return listed.error();
-  std::vector<std::filesystem::path> paths;
-  paths.reserve(listed.value().size());
-  for (auto& file : listed.value()) paths.push_back(std::move(file.path));
-  return paths;
-}
-
 }  // namespace pdcu::fs

@@ -44,8 +44,4 @@ struct StampedFile {
 Expected<std::vector<StampedFile>> list_stamped(
     const std::filesystem::path& dir, const std::string& extension);
 
-/// The paths of list_stamped(dir, extension).
-Expected<std::vector<std::filesystem::path>> list_files(
-    const std::filesystem::path& dir, const std::string& extension);
-
 }  // namespace pdcu::fs

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pdcu/core/repository.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/search/query.hpp"
+#include "pdcu/support/rng.hpp"
 
 namespace search = pdcu::search;
 namespace core = pdcu::core;
@@ -147,6 +150,59 @@ TEST(SearchIndex, HitsCarrySnippetsWithHighlights) {
   ASSERT_FALSE(hits.empty());
   EXPECT_FALSE(hits[0].snippet.text.empty());
   EXPECT_FALSE(hits[0].snippet.highlights.empty());
+}
+
+TEST(SearchIndex, SnippetsEqualThoseOfTheWholeQuery) {
+  // A hit's snippet looks only for the query terms its body holds; it must
+  // equal the snippet built from every query term.
+  const auto& terms = index().terms();
+  pdcu::Rng rng(17);
+  for (int round = 0; round < 300; ++round) {
+    search::Query query;
+    const auto count = 1 + rng.below(3);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      query.terms.emplace_back(terms[rng.below(terms.size())].term);
+    }
+    for (const auto& hit : index().search(
+             query, &core::Repository::builtin().index(), 20)) {
+      const auto want =
+          search::make_snippet(index().docs()[hit.doc].body, query.terms);
+      EXPECT_EQ(hit.snippet.text, want.text) << hit.slug;
+      EXPECT_EQ(hit.snippet.highlights, want.highlights) << hit.slug;
+      EXPECT_EQ(hit.snippet.clipped_front, want.clipped_front) << hit.slug;
+      EXPECT_EQ(hit.snippet.clipped_back, want.clipped_back) << hit.slug;
+    }
+  }
+}
+
+TEST(SearchIndex, TitleOrTagOnlyTermGivesTheHeadOfTheBody) {
+  // The first posting of any term whose body count is zero: the term is in
+  // that document's title or tags only.
+  const auto& terms = index().terms();
+  std::size_t checked = 0;
+  for (std::size_t t = 0; t < terms.size() && checked < 20; ++t) {
+    for (const search::Posting posting : terms[t].postings) {
+      if (posting.tf_body != 0) continue;
+      search::Query query;
+      query.terms = {std::string(terms[t].term)};
+      const auto hits =
+          index().search(query, &core::Repository::builtin().index(), 100);
+      const auto hit = std::find_if(
+          hits.begin(), hits.end(),
+          [&](const search::Hit& h) { return h.doc == posting.doc; });
+      ASSERT_NE(hit, hits.end()) << terms[t].term;
+      const auto body = index().docs()[posting.doc].body;
+      const auto head = search::make_snippet(body, {});
+      EXPECT_EQ(hit->snippet.text, head.text) << terms[t].term;
+      EXPECT_TRUE(hit->snippet.highlights.empty()) << terms[t].term;
+      EXPECT_FALSE(hit->snippet.clipped_front) << terms[t].term;
+      EXPECT_EQ(hit->snippet.clipped_back, head.clipped_back);
+      EXPECT_EQ(body.substr(0, head.text.size()), head.text);
+      ++checked;
+      break;
+    }
+  }
+  EXPECT_EQ(checked, 20u);
 }
 
 TEST(SearchIndex, FindTermLooksUpNormalizedTerms) {

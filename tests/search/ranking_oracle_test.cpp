@@ -4,7 +4,9 @@
 // is the reference every execution strategy must reproduce exactly:
 // kAuto (term-at-a-time accumulation on dense lists, block-max WAND
 // otherwise), kMaxScore, kExhaustive, and pool-sharded runs whose shard
-// boundaries split dense lists. Documents, order and score bits must all
+// boundaries split dense lists. posting_contribution computes from the
+// postings, while the rankers read the contributions attach() stored, so
+// the oracle also checks those. Documents, order and score bits must all
 // match.
 #include <gtest/gtest.h>
 
@@ -120,7 +122,8 @@ void expect_matches(const std::vector<Ranked>& want,
 }
 
 /// Lists of `query` holding at least one posting, and whether each holds
-/// at least 1/8 of the corpus (kAuto's density rule over the full range).
+/// at least 1/kDenseDivisor of the corpus (kAuto's density rule over the
+/// full range).
 struct Shape {
   std::size_t lists = 0;
   bool all_dense = true;
@@ -132,18 +135,20 @@ Shape shape(const Fixture& fix, const search::Query& query) {
     const search::TermView* entry = fix.index.find_term(term);
     if (entry == nullptr) continue;
     ++out.lists;
-    out.all_dense = out.all_dense &&
-                    entry->postings.size() >= fix.index.doc_count() / 8;
+    out.all_dense =
+        out.all_dense && entry->postings.size() >=
+                             fix.index.doc_count() / search::kDenseDivisor;
   }
   return out;
 }
 
 std::string word(std::size_t rank) { return corpus::term_at_rank(rank); }
 
-/// Dense pairs and triples of head ranks, head plus rare, sparse pairs,
-/// single terms, one and two filters, and pairs of the head term with the
-/// indexed terms whose lists sit closest to 1/8 of the corpus on either
-/// side.
+/// Dense pairs and triples of head ranks, head plus rare, head pairs plus a
+/// rare term (where WAND's lazy probes skip most candidates), sparse
+/// pairs, single terms, one and two filters, and pairs of the head term
+/// with the indexed terms whose lists sit closest to 1/8 and to
+/// 1/kDenseDivisor of the corpus on either side, each also filtered.
 std::vector<search::Query> queries(const Fixture& fix) {
   std::vector<std::string> texts = {
       word(0) + " " + word(1),
@@ -152,6 +157,10 @@ std::vector<search::Query> queries(const Fixture& fix) {
       word(1) + " " + word(3) + " " + word(4),
       word(0) + " " + word(150),
       word(1) + " " + word(400),
+      word(0) + " " + word(1) + " " + word(300),
+      word(1) + " " + word(2) + " " + word(500),
+      word(0) + " " + word(2) + " " + word(150) + " course:CS1",
+      word(0) + " " + word(1) + " " + word(400) + " sense:touch",
       word(120) + " " + word(200),
       word(300) + " " + word(500),
       word(0),
@@ -165,19 +174,25 @@ std::vector<search::Query> queries(const Fixture& fix) {
   std::vector<search::Query> out;
   for (const auto& text : texts) out.push_back(search::parse_query(text));
 
-  const std::size_t eighth = fix.index.doc_count() / 8;
-  std::vector<std::pair<std::size_t, std::string_view>> by_gap;
-  for (const auto& term : fix.index.terms()) {
-    const std::size_t df = term.postings.size();
-    by_gap.emplace_back(df > eighth ? df - eighth : eighth - df, term.term);
-  }
-  std::sort(by_gap.begin(), by_gap.end());
   const std::string head = out.front().terms.front();
-  for (std::size_t i = 0; i < std::min<std::size_t>(6, by_gap.size()); ++i) {
-    if (by_gap[i].second == head) continue;
-    search::Query query;
-    query.terms = {head, std::string(by_gap[i].second)};
-    out.push_back(query);
+  const search::Query filter = search::parse_query("course:CS1");
+  for (const std::size_t divisor : {std::size_t{8}, search::kDenseDivisor}) {
+    const std::size_t edge = fix.index.doc_count() / divisor;
+    std::vector<std::pair<std::size_t, std::string_view>> by_gap;
+    for (const auto& term : fix.index.terms()) {
+      const std::size_t df = term.postings.size();
+      by_gap.emplace_back(df > edge ? df - edge : edge - df, term.term);
+    }
+    std::sort(by_gap.begin(), by_gap.end());
+    for (std::size_t i = 0; i < std::min<std::size_t>(6, by_gap.size());
+         ++i) {
+      if (by_gap[i].second == head) continue;
+      search::Query query;
+      query.terms = {head, std::string(by_gap[i].second)};
+      out.push_back(query);
+      query.filters = filter.filters;
+      out.push_back(query);
+    }
   }
   return out;
 }
@@ -209,7 +224,7 @@ TEST_P(RankingOracle, EveryStrategyMatchesBruteForce) {
     const Shape s = shape(fix, query);
     saw_dense = saw_dense || (s.lists >= 2 && s.all_dense);
     saw_sparse = saw_sparse || (s.lists >= 2 && !s.all_dense);
-    for (const std::size_t limit : {1u, 10u}) {
+    for (const std::size_t limit : {1u, 10u, 50u}) {
       const auto want = brute_force(fix, query, limit);
       const auto label = describe(query) + "limit=" + std::to_string(limit);
       for (const Algo algo : {Algo::kAuto, Algo::kMaxScore,

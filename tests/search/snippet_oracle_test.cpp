@@ -253,3 +253,63 @@ TEST(SnippetOracle, SettledWindowStillHighlightsToTheSnippetEnd) {
     expect_same(body, {"sort", "merge"}, window);
   }
 }
+
+TEST(SnippetOracle, BodyPresentTermsGiveTheSameSnippet) {
+  // SearchIndex::search passes make_snippet only the query terms the hit's
+  // body holds; the terms it drops never match there, so the snippet must
+  // not change.
+  pdcu::Rng rng(99);
+  for (int round = 0; round < 1500; ++round) {
+    const std::string body = random_body(rng, rng.below(120));
+    const auto terms = random_terms(rng);
+    const auto tokens = search::tokenize(body);
+    std::vector<std::string> present;
+    for (const auto& term : terms) {
+      if (std::find(tokens.begin(), tokens.end(), term) != tokens.end()) {
+        present.push_back(term);
+      }
+    }
+    for (const std::size_t window : {8u, 24u, 60u, 160u, 400u}) {
+      const search::Snippet all = search::make_snippet(body, terms, window);
+      const search::Snippet some = search::make_snippet(body, present, window);
+      EXPECT_EQ(all.text, some.text) << body;
+      EXPECT_EQ(all.highlights, some.highlights) << body;
+      EXPECT_EQ(all.clipped_front, some.clipped_front) << body;
+      EXPECT_EQ(all.clipped_back, some.clipped_back) << body;
+      expect_same(body, present, window);
+    }
+  }
+}
+
+TEST(SnippetOracle, InflectedFormsStillHighlight) {
+  // could_match compares every byte of a term but its last with the raw
+  // word's lowercased prefix; each inflection stem() undoes must pass it.
+  struct Case {
+    std::string word;  ///< as it stands in the body
+    std::string term;  ///< the normalized query term
+  };
+  for (const Case& c : std::vector<Case>{
+           {"cards", "card"},          // plural -s
+           {"processes", "process"},   // plural -es
+           {"passes", "pass"},         // plural -es after a double s
+           {"copies", "copy"},         // plural -ies
+           {"sorting", "sort"},        // -ing
+           {"sorted", "sort"},         // -ed
+           {"stopped", "stop"},        // -ed after a doubled consonant
+           {"stopping", "stop"},       // -ing after a doubled consonant
+           {"Students", "student"},    // capitalized plural
+           {"SORTING", "sort"},        // upper case -ing
+           {"Copies", "copy"},         // capitalized -ies
+       }) {
+    ASSERT_EQ(search::tokenize(c.word), std::vector<std::string>{c.term})
+        << c.word;
+    const std::string body = "The class lines up; " + c.word + " follow.";
+    const std::size_t at = body.find(c.word);
+    const auto snippet = search::make_snippet(body, {c.term});
+    ASSERT_EQ(snippet.highlights.size(), 1u) << c.word;
+    EXPECT_EQ(snippet.highlights[0], std::make_pair(at, at + c.word.size()))
+        << c.word;
+    expect_same(body, {c.term}, 160);
+    expect_same(body, {c.term}, 12);
+  }
+}

@@ -63,9 +63,11 @@ class Content {
   const std::filesystem::path& dir() const { return dir_; }
 
   std::vector<std::filesystem::path> files() const {
-    auto listed = fs::list_files(dir_ / "activities", ".md");
+    auto listed = fs::list_stamped(dir_ / "activities", ".md");
     EXPECT_TRUE(listed.has_value());
-    return listed.value();
+    std::vector<std::filesystem::path> paths;
+    for (auto& file : listed.value()) paths.push_back(std::move(file.path));
+    return paths;
   }
 
   core::Activity read(const std::filesystem::path& path) const {

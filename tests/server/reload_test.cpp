@@ -194,11 +194,11 @@ TEST(ReloadManager, MassQuarantineKeepsLastKnownGood) {
   const auto before = fx.http->router();
 
   // Corrupt every activity: the reload must refuse to swap.
-  auto files = fs::list_files(dir / "activities", ".md");
+  auto files = fs::list_stamped(dir / "activities", ".md");
   ASSERT_TRUE(files.has_value());
-  for (const auto& path : files.value()) {
-    EXPECT_TRUE(
-        fs::write_file(path, "---\ndate: 2020-01-01\n---\nno title\n"));
+  for (const auto& file : files.value()) {
+    EXPECT_TRUE(fs::write_file(file.path,
+                               "---\ndate: 2020-01-01\n---\nno title\n"));
   }
   EXPECT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kFailed);
   EXPECT_EQ(fx.metrics.failures(), 1u);

@@ -134,7 +134,7 @@ TEST(FaultInjector, ListFilesCanBeMadeToFail) {
   injector.add_rule({.path_substring = "pdcu_fault_test",
                      .mode = fs::FaultInjector::Mode::kOpenError});
   fs::ScopedFaultInjection scope(injector);
-  auto files = fs::list_files(dir, ".txt");
+  auto files = fs::list_stamped(dir, ".txt");
   ASSERT_FALSE(files.has_value());
   EXPECT_EQ(files.error().code, "fs.listdir");
 }

@@ -52,20 +52,20 @@ TEST(Fs, ListFilesFiltersByExtensionAndSorts) {
   ASSERT_TRUE(fs::write_file(dir / "b.md", "b"));
   ASSERT_TRUE(fs::write_file(dir / "a.md", "a"));
   ASSERT_TRUE(fs::write_file(dir / "c.txt", "c"));
-  auto files = fs::list_files(dir, ".md");
+  auto files = fs::list_stamped(dir, ".md");
   ASSERT_TRUE(files.has_value());
   ASSERT_EQ(files.value().size(), 2u);
-  EXPECT_EQ(files.value()[0].filename(), "a.md");
-  EXPECT_EQ(files.value()[1].filename(), "b.md");
+  EXPECT_EQ(files.value()[0].path.filename(), "a.md");
+  EXPECT_EQ(files.value()[1].path.filename(), "b.md");
 }
 
 TEST(Fs, ListMissingDirectoryFails) {
-  auto files = fs::list_files(temp_dir() / "missing-dir", ".md");
+  auto files = fs::list_stamped(temp_dir() / "missing-dir", ".md");
   EXPECT_FALSE(files.has_value());
 }
 
 TEST(Fs, ListMissingDirectoryErrorNamesThePath) {
-  auto files = fs::list_files(temp_dir() / "missing-dir", ".md");
+  auto files = fs::list_stamped(temp_dir() / "missing-dir", ".md");
   ASSERT_FALSE(files.has_value());
   EXPECT_EQ(files.error().code, "fs.listdir");
   EXPECT_NE(files.error().message.find("missing-dir"), std::string::npos);
@@ -75,7 +75,7 @@ TEST(Fs, ListEmptyDirectorySucceedsWithNoFiles) {
   auto dir = temp_dir() / "empty";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  auto files = fs::list_files(dir, ".md");
+  auto files = fs::list_stamped(dir, ".md");
   ASSERT_TRUE(files.has_value());
   EXPECT_TRUE(files.value().empty());
 }
@@ -96,12 +96,7 @@ TEST(Fs, ListingFollowsPathExtensionAndByteOrder) {
   const std::vector<std::filesystem::path> expected = {
       dir / ".hidden.md", dir / "B.md",    dir / "a-b.md",
       dir / "a.md",       dir / "link.md", dir / "target.md"};
-  auto files = fs::list_files(dir, ".md");
-  ASSERT_TRUE(files.has_value());
-  EXPECT_EQ(files.value(), expected);
-
-  // The stamped listing lists the same files, each stamped by one stat
-  // that follows symlinks.
+  // Each listed file is stamped by one stat that follows symlinks.
   auto stamped = fs::list_stamped(dir, ".md");
   ASSERT_TRUE(stamped.has_value());
   ASSERT_EQ(stamped.value().size(), expected.size());
