@@ -1,19 +1,14 @@
 // Corpus-scale search benchmarks: exhaustive vs block-max MaxScore query
-// latency on deterministic synthetic corpora, plus the query-cache
-// hit/miss split. The google-benchmark timers give per-shape numbers; the
-// trajectory document (BENCH_search_scale.json) is emitted by the same
-// search_scale_summary_json() code tools/bench_gate re-runs, so the
-// committed baseline and the gate can never measure different things.
-//
-// Refresh the committed baseline with:
-//   BENCH_JSON_OUT=BENCH_search_scale.json
-//     ./build/bench/bench_search_scale --benchmark_filter='^$'
+// latency on deterministic synthetic corpora. The google-benchmark timers
+// give per-shape numbers; the trajectory document BENCH_search_scale.json
+// is written and re-measured by tools/bench_gate.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
-#include <string>
+#include <utility>
+#include <vector>
 
-#include "bench_json.hpp"
+#include "pdcu/core/repository.hpp"
 #include "pdcu/search/corpus.hpp"
 #include "pdcu/search/index.hpp"
 #include "pdcu/search/query.hpp"
@@ -97,14 +92,4 @@ BENCHMARK(BM_ScaleIndexBuild)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // The trajectory line bench_gate compares against the committed
-  // BENCH_search_scale.json.
-  pdcu::benchjson::write_summary(
-      pdcu::benchjson::search_scale_summary_json("bench_search_scale"));
-  return 0;
-}
+BENCHMARK_MAIN();

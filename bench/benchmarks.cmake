@@ -45,11 +45,9 @@ pdcu_add_gbench(bench_sync_methods bench/bench_sync_methods.cpp)
 pdcu_add_gbench(bench_reload bench/bench_reload.cpp)
 target_link_libraries(bench_reload PRIVATE pdcu_server)
 
-# Corpus-scale search: synthetic corpora, exhaustive-vs-MaxScore latency,
-# and the query-cache hit/miss split (BENCH_search_scale.json).
+# Corpus-scale search: synthetic corpora, exhaustive-vs-MaxScore latency.
 pdcu_add_gbench(bench_search_scale bench/bench_search_scale.cpp)
-target_link_libraries(bench_search_scale PRIVATE
-  pdcu_search pdcu_server pdcu_loadgen pdcu_obs)
+target_link_libraries(bench_search_scale PRIVATE pdcu_search)
 
 # Stencil compute kernels (Game of Life): serial vs tiled vs SIMD
 # throughput and the classroom halo-exchange run.

@@ -23,7 +23,7 @@ Status rewrite_activity(const std::filesystem::path& content_dir,
   }
   Activity activity = std::move(parsed).value();
   mutate(activity);
-  return fs::write_file(path, write_activity(activity));
+  return fs::replace_file(path, write_activity(activity));
 }
 
 }  // namespace

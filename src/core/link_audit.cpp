@@ -111,7 +111,7 @@ Expected<std::size_t> export_archive_plan(
         readme += "  (materials: " + citation.url + ")\n";
       }
     }
-    auto status = fs::write_file(
+    auto status = fs::replace_file(
         out_dir / "materials" / activity.slug / "README.md", readme);
     if (!status) return status.error();
     ++written;

@@ -1,7 +1,5 @@
 #include "pdcu/loadgen/gate.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "pdcu/support/strings.hpp"
@@ -151,8 +149,8 @@ std::vector<GateRule> scale_gate_rules() {
   };
 }
 
-std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
-                                                 double min_speedup) {
+std::vector<std::string> scale_schema_violations(const BenchDoc& doc) {
+  constexpr double kMinSpeedup = 5.0;
   auto violations = header_violations(doc, "search_scale");
   if (!violations.empty()) return violations;
 
@@ -168,69 +166,19 @@ std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
   }
 
   // The headline claim the baseline commits to: block-max early
-  // termination is at least min_speedup times better at p99 on the
+  // termination is at least kMinSpeedup times better at p99 on the
   // largest corpus.
   if (doc.number("summary.largest_docs", 0.0) < 100'000.0) {
     violations.push_back("summary.largest_docs < 100000");
   }
   const double speedup = doc.number("summary.speedup_p99", 0.0);
-  if (speedup < min_speedup) {
+  if (speedup < kMinSpeedup) {
     char buffer[128];
     std::snprintf(buffer, sizeof buffer,
                   "summary.speedup_p99 %.2f < required %.2fx "
                   "(MaxScore vs exhaustive at the largest corpus)",
-                  speedup, min_speedup);
+                  speedup, kMinSpeedup);
     violations.push_back(buffer);
-  }
-  return violations;
-}
-
-std::vector<std::string> sweep_schema_violations(const BenchDoc& doc) {
-  auto violations = header_violations(doc, "sweep_serve");
-  if (!violations.empty()) return violations;
-
-  // Check each reactor_N point and remember the best served rate so the
-  // summary can be cross-checked.
-  double best = 0.0;
-  int reactor_points = 0;
-  for (int i = 0;; ++i) {
-    const std::string point = "reactor_" + std::to_string(i);
-    if (!doc.has_number(point + ".rate")) break;
-    ++reactor_points;
-    for (const char* field : {"rps", "scheduled", "completed"}) {
-      if (!doc.has_number(point + "." + field)) {
-        violations.push_back(point + "." + field + " missing");
-      }
-    }
-    best = std::max(best, doc.number(point + ".rps", 0.0));
-  }
-  if (reactor_points == 0) {
-    violations.push_back("no reactor_N points in the sweep");
-  }
-  // Every point object ("<name>.rate") must be one of the reactor_N points
-  // just checked.
-  for (const auto& [key, value] : doc.numbers) {
-    const auto dot = key.find('.');
-    if (dot != std::string::npos && key.compare(dot, std::string::npos,
-                                                ".rate") == 0 &&
-        key.compare(0, 8, "reactor_") != 0) {
-      violations.push_back(key.substr(0, dot) + " is not a reactor_N point");
-    }
-  }
-  if (doc.number("points", 0.0) != reactor_points) {
-    violations.push_back("'points' does not match the reactor_N points");
-  }
-
-  // The summary must describe the points it sits next to (small slack for
-  // decimal round-tripping).
-  if (!doc.has_number("summary.reactor_saturation_rps")) {
-    violations.push_back("summary.reactor_saturation_rps missing");
-  } else if (reactor_points > 0 &&
-             std::abs(doc.number("summary.reactor_saturation_rps") - best) >
-                 0.01 * std::max(1.0, best)) {
-    violations.push_back(
-        "summary.reactor_saturation_rps does not match the best reactor "
-        "point");
   }
   return violations;
 }

@@ -3,7 +3,10 @@
 // BENCH_perf_<workload>.json per workload, assembled by perf_doc_json from
 // the stdout of `perfbench/run.py` (untraced and traced), checked
 // structurally (perf_schema_violations) and re-measured against
-// perf_gate_rules. Rules are multiplicative — a latency key fails when
+// perf_gate_rules. The one other document, BENCH_search_scale.json, is
+// checked by scale_schema_violations and re-measured against
+// scale_gate_rules: every document the gate checks structurally, it also
+// re-measures. Rules are multiplicative — a latency key fails when
 // fresh > baseline * tolerance, a throughput key fails when
 // fresh < baseline / tolerance — because absolute perf varies wildly
 // across the containers and CI runners this repo builds on, while an
@@ -68,23 +71,11 @@ std::vector<GateRule> scale_gate_rules();
 
 /// Structural validation of the committed "search_scale" document: both
 /// corpus sizes present with exhaustive/MaxScore percentiles and cache
-/// counters, and the headline claim — MaxScore p99 at least
-/// `min_speedup` times better than exhaustive at >= 100k documents —
-/// actually held when the baseline was measured. Returns human-readable
-/// violations; empty means the document is well-formed.
-std::vector<std::string> scale_schema_violations(const BenchDoc& doc,
-                                                 double min_speedup = 5.0);
-
-/// Structural validation of a "sweep_serve" BENCH document (the
-/// latency-vs-offered-rate sweep committed as BENCH_sweep_serve.json).
-/// The sweep is too expensive to re-measure inside the gate, so the gate
-/// checks the committed document's shape instead: right bench name and
-/// schema, at least one reactor_N point, each carrying rps/scheduled/
-/// completed, no point object that is not a reactor_N point, a 'points'
-/// count matching them, and a summary whose saturation rate is the best
-/// reactor point's. Returns human-readable violations; empty means the
+/// counters, and the headline claim — MaxScore p99 at least 5x better
+/// than exhaustive at >= 100k documents — actually held when the baseline
+/// was measured. Returns human-readable violations; empty means the
 /// document is well-formed.
-std::vector<std::string> sweep_schema_violations(const BenchDoc& doc);
+std::vector<std::string> scale_schema_violations(const BenchDoc& doc);
 
 /// Compares `fresh` against `baseline`: schema versions must match, the
 /// bench names must match, fresh failure counters (any "failed" or

@@ -102,9 +102,8 @@ Expected<std::vector<std::string>> fetch_catalog_slugs(
     const std::string& host, std::uint16_t port,
     std::chrono::milliseconds timeout);
 
-/// Renders a Result as one BENCH-schema JSON object (see bench_json.hpp).
-/// `bench` names the trajectory file family, e.g. "serve".
-std::string render_result_json(const Result& result, std::string_view bench,
-                               const Options& options);
+/// Renders a Result as one BENCH-schema JSON object named "serve" (see
+/// bench_json.hpp).
+std::string render_result_json(const Result& result, const Options& options);
 
 }  // namespace pdcu::loadgen

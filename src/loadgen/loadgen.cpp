@@ -101,9 +101,8 @@ Expected<Result> run_against(const Options& options) {
   return run(options, schedule);
 }
 
-std::string render_result_json(const Result& result, std::string_view bench,
-                               const Options& options) {
-  BenchWriter writer(bench, "loadgen");
+std::string render_result_json(const Result& result, const Options& options) {
+  BenchWriter writer("serve", "loadgen");
   writer.number("target_rate", result.target_rate);
   writer.number("achieved_rate", result.achieved_rate);
   writer.number("rps", result.achieved_rate);

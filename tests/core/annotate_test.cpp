@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/support/fs.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace core = pdcu::core;
@@ -96,5 +100,35 @@ TEST(Annotate, RejectsEmptyNotes) {
   EXPECT_FALSE(core::annotate_assessment(dir, "gardenersandsharedwork", "").has_value());
   EXPECT_FALSE(
       core::annotate_variation(dir, "gardenersandsharedwork", "", "desc").has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Annotate, ReplacesTheFileSoAnOpenReaderKeepsTheOldBytes) {
+  // A watching server may have the activity open while the author
+  // annotates it: it must read the old file or the new one, never a
+  // truncated one.
+  auto dir = fresh_content_dir("pdcu_annotate_replace");
+  const auto activities = dir / "activities";
+  const auto path = activities / "findsmallestcard.md";
+  const auto before = pdcu::fs::read_file(path);
+  ASSERT_TRUE(before.has_value());
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(reader.is_open());
+
+  ASSERT_TRUE(
+      core::annotate_assessment(dir, "findsmallestcard", "a replaced file")
+          .has_value());
+
+  const std::string seen((std::istreambuf_iterator<char>(reader)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(seen, before.value());
+  const auto after = pdcu::fs::read_file(path);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_TRUE(pdcu::strings::contains(after.value(), "a replaced file"));
+  for (const auto& entry : std::filesystem::directory_iterator(activities)) {
+    EXPECT_FALSE(pdcu::strings::contains(entry.path().filename().string(),
+                                         ".tmp."))
+        << entry.path();
+  }
   std::filesystem::remove_all(dir);
 }

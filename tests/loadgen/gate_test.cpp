@@ -1,16 +1,16 @@
 // The bench_gate comparator and structural checks: multiplicative
 // tolerance in the worse direction only, hard-fail on fresh failures,
 // schema/name sanity, the BENCH_perf_<workload>.json schema and its
-// assembly from run.py output.
+// assembly from run.py output, and the BENCH_search_scale.json schema.
 #include "pdcu/loadgen/gate.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "pdcu/loadgen/bench_json.hpp"
-#include "pdcu/loadgen/smoke.hpp"
 
 namespace loadgen = pdcu::loadgen;
 
@@ -267,111 +267,62 @@ TEST(PerfDoc, OutputThatIsNotThreeJsonLinesIsAnError) {
                    .has_value());
 }
 
-loadgen::SweepPoint sweep_point(double rate, double rps) {
-  loadgen::SweepPoint point;
-  point.rate = rate;
-  point.result.achieved_rate = rps;
-  point.result.scheduled = 100;
-  point.result.completed = 100;
-  point.result.peak_connections = 8;
-  return point;
-}
+/// Every per-size field scale_schema_violations requires.
+constexpr const char* kScaleFields[] = {
+    "docs", "build_ms", "exhaustive_p50_us", "exhaustive_p99_us",
+    "maxscore_p50_us", "maxscore_p99_us", "speedup_p99", "cache_hits",
+    "cache_misses", "cache_hit_p99_us", "cache_miss_p99_us",
+    "end_to_end_p99_us", "dense_pair_exhaustive_us", "dense_pair_pruned_us",
+};
 
-/// A structurally valid sweep document, built through the real renderer so
-/// the schema checker is tested against what the tool actually emits.
-loadgen::BenchDoc sweep_doc() {
-  const std::vector<loadgen::SweepPoint> points = {
-      sweep_point(200, 199),
-      sweep_point(800, 795),
-  };
-  const auto parsed = loadgen::parse_bench_json(
-      loadgen::render_sweep_json(points, loadgen::SweepOptions{}));
+/// A "search_scale" document written through BenchWriter, as bench_gate
+/// writes it, with every field at 1 except `omit`, which is left out.
+loadgen::BenchDoc scale_doc(double speedup = 6.5,
+                            std::uint64_t largest_docs = 100'000,
+                            const std::string& omit = "") {
+  loadgen::BenchWriter writer("search_scale", "bench_gate");
+  writer.integer("seed", 42);
+  writer.integer("sizes", 2);
+  for (const char* size : {"docs_10000", "docs_100000"}) {
+    writer.open(size);
+    for (const char* field : kScaleFields) {
+      if (std::string(size) + "." + field != omit) writer.integer(field, 1);
+    }
+    writer.close();
+  }
+  writer.open("summary");
+  writer.integer("largest_docs", largest_docs);
+  writer.number("speedup_p99", speedup);
+  writer.close();
+  const auto parsed = loadgen::parse_bench_json(writer.finish());
   EXPECT_TRUE(parsed.has_value());
   return parsed ? parsed.value() : loadgen::BenchDoc{};
 }
 
-TEST(SweepSchema, RenderedSweepPassesItsOwnChecker) {
-  const auto doc = sweep_doc();
-  const auto violations = loadgen::sweep_schema_violations(doc);
-  EXPECT_TRUE(violations.empty())
-      << (violations.empty() ? "" : violations[0]);
-  // The renderer's summary matches the synthetic best point.
-  EXPECT_DOUBLE_EQ(doc.number("summary.reactor_saturation_rps"), 795.0);
-  EXPECT_DOUBLE_EQ(doc.number("points"), 2.0);
+TEST(ScaleSchema, WellFormedDocumentPasses) {
+  const auto violations = loadgen::scale_schema_violations(scale_doc());
+  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations[0]);
 }
 
-TEST(SweepSchema, WrongBenchNameShortCircuits) {
-  auto doc = sweep_doc();
-  doc.strings["bench"] = "serve";
-  const auto violations = loadgen::sweep_schema_violations(doc);
+TEST(ScaleSchema, MissingFieldIsOneViolationNamingIt) {
+  const auto violations = loadgen::scale_schema_violations(
+      scale_doc(6.5, 100'000, "docs_100000.maxscore_p99_us"));
   ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("sweep_serve"), std::string::npos);
-}
-
-TEST(SweepSchema, MissingSummaryKeyIsAViolation) {
-  auto doc = sweep_doc();
-  doc.numbers.erase("summary.reactor_saturation_rps");
-  const auto violations = loadgen::sweep_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("summary.reactor_saturation_rps"),
+  EXPECT_NE(violations[0].find("docs_100000.maxscore_p99_us"),
             std::string::npos);
 }
 
-TEST(SweepSchema, PointsCountMustMatchThePointObjects) {
-  auto doc = sweep_doc();
-  doc.numbers["points"] = 7;
-  const auto violations = loadgen::sweep_schema_violations(doc);
+TEST(ScaleSchema, SpeedupBelowFiveIsAViolation) {
+  const auto violations = loadgen::scale_schema_violations(scale_doc(4.9));
   ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("points"), std::string::npos);
+  EXPECT_NE(violations[0].find("summary.speedup_p99"), std::string::npos);
 }
 
-TEST(SweepSchema, MissingPerPointFieldIsAViolation) {
-  auto doc = sweep_doc();
-  doc.numbers.erase("reactor_0.rps");
-  const auto violations = loadgen::sweep_schema_violations(doc);
+TEST(ScaleSchema, LargestCorpusBelow100kIsAViolation) {
+  const auto violations =
+      loadgen::scale_schema_violations(scale_doc(6.5, 10'000));
   ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("reactor_0.rps"), std::string::npos);
-}
-
-TEST(SweepSchema, ABackendWithNoPointsIsAViolation) {
-  auto doc = sweep_doc();
-  // Drop every reactor point; the checker must flag the hole and the
-  // stale 'points' count.
-  for (int i = 0; i < 2; ++i) {
-    const std::string prefix = "reactor_" + std::to_string(i) + ".";
-    for (auto it = doc.numbers.begin(); it != doc.numbers.end();) {
-      if (it->first.rfind(prefix, 0) == 0) {
-        it = doc.numbers.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  const auto violations = loadgen::sweep_schema_violations(doc);
-  ASSERT_GE(violations.size(), 2u);
-  EXPECT_NE(violations[0].find("reactor_"), std::string::npos);
-}
-
-TEST(SweepSchema, ANonReactorPointIsAViolation) {
-  // Every point must come from the reactor: a pool_N point (the connection
-  // engine deleted since) is a violation even when 'points' counts it.
-  auto doc = sweep_doc();
-  doc.numbers["pool_0.rate"] = 200.0;
-  doc.numbers["pool_0.rps"] = 13.0;
-  doc.numbers["points"] = 3.0;
-  const auto violations = loadgen::sweep_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 2u);
-  EXPECT_NE(violations[0].find("pool_0"), std::string::npos);
-  EXPECT_NE(violations[1].find("points"), std::string::npos);
-}
-
-TEST(SweepSchema, SummaryMustDescribeTheBestPoint) {
-  auto doc = sweep_doc();
-  doc.numbers["summary.reactor_saturation_rps"] = 5000.0;
-  const auto violations = loadgen::sweep_schema_violations(doc);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("reactor_saturation_rps"),
-            std::string::npos);
+  EXPECT_NE(violations[0].find("summary.largest_docs"), std::string::npos);
 }
 
 }  // namespace

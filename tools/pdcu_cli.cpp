@@ -50,16 +50,14 @@
 //        --mix page:catalog:activity:search or page=6:catalog=1:...,
 //        --zipf S (slug popularity skew, default 1.1),
 //        --keep-alive-ratio F (default 0.9), --timeout-ms N (default
-//        2000), --out FILE (write the BENCH JSON there; default stdout).
+//        2000).
 //        --corpus N (--smoke only: serve a deterministic N-document
 //        synthetic corpus with a search-heavy mix whose query terms
 //        come from the generator's vocabulary; --corpus-seed S).
-//        --sweep drives every offered rate against one embedded server
-//        and emits one "sweep_serve" BENCH document (per-point
-//        reactor_N objects plus a saturation summary).
 //        Latency is measured from each request's *intended* send time
-//        (coordinated-omission-safe); the summary is one versioned
-//        BENCH-schema JSON object.
+//        (coordinated-omission-safe); stdout is one versioned
+//        BENCH-schema JSON object (redirect it to keep it) and the
+//        human summary goes to stderr.
 //   pdcu cluster [options] [content-dir]  replicated serving tier
 //        Real mode (default): spawn --replicas M (default 3) `pdcu serve`
 //        subprocesses and front them with a consistent-hash proxy that
@@ -255,14 +253,12 @@ int stencil_cmd(int argc, char** argv) {
 int loadgen_cmd(int argc, char** argv) {
   pdcu::loadgen::Options options;
   bool smoke = false;
-  bool sweep = false;
   bool port_given = false;
   bool rate_given = false;
   bool duration_given = false;
   bool connections_given = false;
   std::size_t corpus_docs = 0;
   std::uint64_t corpus_seed = 42;
-  std::string out_path;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--host" && i + 1 < argc) {
@@ -297,16 +293,12 @@ int loadgen_cmd(int argc, char** argv) {
         return 2;
       }
       options.schedule.mix = std::move(mix).value();
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--corpus" && i + 1 < argc) {
       corpus_docs = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--corpus-seed" && i + 1 < argc) {
       corpus_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--sweep") {
-      sweep = true;
     } else {
       std::fprintf(stderr, "loadgen: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -318,49 +310,12 @@ int loadgen_cmd(int argc, char** argv) {
                  "server\n");
     return 2;
   }
-  if (sweep) {
-    // Offered-rate sweep; its own BENCH document shape.
-    pdcu::loadgen::SweepOptions sweep_options;
-    if (duration_given) sweep_options.duration_s = options.schedule.duration_s;
-    if (connections_given) sweep_options.connections = options.connections;
-    sweep_options.seed = options.schedule.seed;
-    auto sweep_points = pdcu::loadgen::run_sweep(sweep_options);
-    if (!sweep_points) {
-      std::fprintf(stderr, "loadgen: %s\n",
-                   sweep_points.error().message.c_str());
-      return 1;
-    }
-    const std::string json =
-        pdcu::loadgen::render_sweep_json(sweep_points.value(), sweep_options);
-    if (out_path.empty()) {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::FILE* file = std::fopen(out_path.c_str(), "wb");
-      if (file == nullptr) {
-        std::fprintf(stderr, "loadgen: cannot write '%s'\n",
-                     out_path.c_str());
-        return 1;
-      }
-      std::fwrite(json.data(), 1, json.size(), file);
-      std::fclose(file);
-    }
-    for (const auto& point : sweep_points.value()) {
-      std::fprintf(
-          stderr, "sweep: rate %7.0f -> %8.1f req/s, %llu/%llu ok\n",
-          point.rate, point.result.achieved_rate,
-          static_cast<unsigned long long>(point.result.completed),
-          static_cast<unsigned long long>(point.result.scheduled));
-    }
-    return 0;
-  }
   if (!smoke && !port_given) {
     std::fprintf(stderr,
                  "usage: pdcu loadgen --port N [--host H] [--rate R] "
                  "[--duration S] [--connections N] [--seed N] [--mix M] "
-                 "[--zipf S] [--keep-alive-ratio F] [--timeout-ms N] "
-                 "[--out FILE] | "
-                 "pdcu loadgen --smoke [--corpus N] [--out FILE]"
-                 " | pdcu loadgen --sweep [--out FILE]\n");
+                 "[--zipf S] [--keep-alive-ratio F] [--timeout-ms N] | "
+                 "pdcu loadgen --smoke [--corpus N]\n");
     return 2;
   }
 
@@ -386,19 +341,7 @@ int loadgen_cmd(int argc, char** argv) {
     return 1;
   }
   const auto& r = result.value();
-  const std::string json =
-      pdcu::loadgen::render_result_json(r, "serve", options);
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::FILE* file = std::fopen(out_path.c_str(), "wb");
-    if (file == nullptr) {
-      std::fprintf(stderr, "loadgen: cannot write '%s'\n", out_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-  }
+  std::fputs(pdcu::loadgen::render_result_json(r, options).c_str(), stdout);
   // The human summary goes to stderr so stdout stays a clean JSON object
   // for `pdcu loadgen ... > out.json`.
   std::fprintf(stderr,
