@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "pdcu/obs/exposition.hpp"
+
 namespace pdcu::cluster {
 
 namespace {
@@ -256,7 +258,7 @@ server::Response FrontTier::proxy(const server::Request& request) {
   if (path == "/_front/healthz") return front_healthz();
   if (path == "/_front/metrics") {
     server::Response response;
-    response.set("Content-Type", "text/plain; version=0.0.4; charset=utf-8");
+    response.set("Content-Type", std::string(obs::kExpositionContentType));
     response.body = metrics_.render_text();
     return response;
   }

@@ -53,9 +53,6 @@ class UpstreamPool {
                                 std::chrono::milliseconds connect_timeout,
                                 std::chrono::milliseconds deadline);
 
-  /// Idle sockets currently pooled for host:port (test hook).
-  std::size_t idle_count(const std::string& host, std::uint16_t port) const;
-
   /// Closes every pooled socket (e.g. after a replica was killed).
   void clear();
 
@@ -64,7 +61,7 @@ class UpstreamPool {
   void give_back(const std::string& key, int fd);
 
   const std::size_t max_idle_per_target_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::map<std::string, std::vector<int>> idle_;
 };
 

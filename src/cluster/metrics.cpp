@@ -1,75 +1,45 @@
 #include "pdcu/cluster/metrics.hpp"
 
+#include "pdcu/obs/exposition.hpp"
+
 namespace pdcu::cluster {
 
-namespace {
-
-void counter(std::string& out, const char* name, const char* help,
-             std::uint64_t value) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += " counter\n";
-  out += name;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-void gauge(std::string& out, const char* name, const char* help,
-           std::uint64_t value) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += " gauge\n";
-  out += name;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-}  // namespace
-
 std::string ClusterMetrics::render_text() const {
-  std::string out;
-  counter(out, "pdcu_cluster_requests_total",
-          "Client requests proxied by the front tier.", requests());
-  counter(out, "pdcu_cluster_retries_total",
-          "Upstream attempts beyond each request's first.", retries());
-  counter(out, "pdcu_cluster_failovers_total",
-          "Requests served by a ring successor after their owner failed.",
-          failovers());
-  counter(out, "pdcu_cluster_shed_total",
-          "Requests routed around a degraded-epoch owner.", shed());
-  counter(out, "pdcu_cluster_upstream_errors_total",
-          "Upstream attempts that failed (connect, send, read, timeout, "
-          "or 5xx).",
-          upstream_errors());
-  counter(out, "pdcu_cluster_exhausted_total",
-          "Requests that failed every candidate replica (client saw an "
-          "error).",
-          exhausted());
-  counter(out, "pdcu_cluster_gossip_rounds_total",
-          "Gossip exchanges initiated.", gossip_rounds());
-  counter(out, "pdcu_cluster_gossip_merges_total",
-          "Gossip map entries changed by merged digests.", gossip_merges());
-  counter(out, "pdcu_cluster_probe_failures_total",
-          "Health probes that failed.", probe_failures());
-  counter(out, "pdcu_cluster_ring_moves_total",
-          "Sampled keys whose owner changed when the routable set shifted.",
-          ring_moves());
-  gauge(out, "pdcu_cluster_ring_nodes", "Replicas configured in the ring.",
-        ring_nodes_.load(kRelaxed));
-  gauge(out, "pdcu_cluster_routable_nodes",
-        "Replicas currently considered routable by the front tier.",
-        routable());
-  return out;
+  obs::Exposition out;
+  out.counter("pdcu_cluster_requests_total",
+              "Client requests proxied by the front tier.", requests());
+  out.counter("pdcu_cluster_retries_total",
+              "Upstream attempts beyond each request's first.", retries());
+  out.counter("pdcu_cluster_failovers_total",
+              "Requests served by a ring successor after their owner failed.",
+              failovers());
+  out.counter("pdcu_cluster_shed_total",
+              "Requests routed around a degraded-epoch owner.", shed());
+  out.counter("pdcu_cluster_upstream_errors_total",
+              "Upstream attempts that failed (connect, send, read, timeout, "
+              "or 5xx).",
+              upstream_errors());
+  out.counter("pdcu_cluster_exhausted_total",
+              "Requests that failed every candidate replica (client saw an "
+              "error).",
+              exhausted());
+  out.counter("pdcu_cluster_gossip_rounds_total",
+              "Gossip exchanges initiated.", gossip_rounds());
+  out.counter("pdcu_cluster_gossip_merges_total",
+              "Gossip map entries changed by merged digests.",
+              gossip_merges());
+  out.counter("pdcu_cluster_probe_failures_total",
+              "Health probes that failed.", probe_failures());
+  out.counter("pdcu_cluster_ring_moves_total",
+              "Sampled keys whose owner changed when the routable set "
+              "shifted.",
+              ring_moves());
+  out.gauge("pdcu_cluster_ring_nodes", "Replicas configured in the ring.",
+            ring_nodes_.load(kRelaxed));
+  out.gauge("pdcu_cluster_routable_nodes",
+            "Replicas currently considered routable by the front tier.",
+            routable());
+  return out.take();
 }
 
 }  // namespace pdcu::cluster

@@ -149,13 +149,6 @@ void UpstreamPool::give_back(const std::string& key, int fd) {
   stack.push_back(fd);
 }
 
-std::size_t UpstreamPool::idle_count(const std::string& host,
-                                     std::uint16_t port) const {
-  std::lock_guard lock(mutex_);
-  const auto at = idle_.find(host + ":" + std::to_string(port));
-  return at == idle_.end() ? 0 : at->second.size();
-}
-
 void UpstreamPool::clear() {
   std::lock_guard lock(mutex_);
   for (auto& [key, stack] : idle_) {

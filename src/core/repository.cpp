@@ -8,6 +8,7 @@
 #include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/support/fs.hpp"
 #include "pdcu/support/hash.hpp"
+#include "pdcu/support/strings.hpp"
 
 namespace pdcu::core {
 
@@ -276,46 +277,6 @@ std::string LoadReport::render_report() const {
   return out;
 }
 
-namespace {
-
-// Minimal JSON string escaping (core cannot use site::json_escape — the
-// dependency points the other way).
-std::string json_escape_min(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string LoadReport::render_json() const {
   std::string json = "{\"status\":\"";
   json += degraded() ? "degraded" : "ok";
@@ -325,10 +286,14 @@ std::string LoadReport::render_json() const {
   for (std::size_t i = 0; i < quarantined.size(); ++i) {
     const auto& diagnostic = quarantined[i];
     if (i > 0) json += ',';
-    json += "{\"path\":\"" + json_escape_min(diagnostic.path.string());
-    json += "\",\"slug\":\"" + json_escape_min(diagnostic.slug);
-    json += "\",\"code\":\"" + json_escape_min(diagnostic.error.code);
-    json += "\",\"message\":\"" + json_escape_min(diagnostic.error.message);
+    json += "{\"path\":\"";
+    strings::json_escape_append(diagnostic.path.string(), json);
+    json += "\",\"slug\":\"";
+    strings::json_escape_append(diagnostic.slug, json);
+    json += "\",\"code\":\"";
+    strings::json_escape_append(diagnostic.error.code, json);
+    json += "\",\"message\":\"";
+    strings::json_escape_append(diagnostic.error.message, json);
     json += "\"}";
   }
   json += "]}\n";

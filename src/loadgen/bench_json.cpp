@@ -11,29 +11,6 @@ namespace pdcu::loadgen {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 /// Shortest representation that round-trips: integers render bare, other
 /// values with up to 17 significant digits trimmed of trailing zeros.
 void append_number(std::string& out, double value) {
@@ -67,8 +44,9 @@ BenchWriter::BenchWriter(std::string_view bench, std::string_view source) {
 void BenchWriter::key(std::string_view name) {
   if (!first_in_scope_) out_ += ',';
   first_in_scope_ = false;
-  append_escaped(out_, name);
-  out_ += ':';
+  out_ += '"';
+  strings::json_escape_append(name, out_);
+  out_ += "\":";
 }
 
 void BenchWriter::number(std::string_view name, double value) {
@@ -83,7 +61,9 @@ void BenchWriter::integer(std::string_view name, std::uint64_t value) {
 
 void BenchWriter::text(std::string_view name, std::string_view value) {
   key(name);
-  append_escaped(out_, value);
+  out_ += '"';
+  strings::json_escape_append(value, out_);
+  out_ += '"';
 }
 
 void BenchWriter::raw(std::string_view name, std::string_view json) {

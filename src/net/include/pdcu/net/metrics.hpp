@@ -1,8 +1,8 @@
 // Reactor-core counters, exposed as the pdcu_net_* families on /metrics.
 // Everything is a relaxed atomic so the shard loops never synchronize on
-// observability; render_text() emits promtool-clean exposition (counters
-// suffixed _total, gauges plain, HELP/TYPE lines) that the server layer
-// appends to its own families.
+// observability; render_text() lists promtool-clean families through
+// obs::Exposition (counters suffixed _total, gauges plain) that the server
+// layer appends to its own.
 #pragma once
 
 #include <array>

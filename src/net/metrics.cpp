@@ -1,7 +1,8 @@
 #include "pdcu/net/metrics.hpp"
 
 #include <algorithm>
-#include <string_view>
+
+#include "pdcu/obs/exposition.hpp"
 
 namespace pdcu::net {
 
@@ -28,77 +29,42 @@ std::uint64_t NetMetrics::accepted_by_shard(std::size_t shard) const {
 }
 
 std::string NetMetrics::render_text() const {
-  std::string out;
-  const auto counter = [&out](std::string_view name, std::string_view help,
-                              std::uint64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  const auto gauge = [&out](std::string_view name, std::string_view help,
-                            std::uint64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  };
-
-  out += "# HELP pdcu_net_accepted_total Connections accepted, by reactor "
-         "shard.\n";
-  out += "# TYPE pdcu_net_accepted_total counter\n";
+  obs::Exposition out;
+  out.family("pdcu_net_accepted_total", obs::Exposition::Type::kCounter,
+             "Connections accepted, by reactor shard.");
   const std::size_t shards = shard_count();
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    out += "pdcu_net_accepted_total{shard=\"" + std::to_string(shard) +
-           "\"} " + std::to_string(accepted_by_shard(shard)) + "\n";
+    out.sample({{"shard", std::to_string(shard)}}, accepted_by_shard(shard));
   }
-  if (shards == 0) {
-    out += "pdcu_net_accepted_total{shard=\"0\"} " +
-           std::to_string(accepted_total()) + "\n";
-  }
-
-  gauge("pdcu_net_connections_active",
-        "Connections currently open on the reactor.",
-        active_connections());
-  gauge("pdcu_net_connections_peak",
-        "Highest concurrent connection count observed.",
-        peak_connections());
-  counter("pdcu_net_requests_total",
-          "Requests answered through the reactor hot path.",
-          requests_total());
-  counter("pdcu_net_overload_total",
-          "Connections rejected with the overload answer (503).",
-          overload_total());
-  counter("pdcu_net_read_timeouts_total",
-          "Connections that timed out mid-request (answered 408).",
-          read_timeouts_total());
-  counter("pdcu_net_idle_closes_total",
-          "Idle keep-alive connections reaped by the timeout wheel.",
-          idle_closes_total());
-  counter("pdcu_net_writev_calls_total",
-          "Vectored writes issued on the response path.",
-          writev_calls_total());
-  counter("pdcu_net_partial_writes_total",
-          "writev calls that could not flush the whole response.",
-          partial_writes_total());
-  counter("pdcu_net_write_errors_total",
-          "Responses lost to a dead peer (EPIPE/ECONNRESET).",
-          write_errors_total());
-  return out;
+  if (shards == 0) out.sample({{"shard", "0"}}, accepted_total());
+  out.gauge("pdcu_net_connections_active",
+            "Connections currently open on the reactor.",
+            active_connections());
+  out.gauge("pdcu_net_connections_peak",
+            "Highest concurrent connection count observed.",
+            peak_connections());
+  out.counter("pdcu_net_requests_total",
+              "Requests answered through the reactor hot path.",
+              requests_total());
+  out.counter("pdcu_net_overload_total",
+              "Connections rejected with the overload answer (503).",
+              overload_total());
+  out.counter("pdcu_net_read_timeouts_total",
+              "Connections that timed out mid-request (answered 408).",
+              read_timeouts_total());
+  out.counter("pdcu_net_idle_closes_total",
+              "Idle keep-alive connections reaped by the timeout wheel.",
+              idle_closes_total());
+  out.counter("pdcu_net_writev_calls_total",
+              "Vectored writes issued on the response path.",
+              writev_calls_total());
+  out.counter("pdcu_net_partial_writes_total",
+              "writev calls that could not flush the whole response.",
+              partial_writes_total());
+  out.counter("pdcu_net_write_errors_total",
+              "Responses lost to a dead peer (EPIPE/ECONNRESET).",
+              write_errors_total());
+  return out.take();
 }
 
 }  // namespace pdcu::net

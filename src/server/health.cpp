@@ -1,6 +1,7 @@
 #include "pdcu/server/health.hpp"
 
-#include "pdcu/site/json_catalog.hpp"
+#include "pdcu/obs/exposition.hpp"
+#include "pdcu/support/strings.hpp"
 
 namespace pdcu::server {
 
@@ -48,7 +49,9 @@ std::string HealthTracker::render_json() const {
   json += ",\"quarantined_slugs\":[";
   for (std::size_t i = 0; i < quarantined_.size(); ++i) {
     if (i > 0) json += ',';
-    json += "\"" + site::json_escape(quarantined_[i]) + "\"";
+    json += '"';
+    strings::json_escape_append(quarantined_[i], json);
+    json += '"';
   }
   json += "],\"last_reload\":\"";
   switch (last_reload_) {
@@ -69,52 +72,38 @@ std::string HealthTracker::render_json() const {
     json += ",\"last_reload_age_ms\":" + std::to_string(age.count());
   }
   if (!last_error_.empty()) {
-    json += ",\"last_error\":\"" + site::json_escape(last_error_) + "\"";
+    json += ",\"last_error\":\"";
+    strings::json_escape_append(last_error_, json);
+    json += '"';
   }
   json += "}\n";
   return json;
 }
 
 std::string ReloadMetrics::render_text() const {
-  std::string out;
-  out += "# HELP pdcu_reload_attempts_total Content reloads attempted.\n";
-  out += "# TYPE pdcu_reload_attempts_total counter\n";
-  out += "pdcu_reload_attempts_total " + std::to_string(attempts()) + "\n";
-  out += "# HELP pdcu_reload_success_total Content reloads that swapped in "
-         "a new snapshot.\n";
-  out += "# TYPE pdcu_reload_success_total counter\n";
-  out += "pdcu_reload_success_total " + std::to_string(successes()) + "\n";
-  out += "# HELP pdcu_reload_failures_total Content reloads that kept the "
-         "last-known-good snapshot.\n";
-  out += "# TYPE pdcu_reload_failures_total counter\n";
-  out += "pdcu_reload_failures_total " + std::to_string(failures()) + "\n";
-  out += "# HELP pdcu_reload_consecutive_failures Failed reloads since the "
-         "last success.\n";
-  out += "# TYPE pdcu_reload_consecutive_failures gauge\n";
-  out += "pdcu_reload_consecutive_failures " +
-         std::to_string(consecutive_failures()) + "\n";
-  out += "# HELP pdcu_reload_last_ok Whether the most recent reload "
-         "succeeded (1) or failed (0).\n";
-  out += "# TYPE pdcu_reload_last_ok gauge\n";
-  out += "pdcu_reload_last_ok " + std::to_string(last_ok_.load(kRelaxed)) +
-         "\n";
-  out += "# HELP pdcu_reload_quarantined Content files quarantined by the "
-         "last successful reload.\n";
-  out += "# TYPE pdcu_reload_quarantined gauge\n";
-  out += "pdcu_reload_quarantined " +
-         std::to_string(quarantined_.load(kRelaxed)) + "\n";
-  out += "# HELP pdcu_reload_pages_rendered_last Pages re-rendered by the "
-         "last successful reload.\n";
-  out += "# TYPE pdcu_reload_pages_rendered_last gauge\n";
-  out += "pdcu_reload_pages_rendered_last " +
-         std::to_string(pages_rendered_last_.load(kRelaxed)) + "\n";
-  const auto gauge = [&out](const char* name, const char* help,
+  obs::Exposition out;
+  out.counter("pdcu_reload_attempts_total", "Content reloads attempted.",
+              attempts());
+  out.counter("pdcu_reload_success_total",
+              "Content reloads that swapped in a new snapshot.", successes());
+  out.counter("pdcu_reload_failures_total",
+              "Content reloads that kept the last-known-good snapshot.",
+              failures());
+  out.gauge("pdcu_reload_consecutive_failures",
+            "Failed reloads since the last success.", consecutive_failures());
+  const auto gauge = [&out](std::string_view name, std::string_view help,
                             const std::atomic<std::uint64_t>& value) {
-    out += std::string("# HELP ") + name + " " + help + "\n";
-    out += std::string("# TYPE ") + name + " gauge\n";
-    out += std::string(name) + " " + std::to_string(value.load(kRelaxed)) +
-           "\n";
+    out.gauge(name, help, value.load(kRelaxed));
   };
+  gauge("pdcu_reload_last_ok",
+        "Whether the most recent reload succeeded (1) or failed (0).",
+        last_ok_);
+  gauge("pdcu_reload_quarantined",
+        "Content files quarantined by the last successful reload.",
+        quarantined_);
+  gauge("pdcu_reload_pages_rendered_last",
+        "Pages re-rendered by the last successful reload.",
+        pages_rendered_last_);
   gauge("pdcu_reload_files_parsed_last",
         "Content files the last successful reload read and parsed.",
         files_parsed_last_);
@@ -136,12 +125,10 @@ std::string ReloadMetrics::render_text() const {
         "Page cache entries the last successful reload took over from the "
         "previous snapshot.",
         entries_reused_last_);
-  out += "# HELP pdcu_reload_backoff_ms Current reload failure backoff in "
-         "milliseconds (0 when healthy).\n";
-  out += "# TYPE pdcu_reload_backoff_ms gauge\n";
-  out += "pdcu_reload_backoff_ms " +
-         std::to_string(backoff_ms_.load(kRelaxed)) + "\n";
-  return out;
+  gauge("pdcu_reload_backoff_ms",
+        "Current reload failure backoff in milliseconds (0 when healthy).",
+        backoff_ms_);
+  return out.take();
 }
 
 }  // namespace pdcu::server

@@ -2,8 +2,8 @@
 // route and status class, bytes on the wire, latency min/mean/max, and one
 // log-bucketed obs::Histogram of handling latency per route. record() is a
 // handful of relaxed atomic operations so it sits on the per-request hot
-// path; render_text() produces promtool-clean /metrics exposition
-// (# HELP / # TYPE lines, counters suffixed _total, cumulative
+// path; render_text() lists promtool-clean /metrics families through
+// obs::Exposition (counters suffixed _total, cumulative
 // pdcu_request_latency_us_bucket{route=...,le=...} series ending in +Inf).
 #pragma once
 

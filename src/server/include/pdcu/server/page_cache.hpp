@@ -18,9 +18,6 @@
 
 namespace pdcu::server {
 
-/// 64-bit FNV-1a over `bytes`.
-std::uint64_t fnv1a_64(std::string_view bytes);
-
 /// A strong entity tag for `bytes`: a quoted 16-digit hex FNV-1a digest,
 /// e.g. "\"af63dc4c8601ec8c\"".
 std::string strong_etag(std::string_view bytes);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "pdcu/obs/exposition.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace pdcu::server {
@@ -108,72 +109,47 @@ ServerMetrics::LatencyStats ServerMetrics::latency_stats() const {
 }
 
 std::string ServerMetrics::render_text() const {
+  using Type = obs::Exposition::Type;
   const LatencyStats latency = latency_stats();
-  std::string out;
-
-  out += "# HELP pdcu_requests_total Requests answered, including "
-         "connection-level errors.\n";
-  out += "# TYPE pdcu_requests_total counter\n";
-  out += "pdcu_requests_total " + std::to_string(requests_total()) + "\n";
-
-  out += "# HELP pdcu_requests_by_class_total Requests answered, by status "
-         "class.\n";
-  out += "# TYPE pdcu_requests_by_class_total counter\n";
-  for (int status_class = 1; status_class <= 5; ++status_class) {
-    out += "pdcu_requests_by_class_total{class=\"";
-    out += kClassLabels[static_cast<std::size_t>(status_class - 1)];
-    out += "\"} " + std::to_string(requests_by_class(status_class)) + "\n";
+  obs::Exposition out;
+  out.counter("pdcu_requests_total",
+              "Requests answered, including connection-level errors.",
+              requests_total());
+  out.family("pdcu_requests_by_class_total", Type::kCounter,
+             "Requests answered, by status class.");
+  for (std::size_t cls = 0; cls < 5; ++cls) {
+    out.sample({{"class", kClassLabels[cls]}},
+               by_class_[cls].load(std::memory_order_relaxed));
   }
-
-  out += "# HELP pdcu_requests_by_route_total Requests answered, by route "
-         "and status class.\n";
-  out += "# TYPE pdcu_requests_by_route_total counter\n";
+  out.family("pdcu_requests_by_route_total", Type::kCounter,
+             "Requests answered, by route and status class.");
   for (std::size_t route = 0; route < kRouteCount; ++route) {
     for (std::size_t cls = 0; cls < 5; ++cls) {
-      out += "pdcu_requests_by_route_total{route=\"";
-      out += kRouteLabels[route];
-      out += "\",class=\"";
-      out += kClassLabels[cls];
-      out += "\"} ";
-      out += std::to_string(
-          per_route_[route].by_class[cls].load(std::memory_order_relaxed));
-      out += '\n';
+      out.sample({{"route", kRouteLabels[route]}, {"class", kClassLabels[cls]}},
+                 per_route_[route].by_class[cls].load(
+                     std::memory_order_relaxed));
     }
   }
-
-  out += "# HELP pdcu_bytes_sent_total Bytes written to client sockets.\n";
-  out += "# TYPE pdcu_bytes_sent_total counter\n";
-  out += "pdcu_bytes_sent_total " + std::to_string(bytes_sent_total()) + "\n";
-
-  out += "# HELP pdcu_write_errors_total Responses lost to a failed socket "
-         "write (EPIPE, ECONNRESET).\n";
-  out += "# TYPE pdcu_write_errors_total counter\n";
-  out += "pdcu_write_errors_total " + std::to_string(write_errors_total()) +
-         "\n";
-
-  out += "# HELP pdcu_latency_us Aggregate request latency in microseconds "
-         "(min, mean, max over the server's lifetime).\n";
-  out += "# TYPE pdcu_latency_us gauge\n";
-  out += "pdcu_latency_us{stat=\"min\"} " + std::to_string(latency.min_us) +
-         "\n";
+  out.counter("pdcu_bytes_sent_total", "Bytes written to client sockets.",
+              bytes_sent_total());
+  out.counter("pdcu_write_errors_total",
+              "Responses lost to a failed socket write (EPIPE, ECONNRESET).",
+              write_errors_total());
   char mean[32];
   std::snprintf(mean, sizeof mean, "%.1f", latency.mean_us);
-  out += "pdcu_latency_us{stat=\"mean\"} " + std::string(mean) + "\n";
-  out += "pdcu_latency_us{stat=\"max\"} " + std::to_string(latency.max_us) +
-         "\n";
-
-  out += "# HELP pdcu_request_latency_us Request handling latency in "
-         "microseconds, by route.\n";
-  out += "# TYPE pdcu_request_latency_us histogram\n";
+  out.family("pdcu_latency_us", Type::kGauge,
+             "Aggregate request latency in microseconds (min, mean, max over "
+             "the server's lifetime).")
+      .sample({{"stat", "min"}}, latency.min_us)
+      .sample({{"stat", "mean"}}, std::string_view(mean))
+      .sample({{"stat", "max"}}, latency.max_us);
+  out.family("pdcu_request_latency_us", Type::kHistogram,
+             "Request handling latency in microseconds, by route.");
   for (std::size_t route = 0; route < kRouteCount; ++route) {
-    std::string labels = "route=\"";
-    labels += kRouteLabels[route];
-    labels += '"';
-    obs::append_histogram_series("pdcu_request_latency_us", labels,
-                                 per_route_[route].latency.snapshot(), out);
+    out.histogram({{"route", kRouteLabels[route]}},
+                  per_route_[route].latency.snapshot());
   }
-
-  return out;
+  return out.take();
 }
 
 }  // namespace pdcu::server

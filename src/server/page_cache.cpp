@@ -9,14 +9,10 @@ namespace pdcu::server {
 
 namespace strs = pdcu::strings;
 
-std::uint64_t fnv1a_64(std::string_view bytes) {
-  return hash::fnv1a_64(bytes);
-}
-
 std::string strong_etag(std::string_view bytes) {
   char buffer[20];
   std::snprintf(buffer, sizeof buffer, "\"%016llx\"",
-                static_cast<unsigned long long>(fnv1a_64(bytes)));
+                static_cast<unsigned long long>(hash::fnv1a_64(bytes)));
   return buffer;
 }
 

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "pdcu/site/json_catalog.hpp"
+#include "pdcu/obs/exposition.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace pdcu::server {
@@ -14,10 +14,6 @@ namespace {
 
 constexpr std::string_view kJsonType = "application/json; charset=utf-8";
 constexpr std::string_view kTextType = "text/plain; charset=utf-8";
-/// The Prometheus text exposition content type, so a stock scraper accepts
-/// /metrics without content-type overrides.
-constexpr std::string_view kMetricsType =
-    "text/plain; version=0.0.4; charset=utf-8";
 
 constexpr std::size_t kDefaultSearchLimit = 10;
 constexpr std::size_t kMaxSearchLimit = 100;
@@ -59,16 +55,19 @@ std::string search_results_fragment(const std::vector<search::Hit>& hits) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     const auto& hit = hits[i];
     if (i > 0) json += ',';
-    json += "{\"slug\":\"" + site::json_escape(hit.slug) + "\",";
-    json += "\"title\":\"" + site::json_escape(hit.title) + "\",";
-    json += "\"url\":\"/activities/" + site::json_escape(hit.slug) + "/\",";
-    json += "\"score\":" + format_score(hit.score) + ",";
+    json += "{\"slug\":\"";
+    strs::json_escape_append(hit.slug, json);
+    json += "\",\"title\":\"";
+    strs::json_escape_append(hit.title, json);
+    json += "\",\"url\":\"/activities/";
+    strs::json_escape_append(hit.slug, json);
+    json += "/\",\"score\":" + format_score(hit.score) + ",";
     // The snippet highlights matches with <mark>; everything else is
     // HTML-escaped, so clients can inject it into a results page directly.
-    json += "\"snippet\":\"" +
-            site::json_escape(hit.snippet.render("<mark>", "</mark>",
-                                                 strs::html_escape)) +
-            "\"}";
+    json += "\"snippet\":\"";
+    strs::json_escape_append(
+        hit.snippet.render("<mark>", "</mark>", strs::html_escape), json);
+    json += "\"}";
   }
   json += "]}\n";
   return json;
@@ -95,23 +94,16 @@ std::string search_cache_key(const search::Query& query, std::size_t limit) {
 }
 
 std::string query_cache_metrics_text(const QueryCache& cache) {
-  std::string out;
-  out += "# HELP pdcu_search_cache_hits_total Search query cache hits.\n";
-  out += "# TYPE pdcu_search_cache_hits_total counter\n";
-  out += "pdcu_search_cache_hits_total " + std::to_string(cache.hits()) + "\n";
-  out += "# HELP pdcu_search_cache_misses_total Search query cache misses.\n";
-  out += "# TYPE pdcu_search_cache_misses_total counter\n";
-  out +=
-      "pdcu_search_cache_misses_total " + std::to_string(cache.misses()) + "\n";
-  out += "# HELP pdcu_search_cache_evictions_total Search query cache LRU "
-         "evictions.\n";
-  out += "# TYPE pdcu_search_cache_evictions_total counter\n";
-  out += "pdcu_search_cache_evictions_total " +
-         std::to_string(cache.evictions()) + "\n";
-  out += "# HELP pdcu_search_cache_entries Search queries currently cached.\n";
-  out += "# TYPE pdcu_search_cache_entries gauge\n";
-  out += "pdcu_search_cache_entries " + std::to_string(cache.size()) + "\n";
-  return out;
+  obs::Exposition out;
+  out.counter("pdcu_search_cache_hits_total", "Search query cache hits.",
+              cache.hits());
+  out.counter("pdcu_search_cache_misses_total", "Search query cache misses.",
+              cache.misses());
+  out.counter("pdcu_search_cache_evictions_total",
+              "Search query cache LRU evictions.", cache.evictions());
+  out.gauge("pdcu_search_cache_entries", "Search queries currently cached.",
+            cache.size());
+  return out.take();
 }
 
 }  // namespace
@@ -179,7 +171,7 @@ Response Router::handle(const Request& request) const {
     if (net_metrics_ != nullptr) text += net_metrics_->render_text();
     text += query_cache_metrics_text(query_cache_);
     Response response;
-    response.set("Content-Type", std::string(kMetricsType));
+    response.set("Content-Type", std::string(obs::kExpositionContentType));
     response.body = std::move(text);
     return response;
   }
@@ -278,8 +270,10 @@ Response Router::handle_search(const Request& request) const {
     query_cache_.put(key, fragment);
   }
 
-  std::string body =
-      "{\"query\":\"" + site::json_escape(query.raw) + "\"," + fragment;
+  std::string body = "{\"query\":\"";
+  strs::json_escape_append(query.raw, body);
+  body += "\",";
+  body += fragment;
   Response response = json_response(200, std::move(body));
   // Same conditional-GET contract as cached pages: the body is a pure
   // function of (index, query), so the ETag is stable until a reindex.

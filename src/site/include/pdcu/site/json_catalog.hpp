@@ -11,10 +11,6 @@
 
 namespace pdcu::site {
 
-/// Escapes a string for inclusion in a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string json_escape(std::string_view text);
-
 /// Renders one activity as a JSON object.
 std::string activity_json(const core::Activity& activity);
 

@@ -176,7 +176,9 @@ Site build_site(const core::Repository& repo, const SiteOptions& options = {},
 Site rebuild(const core::Repository& repo, BuildCache& cache,
              const SiteOptions& options = {}, BuildStats* stats = nullptr);
 
-/// Writes an already-built site's pages under `out_dir`.
+/// Writes an already-built site's pages under `out_dir`, each through
+/// fs::replace_file: a reader of a previous export keeps its bytes, and no
+/// reader sees a partly written page.
 Status write_pages(const Site& site, const std::filesystem::path& out_dir);
 
 /// Builds and writes the site under `out_dir`.

@@ -1,31 +1,10 @@
 #include "pdcu/site/json_catalog.hpp"
 
-#include <cstdio>
+#include "pdcu/support/strings.hpp"
 
 namespace pdcu::site {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
+namespace strs = pdcu::strings;
 
 namespace {
 
@@ -33,14 +12,19 @@ std::string string_array(const std::vector<std::string>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(values[i]) + "\"";
+    out += '"';
+    strs::json_escape_append(values[i], out);
+    out += '"';
   }
   out += "]";
   return out;
 }
 
 std::string field(std::string_view key, std::string_view value) {
-  return "\"" + std::string(key) + "\":\"" + json_escape(value) + "\"";
+  std::string out = "\"" + std::string(key) + "\":\"";
+  strs::json_escape_append(value, out);
+  out += '"';
+  return out;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "pdcu/core/activity_io.hpp"
 #include "pdcu/core/views.hpp"
+#include "pdcu/obs/exposition.hpp"
 #include "pdcu/obs/span.hpp"
 #include "pdcu/site/json_catalog.hpp"
 #include "pdcu/markdown/frontmatter.hpp"
@@ -515,34 +516,28 @@ std::string BuildStats::render_text() const {
   // Gauges describing the build that produced the served site. The page
   // total is deliberately named without a _total suffix: promtool reserves
   // that suffix for counters, and these reset on every build.
-  std::string out;
-  out += "# HELP pdcu_build_pages Pages produced by the build serving this "
-         "process.\n";
-  out += "# TYPE pdcu_build_pages gauge\n";
-  out += "pdcu_build_pages " + std::to_string(pages_total) + "\n";
-  out += "# HELP pdcu_build_pages_rendered Pages rendered (cache misses) "
-         "by the last build.\n";
-  out += "# TYPE pdcu_build_pages_rendered gauge\n";
-  out += "pdcu_build_pages_rendered " + std::to_string(pages_rendered) + "\n";
-  out += "# HELP pdcu_build_pages_reused Pages reused from the build cache "
-         "by the last build.\n";
-  out += "# TYPE pdcu_build_pages_reused gauge\n";
-  out += "pdcu_build_pages_reused " + std::to_string(pages_reused) + "\n";
-  out += "# HELP pdcu_build_phase_us Wall time of each build pipeline "
-         "phase, microseconds.\n";
-  out += "# TYPE pdcu_build_phase_us gauge\n";
-  out += "pdcu_build_phase_us{phase=\"parse\"} " +
-         std::to_string(parse_time.count()) + "\n";
-  out += "pdcu_build_phase_us{phase=\"render\"} " +
-         std::to_string(render_time.count()) + "\n";
-  out += "pdcu_build_phase_us{phase=\"assemble\"} " +
-         std::to_string(assemble_time.count()) + "\n";
-  out += "# HELP pdcu_build_activities_quarantined Content files the "
-         "lenient loader quarantined before the last build.\n";
-  out += "# TYPE pdcu_build_activities_quarantined gauge\n";
-  out += "pdcu_build_activities_quarantined " +
-         std::to_string(activities_quarantined) + "\n";
-  return out;
+  obs::Exposition out;
+  out.gauge("pdcu_build_pages",
+            "Pages produced by the build serving this process.", pages_total);
+  out.gauge("pdcu_build_pages_rendered",
+            "Pages rendered (cache misses) by the last build.",
+            pages_rendered);
+  out.gauge("pdcu_build_pages_reused",
+            "Pages reused from the build cache by the last build.",
+            pages_reused);
+  out.family("pdcu_build_phase_us", obs::Exposition::Type::kGauge,
+             "Wall time of each build pipeline phase, microseconds.")
+      .sample({{"phase", "parse"}},
+              static_cast<std::uint64_t>(parse_time.count()))
+      .sample({{"phase", "render"}},
+              static_cast<std::uint64_t>(render_time.count()))
+      .sample({{"phase", "assemble"}},
+              static_cast<std::uint64_t>(assemble_time.count()));
+  out.gauge("pdcu_build_activities_quarantined",
+            "Content files the lenient loader quarantined before the last "
+            "build.",
+            activities_quarantined);
+  return out.take();
 }
 
 std::string render_activity_header(const core::Activity& activity) {
@@ -575,7 +570,7 @@ Site rebuild(const core::Repository& repo, BuildCache& cache,
 
 Status write_pages(const Site& site, const std::filesystem::path& out_dir) {
   for (const auto& page : site.pages) {
-    auto status = fs::write_file(out_dir / page.path, page.html());
+    auto status = fs::replace_file(out_dir / page.path, page.html());
     if (!status) return status;
   }
   return Status::ok();

@@ -1,8 +1,9 @@
 // A lock-free log-bucketed latency histogram in the HdrHistogram /
 // Prometheus tradition. record() is one relaxed fetch_add on a bucket plus
 // one on the running sum, cheap enough for a per-request hot path; readers
-// take a Snapshot (plain integers) and compute percentiles, cumulative
-// bucket counts, and exposition series from that without stopping writers.
+// take a Snapshot (plain integers) and compute percentiles and cumulative
+// bucket counts from that without stopping writers (obs::Exposition turns
+// a snapshot into exposition series).
 //
 // Buckets are powers of two: bucket i holds values in (2^(i-1), 2^i], so
 // bucket 0 is {0, 1}, bucket 1 is {2}, bucket 2 is {3, 4}, and the last
@@ -15,8 +16,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 namespace pdcu::obs {
 
@@ -88,16 +87,5 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
 };
-
-/// Appends the Prometheus series of one histogram snapshot to `out`:
-/// cumulative `<family>_bucket{...,le="..."}` lines over a fixed subset of
-/// the internal boundaries (powers of four from 1 to ~6.7e7, i.e. 1us to
-/// ~67s for latencies) plus le="+Inf", then `<family>_sum` and
-/// `<family>_count`. `labels` is spliced before the le label — either
-/// empty or a comma-terminated-free list like `route="page"`. The caller
-/// emits the family's # HELP / # TYPE lines once.
-void append_histogram_series(std::string_view family, std::string_view labels,
-                             const Histogram::Snapshot& snapshot,
-                             std::string& out);
 
 }  // namespace pdcu::obs

@@ -3,7 +3,7 @@
 // keep /metrics ingestible by a stock scraper. Stricter than the wire
 // format requires, matching promtool's lint rules plus house rules:
 //
-//   - every sample's family must declare # TYPE (and # HELP) first
+//   - every sample's family must declare its TYPE (and HELP) line first
 //   - counters end in _total; non-counters must not
 //   - _bucket/_sum/_count samples only appear under histogram families
 //   - histogram buckets carry le labels, are cumulative, include +Inf,

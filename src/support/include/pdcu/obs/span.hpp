@@ -34,8 +34,8 @@ class SpanRegistry {
   /// All span names, sorted.
   std::vector<std::string> names() const;
 
-  /// Prometheus exposition: # HELP / # TYPE, then one
-  /// pdcu_span_duration_us series per span.
+  /// The pdcu_span_duration_us histogram family, one series per span;
+  /// empty when no span recorded.
   std::string render_text() const;
 
   /// Human summary, one line per span:

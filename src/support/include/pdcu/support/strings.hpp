@@ -57,6 +57,11 @@ std::string html_escape(std::string_view s);
 /// allocations — the render hot path escapes into one reserved buffer.
 void html_escape_append(std::string_view s, std::string& out);
 
+/// Appends `s` escaped for the inside of a JSON string literal: `"`, `\`,
+/// newline, carriage return and tab as two-character escapes, every other
+/// byte below 0x20 as a lowercase \u00xx escape, all else verbatim.
+void json_escape_append(std::string_view s, std::string& out);
+
 /// Strict full-string unsigned parse: ASCII digits only — no sign, no
 /// leading/trailing junk, no overflow. Rejects what std::strtoul silently
 /// accepts: "10abc" (partial), "-1" (wraps), " 7" (whitespace), "".

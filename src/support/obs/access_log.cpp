@@ -5,31 +5,11 @@
 #include <utility>
 #include <vector>
 
+#include "pdcu/support/strings.hpp"
+
 namespace pdcu::obs {
 
 namespace {
-
-/// Minimal JSON string escaping: quotes, backslashes, and control bytes.
-void json_escape_append(std::string_view text, std::string& out) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// UTC ISO-8601 with milliseconds, e.g. "2026-08-06T12:34:56.789Z".
 std::string format_timestamp(std::chrono::system_clock::time_point when) {
@@ -54,14 +34,14 @@ std::string format_timestamp(std::chrono::system_clock::time_point when) {
 std::string AccessLog::format_line(const AccessEntry& entry) {
   std::string line = "{\"ts\":\"" + format_timestamp(entry.time) + "\",";
   line += "\"method\":\"";
-  json_escape_append(entry.method, line);
+  strings::json_escape_append(entry.method, line);
   line += "\",\"path\":\"";
-  json_escape_append(entry.target, line);
+  strings::json_escape_append(entry.target, line);
   line += "\",\"status\":" + std::to_string(entry.status);
   line += ",\"bytes\":" + std::to_string(entry.bytes);
   line += ",\"latency_us\":" + std::to_string(entry.latency_us);
   line += ",\"route\":\"";
-  json_escape_append(entry.route, line);
+  strings::json_escape_append(entry.route, line);
   line += "\"}";
   return line;
 }

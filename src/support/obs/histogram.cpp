@@ -120,47 +120,4 @@ std::uint64_t Histogram::Snapshot::quantile(double q) const {
   return bucket_upper_bound(kBucketCount - 2);
 }
 
-void append_histogram_series(std::string_view family, std::string_view labels,
-                             const Histogram::Snapshot& snapshot,
-                             std::string& out) {
-  const auto emit = [&](std::string_view le, std::uint64_t value) {
-    out += family;
-    out += "_bucket{";
-    if (!labels.empty()) {
-      out += labels;
-      out += ',';
-    }
-    out += "le=\"";
-    out += le;
-    out += "\"} ";
-    out += std::to_string(value);
-    out += '\n';
-  };
-  // Every exposed boundary is a power of four, so it coincides exactly
-  // with an internal power-of-two bucket edge: the cumulative counts are
-  // exact, not interpolated.
-  for (std::uint64_t bound = 1; bound <= (std::uint64_t{1} << 26);
-       bound *= 4) {
-    emit(std::to_string(bound),
-         snapshot.cumulative(Histogram::bucket_index(bound)));
-  }
-  emit("+Inf", snapshot.count);
-  out += family;
-  if (!labels.empty()) {
-    out += "_sum{" + std::string(labels) + "} ";
-  } else {
-    out += "_sum ";
-  }
-  out += std::to_string(snapshot.sum);
-  out += '\n';
-  out += family;
-  if (!labels.empty()) {
-    out += "_count{" + std::string(labels) + "} ";
-  } else {
-    out += "_count ";
-  }
-  out += std::to_string(snapshot.count);
-  out += '\n';
-}
-
 }  // namespace pdcu::obs

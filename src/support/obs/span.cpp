@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <mutex>
 
+#include "pdcu/obs/exposition.hpp"
+
 namespace pdcu::obs {
 
 void SpanRegistry::record(std::string_view span, std::uint64_t duration_us) {
@@ -37,15 +39,14 @@ std::vector<std::string> SpanRegistry::names() const {
 std::string SpanRegistry::render_text() const {
   std::shared_lock lock(mutex_);
   if (spans_.empty()) return {};
-  std::string out;
-  out += "# HELP pdcu_span_duration_us Duration of named internal spans "
-         "(build phases, index builds) in microseconds.\n";
-  out += "# TYPE pdcu_span_duration_us histogram\n";
+  Exposition out;
+  out.family("pdcu_span_duration_us", Exposition::Type::kHistogram,
+             "Duration of named internal spans (build phases, index builds) "
+             "in microseconds.");
   for (const auto& [name, histogram] : spans_) {
-    append_histogram_series("pdcu_span_duration_us", "span=\"" + name + "\"",
-                            histogram->snapshot(), out);
+    out.histogram({{"span", name}}, histogram->snapshot());
   }
-  return out;
+  return out.take();
 }
 
 std::string SpanRegistry::summary() const {

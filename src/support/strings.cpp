@@ -191,6 +191,29 @@ void html_escape_append(std::string_view s, std::string& out) {
   out.append(s, run_start, s.size() - run_start);
 }
 
+void json_escape_append(std::string_view s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run_start = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run_start, i - run_start);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+    }
+    run_start = i + 1;
+  }
+  out.append(s, run_start, s.size() - run_start);
+}
+
 std::optional<std::uint64_t> parse_u64(std::string_view s) {
   if (s.empty()) return std::nullopt;
   std::uint64_t value = 0;

@@ -19,6 +19,7 @@
 
 #include "pdcu/cluster/upstream.hpp"
 #include "pdcu/core/repository.hpp"
+#include "pdcu/obs/lint.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 #include "pdcu/support/strings.hpp"
@@ -227,6 +228,11 @@ TEST(FrontTier, OwnsItsOwnSurfaceUnderFrontPrefix) {
             std::string::npos);
   EXPECT_NE(metrics.body.find("pdcu_cluster_routable_nodes 3"),
             std::string::npos);
+  ASSERT_NE(metrics.header("content-type"), nullptr);
+  EXPECT_EQ(*metrics.header("content-type"),
+            "text/plain; version=0.0.4; charset=utf-8");
+  const auto problems = pdcu::obs::lint_exposition(metrics.body);
+  EXPECT_TRUE(problems.empty()) << strs::join(problems, "\n");
 }
 
 TEST(FrontTier, NonGetIsRejectedWithoutBurningUpstreamAttempts) {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "pdcu/obs/exposition.hpp"
 #include "pdcu/obs/lint.hpp"
 #include "pdcu/support/rng.hpp"
 #include "pdcu/support/strings.hpp"
@@ -197,11 +198,11 @@ TEST(Histogram, SnapshotMergeOntoEmptyIsIdentity) {
 TEST(Histogram, ExpositionSeriesAreCumulativeAndLintClean) {
   obs::Histogram h;
   for (const std::uint64_t v : {1u, 3u, 17u, 100000u}) h.record(v);
-  std::string out;
-  out += "# HELP test_latency_us Test.\n";
-  out += "# TYPE test_latency_us histogram\n";
-  obs::append_histogram_series("test_latency_us", "route=\"page\"",
-                               h.snapshot(), out);
+  const std::string out =
+      obs::Exposition()
+          .family("test_latency_us", obs::Exposition::Type::kHistogram, "Test.")
+          .histogram({{"route", "page"}}, h.snapshot())
+          .take();
   EXPECT_TRUE(strs::contains(
       out, "test_latency_us_bucket{route=\"page\",le=\"1\"} 1\n"));
   EXPECT_TRUE(strs::contains(
@@ -218,9 +219,11 @@ TEST(Histogram, ExpositionSeriesAreCumulativeAndLintClean) {
   EXPECT_TRUE(problems.empty()) << strs::join(problems, "\n");
 
   // Unlabeled rendering drops the braces on _sum/_count.
-  std::string bare;
-  bare += "# HELP bare_us Test.\n# TYPE bare_us histogram\n";
-  obs::append_histogram_series("bare_us", "", h.snapshot(), bare);
+  const std::string bare =
+      obs::Exposition()
+          .family("bare_us", obs::Exposition::Type::kHistogram, "Test.")
+          .histogram({}, h.snapshot())
+          .take();
   EXPECT_TRUE(strs::contains(bare, "bare_us_bucket{le=\"+Inf\"} 4\n"));
   EXPECT_TRUE(strs::contains(bare, "bare_us_sum 100021\n"));
   EXPECT_TRUE(strs::contains(bare, "bare_us_count 4\n"));

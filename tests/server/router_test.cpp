@@ -8,6 +8,7 @@
 #include "pdcu/search/index.hpp"
 #include "pdcu/server/page_cache.hpp"
 #include "pdcu/site/site.hpp"
+#include "pdcu/support/hash.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace server = pdcu::server;
@@ -37,9 +38,9 @@ server::Request get(std::string target) {
 
 TEST(Fnv1a, MatchesKnownVectors) {
   // Published FNV-1a 64-bit test vectors.
-  EXPECT_EQ(server::fnv1a_64(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(server::fnv1a_64("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(server::fnv1a_64("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(pdcu::hash::fnv1a_64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(pdcu::hash::fnv1a_64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(pdcu::hash::fnv1a_64("foobar"), 0x85944171f73967e8ull);
 }
 
 TEST(Fnv1a, StrongEtagIsQuotedHex) {

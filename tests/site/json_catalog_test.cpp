@@ -16,14 +16,6 @@ const pdcu::core::Repository& repo() {
 }
 }  // namespace
 
-TEST(JsonEscape, QuotesBackslashesAndControls) {
-  EXPECT_EQ(site::json_escape("plain"), "plain");
-  EXPECT_EQ(site::json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(site::json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(site::json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(site::json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(JsonCatalog, ActivityObjectCarriesAllTagAxes) {
   const auto* activity = repo().find("findsmallestcard");
   ASSERT_NE(activity, nullptr);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -117,6 +119,38 @@ TEST(Site, WriteSitePutsFilesOnDisk) {
   EXPECT_TRUE(std::filesystem::exists(dir / "index.html"));
   EXPECT_TRUE(std::filesystem::exists(
       dir / "activities" / "concerttickets" / "index.html"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Site, WritePagesReplacesEachPageAtomically) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "pdcu_site_replace_test";
+  std::filesystem::remove_all(dir);
+  const auto site_of = [](const std::string& index, const std::string& page) {
+    site::Site s;
+    s.pages.push_back(
+        {"index.html", std::make_shared<const std::string>(index)});
+    s.pages.push_back(
+        {"a/page.html", std::make_shared<const std::string>(page)});
+    return s;
+  };
+  ASSERT_TRUE(site::write_pages(site_of("old index", "old page"), dir));
+  // A reader that opened the page before the next export keeps reading the
+  // bytes it opened: the export renames a new file over the path instead
+  // of truncating the one being read.
+  std::ifstream before(dir / "index.html", std::ios::binary);
+  ASSERT_TRUE(before.is_open());
+  ASSERT_TRUE(site::write_pages(site_of("new index", "new page"), dir));
+  const std::string old_bytes{std::istreambuf_iterator<char>(before), {}};
+  EXPECT_EQ(old_bytes, "old index");
+  std::ifstream after(dir / "index.html", std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(after), {}),
+            "new index");
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    EXPECT_FALSE(strs::contains(entry.path().filename().string(), ".tmp."))
+        << entry.path();
+  }
   std::filesystem::remove_all(dir);
 }
 

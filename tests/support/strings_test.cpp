@@ -103,6 +103,28 @@ TEST(Strings, HtmlEscape) {
             "a &lt; b &amp; c &gt; &quot;d&quot;");
 }
 
+namespace {
+std::string json_escaped(std::string_view s) {
+  std::string out;
+  strs::json_escape_append(s, out);
+  return out;
+}
+}  // namespace
+
+TEST(JsonEscape, QuotesBackslashesAndControls) {
+  EXPECT_EQ(json_escaped("plain"), "plain");
+  EXPECT_EQ(json_escaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escaped("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json_escaped(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json_escaped(std::string("\0x", 2)), "\\u0000x");
+  EXPECT_EQ(json_escaped(""), "");
+  // Appends after what is there; DEL and bytes above 0x7f pass verbatim.
+  std::string out = "{\"k\":\"";
+  strs::json_escape_append(std::string("\r\x1f\x7f\xc3\xa9", 5), out);
+  EXPECT_EQ(out, "{\"k\":\"\\r\\u001f\x7f\xc3\xa9");
+}
+
 TEST(Strings, PercentMatchesPaperFormatting) {
   // The exact strings from the paper's Table I/II (rounded cells).
   EXPECT_EQ(strs::percent(2, 3), "66.67%");

@@ -3,9 +3,10 @@
 // dependency.
 //
 //   metrics_lint              self-check: serve the builtin site on an
-//        ephemeral port, exercise every route (pages, catalog, activity,
-//        search, healthz, plus a 404 and a bad query), scrape GET /metrics
-//        over a real socket, and lint the scrape
+//        ephemeral port with every /metrics source wired, exercise every
+//        route (pages, catalog, activity, search, healthz, plus a 404 and a
+//        bad query), scrape GET /metrics over a real socket, and lint the
+//        scrape
 //   metrics_lint <file>       lint a saved exposition file
 //   metrics_lint -            lint stdin
 //
@@ -21,7 +22,9 @@
 #include "pdcu/core/repository.hpp"
 #include "pdcu/loadgen/loadgen.hpp"
 #include "pdcu/obs/lint.hpp"
+#include "pdcu/obs/span.hpp"
 #include "pdcu/search/index.hpp"
+#include "pdcu/server/health.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 
@@ -46,13 +49,25 @@ std::string http_get(std::uint16_t port, const std::string& target) {
   return reply ? reply.value().body : std::string();
 }
 
-/// Serves the builtin site on an ephemeral port, hits every route class
-/// so the per-route series exist, and returns the /metrics scrape.
+/// Serves the builtin site on an ephemeral port with every /metrics source
+/// wired the way `pdcu serve --watch` wires them (build stats, reload
+/// counters, build spans), hits every route class so the per-route series
+/// exist, and returns the /metrics scrape.
 std::string self_scrape() {
   auto repo = pdcu::core::Repository::builtin();
-  auto index = pdcu::search::SearchIndex::build(repo);
-  const auto site = pdcu::site::build_site(repo);
+  // The registry and reload counters outlive the server, which holds
+  // pointers to them until stop().
+  pdcu::obs::SpanRegistry spans;
+  pdcu::server::ReloadMetrics reload_metrics;
+  auto index = pdcu::search::SearchIndex::build(repo, nullptr, &spans);
+  pdcu::site::SiteOptions site_options;
+  site_options.spans = &spans;
+  pdcu::site::BuildStats build_stats;
+  const auto site = pdcu::site::build_site(repo, site_options, &build_stats);
   pdcu::server::Router router(site, repo, std::move(index));
+  router.set_build_stats(build_stats);
+  router.set_reload_metrics(&reload_metrics);
+  router.set_spans(&spans);
 
   pdcu::server::ServerOptions options;
   options.port = 0;  // ephemeral
