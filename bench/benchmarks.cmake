@@ -41,10 +41,6 @@ pdcu_add_gbench(bench_sitegen bench/bench_sitegen.cpp)
 pdcu_add_gbench(bench_taxonomy bench/bench_taxonomy.cpp)
 pdcu_add_gbench(bench_sync_methods bench/bench_sync_methods.cpp)
 
-# Resilience path: fingerprint polls, lenient loads, reload-and-swap.
-pdcu_add_gbench(bench_reload bench/bench_reload.cpp)
-target_link_libraries(bench_reload PRIVATE pdcu_server)
-
 # Corpus-scale search: synthetic corpora, exhaustive-vs-MaxScore latency.
 pdcu_add_gbench(bench_search_scale bench/bench_search_scale.cpp)
 target_link_libraries(bench_search_scale PRIVATE pdcu_search)

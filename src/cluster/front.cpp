@@ -1,7 +1,6 @@
 #include "pdcu/cluster/front.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "pdcu/obs/exposition.hpp"
 
@@ -26,17 +25,21 @@ server::Response text_response(int status, std::string body) {
   return response;
 }
 
-/// Crude field scan for the two /healthz fields the prober needs. The
+/// Crude field scan for the one /healthz field the prober needs. The
 /// bodies are machine-written by HealthTracker::render_json, so a
 /// substring probe is reliable here.
 bool healthz_degraded(const std::string& body) {
   return body.find("\"status\":\"degraded\"") != std::string::npos;
 }
 
-std::uint64_t healthz_epoch(const std::string& body) {
-  const auto at = body.find("\"epoch\":");
-  if (at == std::string::npos) return 0;
-  return std::strtoull(body.c_str() + at + 8, nullptr, 10);
+/// UpstreamPool::fetch's error codes as attempt outcomes. Past the two
+/// connect codes the replica was reached (.send, .read, .timeout).
+AttemptOutcome outcome_of(const Error& error) {
+  if (error.code == "cluster.upstream.connect") return AttemptOutcome::kRefused;
+  if (error.code == "cluster.upstream.connect_timeout") {
+    return AttemptOutcome::kConnectTimeout;
+  }
+  return AttemptOutcome::kTimedOut;
 }
 
 /// The front's HTTP side of the reactor: parse, proxy (blocking on the
@@ -97,10 +100,8 @@ FrontTier::FrontTier(FrontOptions options, std::vector<ReplicaTarget> replicas)
       pool_(4) {
   for (const ReplicaTarget& replica : replicas_) {
     ring_.add_node(replica.id);
-    probes_.push_back({replica.id, ProbeState{}});
+    probes_.push_back({replica.id, ProbeState{}});  // replicas_ order
   }
-  std::sort(probes_.begin(), probes_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<GossipPeer> peers;
   peers.reserve(replicas_.size());
   for (const ReplicaTarget& replica : replicas_) {
@@ -195,17 +196,20 @@ server::Response FrontTier::front_healthz() const {
   return response;
 }
 
-void FrontTier::mark_probe(const std::string& id, bool alive, bool degraded,
-                           std::uint64_t epoch) {
+void FrontTier::mark_probe(std::size_t replica, bool alive, bool degraded) {
   {
     std::lock_guard lock(probes_mutex_);
-    for (auto& [probe_id, state] : probes_) {
-      if (probe_id != id) continue;
-      state.alive = alive;
-      state.degraded = degraded;
-      if (epoch != 0) state.epoch = epoch;
-      break;
-    }
+    probes_[replica].second = {alive, degraded};
+  }
+  refresh_routable_and_moves();
+}
+
+void FrontTier::set_alive(std::size_t replica, bool alive) {
+  {
+    std::lock_guard lock(probes_mutex_);
+    ProbeState& state = probes_[replica].second;
+    if (state.alive == alive) return;  // another request got here first
+    state.alive = alive;
   }
   refresh_routable_and_moves();
 }
@@ -231,7 +235,8 @@ void FrontTier::refresh_routable_and_moves() {
   for (std::size_t i = 0; i < kSampleKeys; ++i) {
     const std::string key = "sample-" + std::to_string(i);
     const auto plan = plan_route(ring_, key, 1, probes, gossip_.map());
-    const std::string target = plan.empty() ? std::string() : plan.front().id;
+    const std::string target =
+        plan.candidates.empty() ? std::string() : plan.candidates.front().id;
     if (!sample_owner_[i].empty() && sample_owner_[i] != target) ++moves;
     sample_owner_[i] = target;
   }
@@ -239,17 +244,16 @@ void FrontTier::refresh_routable_and_moves() {
 }
 
 void FrontTier::probe_once() {
-  for (const ReplicaTarget& replica : replicas_) {
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    const ReplicaTarget& replica = replicas_[i];
     auto reply = pool_.fetch(replica.host, replica.port, "/healthz", {},
                              options_.connect_timeout, kProbeDeadline);
     if (!reply || reply.value().status != 200) {
       metrics_.record_probe_failure();
-      mark_probe(replica.id, false, false, 0);
+      mark_probe(i, false, false);
       continue;
     }
-    const std::string& body = reply.value().body;
-    mark_probe(replica.id, true, healthz_degraded(body),
-               healthz_epoch(body));
+    mark_probe(i, true, healthz_degraded(reply.value().body));
   }
 }
 
@@ -270,85 +274,52 @@ server::Response FrontTier::proxy(const server::Request& request) {
   }
 
   metrics_.record_request();
-  const milliseconds budget = effective_budget(
-      options_.request_budget, request.header(kDeadlineHeader));
-  const auto give_up = Clock::now() + budget;
+  const auto started = Clock::now();
+  AttemptMachine machine(
+      plan_route(ring_, path, options_.max_attempts, probe_snapshot(),
+                 gossip_.map()),
+      {effective_budget(options_.request_budget,
+                        request.header(kDeadlineHeader)),
+       options_.connect_timeout, options_.backoff_initial,
+       options_.backoff_cap});
 
-  const std::string key(path);
-  const auto probes = probe_snapshot();
-  const std::vector<Candidate> plan = plan_route(
-      ring_, key, options_.max_attempts, probes, gossip_.map());
-  if (plan.empty()) {
-    metrics_.record_exhausted();
-    return text_response(502, "502 no replicas configured\n");
-  }
-  // Shed accounting: the ring owner exists but was pushed off the front
-  // of the walk because it is degraded (or dead).
-  const std::string owner = ring_.owner(key);
-  if (!owner.empty() && plan.front().id != owner) {
-    const auto owner_in_plan =
-        std::find_if(plan.begin(), plan.end(),
-                     [&](const Candidate& c) { return c.id == owner; });
-    if (owner_in_plan != plan.end() &&
-        owner_in_plan->cls == CandidateClass::kDegraded) {
-      metrics_.record_shed();
-    }
-  }
-
-  for (std::size_t attempt = 0; attempt < plan.size(); ++attempt) {
-    auto remaining =
-        std::chrono::duration_cast<milliseconds>(give_up - Clock::now());
-    if (remaining.count() <= 0) break;
-    if (attempt > 0) {
-      metrics_.record_retry();
-      const milliseconds wait =
-          backoff_for(static_cast<unsigned>(attempt - 1),
-                      options_.backoff_initial, options_.backoff_cap);
-      std::this_thread::sleep_for(std::min(wait, remaining));
-      remaining = std::chrono::duration_cast<milliseconds>(give_up -
-                                                           Clock::now());
-      if (remaining.count() <= 0) break;
-    }
-
-    const Candidate& candidate = plan[attempt];
-    const ReplicaTarget* target = nullptr;
-    for (const ReplicaTarget& replica : replicas_) {
-      if (replica.id == candidate.id) target = &replica;
-    }
-    if (target == nullptr) continue;
-
-    HeaderList headers;
-    headers.push_back({std::string(kDeadlineHeader),
-                       std::to_string(remaining.count())});
-    auto reply = pool_.fetch(target->host, target->port, request.target,
-                             headers, options_.connect_timeout, remaining);
-    if (!reply) {
-      metrics_.record_upstream_error();
-      // Connect-level failures are strong evidence the replica is gone;
-      // don't wait for the next probe tick to route around it.
-      if (reply.error().code == "cluster.upstream.connect" ||
-          reply.error().code == "cluster.upstream.connect_timeout") {
-        mark_probe(candidate.id, false, false, 0);
-      }
+  for (;;) {
+    // Rounded up, so a request with 0.4 ms left does not start an attempt.
+    const AttemptAction action =
+        machine.next(std::chrono::ceil<milliseconds>(Clock::now() - started));
+    if (action.kind == AttemptAction::Kind::kGiveUp) break;
+    if (action.kind == AttemptAction::Kind::kWait) {
+      std::this_thread::sleep_for(action.wait);
       continue;
     }
-    if (reply.value().status >= 500) {
-      metrics_.record_upstream_error();
-      continue;
-    }
+    const std::size_t replica = action.candidate->replica;
+    const ReplicaTarget& target = replicas_[replica];
+    const HeaderList headers = {{std::string(kDeadlineHeader),
+                                 std::to_string(action.remaining.count())}};
+    auto reply = pool_.fetch(target.host, target.port, request.target,
+                             headers, action.deadline, action.remaining);
+    const AttemptOutcome outcome =
+        !reply                         ? outcome_of(reply.error())
+        : reply.value().status >= 500 ? AttemptOutcome::kServerError
+                                       : AttemptOutcome::kServed;
+    if (const auto alive = machine.report(outcome)) set_alive(replica, *alive);
+    if (outcome != AttemptOutcome::kServed) continue;
 
-    if (candidate.id != owner) metrics_.record_failover();
+    metrics_.record_attempts(machine.tally());
     server::Response response;
     response.status = reply.value().status;
     if (!reply.value().content_type.empty()) {
       response.set("Content-Type", reply.value().content_type);
     }
-    response.set("X-Pdcu-Upstream", candidate.id);
+    response.set("X-Pdcu-Upstream", target.id);
     response.body = std::move(reply.value().body);
     return response;
   }
 
-  metrics_.record_exhausted();
+  metrics_.record_attempts(machine.tally());
+  if (machine.plan().candidates.empty()) {
+    return text_response(502, "502 no replicas configured\n");
+  }
   server::Response response =
       text_response(503, "503 all replicas unavailable\n");
   response.set("Retry-After", "1");

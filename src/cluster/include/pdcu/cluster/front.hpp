@@ -1,17 +1,16 @@
 // The cluster's front door: a proxy that consistent-hash-routes every
 // request onto a replica fleet and absorbs replica failure so clients
-// never see it. Per request it plans a candidate walk (ring owner, then
-// distinct ring successors; healthy before degraded before dead — see
-// policy.hpp), tries candidates under a single deadline budget with
-// capped exponential backoff between attempts, and propagates the
-// remaining budget upstream in X-Pdcu-Deadline so a replica never spends
-// time the request no longer has.
+// never see it. It is policy.hpp's wall-clock driver: the AttemptMachine
+// decides every wait, attempt, deadline and give-up, and the front only
+// sleeps, fetches, maps fetch errors onto outcomes, records the machine's
+// dead/alive verdicts, and propagates the remaining budget upstream in
+// X-Pdcu-Deadline so a replica never spends time the request no longer has.
 //
 // Failure detection is three-layered: a periodic /healthz prober, gossip
 // rumors (a replica that fails its rebuild marks itself degraded and the
 // rumor reaches the front within a few rounds), and the attempts
-// themselves (a connect failure marks the replica dead immediately,
-// without waiting for the next probe tick).
+// themselves (a refused or timed-out connect marks the replica dead
+// immediately, without waiting for the next probe tick).
 //
 // The front's own surface lives under /_front/ (healthz + metrics) so it
 // can never shadow a replica route. Connections ride the same sharded
@@ -98,8 +97,10 @@ class FrontTier {
 
  private:
   server::Response front_healthz() const;
-  void mark_probe(const std::string& id, bool alive, bool degraded,
-                  std::uint64_t epoch);
+  /// `replica` indexes replicas_ and probes_ alike.
+  void mark_probe(std::size_t replica, bool alive, bool degraded);
+  /// An attempt's verdict: refreshes only if `alive` changed.
+  void set_alive(std::size_t replica, bool alive);
   std::vector<std::pair<std::string, ProbeState>> probe_snapshot() const;
   void refresh_routable_and_moves();
 
@@ -111,6 +112,7 @@ class FrontTier {
   UpstreamPool pool_;
 
   mutable std::mutex probes_mutex_;
+  /// One entry per replica, in replicas_ order.
   std::vector<std::pair<std::string, ProbeState>> probes_;
   std::vector<std::string> sample_owner_;  ///< last chosen target per sample key
 

@@ -9,16 +9,21 @@
 #include <cstdint>
 #include <string>
 
+#include "pdcu/cluster/policy.hpp"
+
 namespace pdcu::cluster {
 
 class ClusterMetrics {
  public:
   void record_request() { requests_.fetch_add(1, kRelaxed); }
-  void record_retry() { retries_.fetch_add(1, kRelaxed); }
-  void record_failover() { failovers_.fetch_add(1, kRelaxed); }
-  void record_shed() { shed_.fetch_add(1, kRelaxed); }
-  void record_upstream_error() { upstream_errors_.fetch_add(1, kRelaxed); }
-  void record_exhausted() { exhausted_.fetch_add(1, kRelaxed); }
+  /// One request's walk, as its AttemptMachine counted it.
+  void record_attempts(const AttemptTally& tally) {
+    retries_.fetch_add(tally.retries, kRelaxed);
+    upstream_errors_.fetch_add(tally.upstream_errors, kRelaxed);
+    failovers_.fetch_add(tally.failover ? 1 : 0, kRelaxed);
+    shed_.fetch_add(tally.shed ? 1 : 0, kRelaxed);
+    exhausted_.fetch_add(tally.exhausted ? 1 : 0, kRelaxed);
+  }
   void record_gossip_round() { gossip_rounds_.fetch_add(1, kRelaxed); }
   void record_gossip_merge(std::uint64_t changed) {
     gossip_merges_.fetch_add(changed, kRelaxed);

@@ -1,11 +1,13 @@
-// Deterministic virtual-time cluster simulation. Replays the front
-// tier's exact routing policy (policy.hpp: plan_route + backoff_for),
-// the real gossip merge (GossipMap), and the real ring (HashRing) over a
-// discrete-event virtual clock, with failures injected by net's
-// FaultInjector and scripted SimEvents. No sockets, no threads, no wall
-// clock: the whole run is a pure function of SimOptions, so a seed that
-// exposes a failover bug replays bit-identically (the report carries an
-// fnv1a checksum of the event log to prove it).
+// Deterministic virtual-time cluster simulation: policy.hpp's
+// virtual-clock driver. Each request runs FrontTier::proxy's plan_route
+// and AttemptMachine over the real gossip merge (GossipMap) and ring
+// (HashRing); the sim owns only what an attempt costs and how it ends (a
+// killed node refuses, a dropped link is a connect timeout), the probe and
+// gossip ticks, and faults from net's FaultInjector and scripted
+// SimEvents, all on a discrete-event virtual clock. No sockets, no
+// threads, no wall clock: the run is a pure function of SimOptions, so a
+// seed that exposes a failover bug replays bit-identically (the report
+// carries an fnv1a checksum of the event log to prove it).
 //
 // Node numbering for FaultInjector rules: replica i is node i; the front
 // tier is node `replicas` (see SimOptions::front_node()).
@@ -13,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pdcu/net/fault.hpp"
@@ -71,5 +74,10 @@ struct SimReport {
 };
 
 SimReport run_sim(const SimOptions& options);
+
+/// Adds a named chaos scenario: "none", or replica 0 is killed
+/// ("kill-one"), degraded ("degrade-one") or cut off from the front
+/// ("partition") for the middle third of the run. False for other names.
+bool apply_scenario(std::string_view name, SimOptions& options);
 
 }  // namespace pdcu::cluster

@@ -6,38 +6,34 @@ namespace pdcu::cluster {
 
 namespace {
 
-const ProbeState* find_probe(
-    const std::vector<std::pair<std::string, ProbeState>>& probes,
-    const std::string& id) {
-  for (const auto& [probe_id, state] : probes) {
-    if (probe_id == id) return &state;
-  }
-  return nullptr;
-}
+using std::chrono::milliseconds;
 
-CandidateClass classify(const std::string& id,
-                        const std::vector<std::pair<std::string, ProbeState>>&
-                            probes,
+CandidateClass classify(const std::string& id, const ProbeState& probe,
                         const GossipMap& gossip) {
-  const ProbeState* probe = find_probe(probes, id);
-  if (probe != nullptr && !probe->alive) return CandidateClass::kDead;
+  if (!probe.alive) return CandidateClass::kDead;
   const auto rumor = gossip.get(id);
-  const bool degraded = (probe != nullptr && probe->degraded) ||
-                        (rumor.has_value() && rumor->degraded);
+  const bool degraded =
+      probe.degraded || (rumor.has_value() && rumor->degraded);
   return degraded ? CandidateClass::kDegraded : CandidateClass::kHealthy;
 }
 
 }  // namespace
 
-std::vector<Candidate> plan_route(
+RoutePlan plan_route(
     const HashRing& ring, std::string_view key, std::size_t max_attempts,
     const std::vector<std::pair<std::string, ProbeState>>& probes,
     const GossipMap& gossip) {
-  std::vector<Candidate> out;
+  RoutePlan plan;
   const std::vector<std::string> order = ring.route(key, max_attempts);
-  out.reserve(order.size());
+  if (order.empty()) return plan;
+  plan.owner = order.front();
+  auto& out = plan.candidates;
   for (const std::string& id : order) {
-    out.push_back({id, classify(id, probes, gossip)});
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      if (probes[i].first != id) continue;
+      out.push_back({id, i, classify(id, probes[i].second, gossip)});
+      break;
+    }
   }
   // Stable partition: healthy < degraded < dead, ring order within each
   // class. std::stable_partition twice keeps the walk deterministic.
@@ -47,7 +43,61 @@ std::vector<Candidate> plan_route(
   std::stable_partition(healthy_end, out.end(), [](const Candidate& c) {
     return c.cls == CandidateClass::kDegraded;
   });
-  return out;
+  // Shed: the owner is still on the walk, behind a healthy node, because
+  // it is degraded (a dead owner was not shed; it failed).
+  plan.shed = !out.empty() && out.front().id != plan.owner &&
+              std::any_of(out.begin(), out.end(), [&](const Candidate& c) {
+                return c.id == plan.owner &&
+                       c.cls == CandidateClass::kDegraded;
+              });
+  return plan;
+}
+
+AttemptMachine::AttemptMachine(RoutePlan plan, AttemptLimits limits)
+    : plan_(std::move(plan)), limits_(limits) {
+  tally_.shed = plan_.shed;
+}
+
+AttemptAction AttemptMachine::next(milliseconds elapsed) {
+  using Kind = AttemptAction::Kind;
+  const milliseconds remaining = limits_.budget - elapsed;
+  if (done_) return {};
+  if (remaining.count() <= 0 || next_ >= plan_.candidates.size()) {
+    done_ = tally_.exhausted = true;
+    return {};
+  }
+  if (next_ > 0 && !backed_off_) {
+    backed_off_ = true;
+    ++tally_.retries;
+    const milliseconds wait =
+        std::min(backoff_for(static_cast<unsigned>(next_ - 1),
+                             limits_.backoff_initial, limits_.backoff_cap),
+                 remaining);
+    if (wait.count() > 0) return {.kind = Kind::kWait, .wait = wait};
+  }
+  ++tally_.attempts;
+  return {.kind = Kind::kTry,
+          .candidate = &plan_.candidates[next_],
+          .deadline = std::min(limits_.attempt_timeout, remaining),
+          .remaining = remaining};
+}
+
+std::optional<bool> AttemptMachine::report(AttemptOutcome outcome) {
+  const Candidate& tried = plan_.candidates[next_];
+  const bool dead = tried.cls == CandidateClass::kDead;
+  if (outcome == AttemptOutcome::kServed) {
+    done_ = true;
+    tally_.failover = tried.id != plan_.owner;
+    return dead ? std::optional(true) : std::nullopt;
+  }
+  ++tally_.upstream_errors;
+  ++next_;
+  backed_off_ = false;
+  // A connect-level failure is strong evidence the replica is gone; don't
+  // wait for the next probe tick to route around it.
+  const bool unreachable = outcome == AttemptOutcome::kRefused ||
+                           outcome == AttemptOutcome::kConnectTimeout;
+  return unreachable && !dead ? std::optional(false) : std::nullopt;
 }
 
 std::chrono::milliseconds effective_budget(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "pdcu/cluster/policy.hpp"
 #include "pdcu/cluster/ring.hpp"
@@ -68,6 +69,27 @@ std::string SimReport::render_json() const {
   json += ",\"max_latency_ms\":" + std::to_string(max_latency_ms);
   json += ",\"checksum\":\"" + std::to_string(checksum) + "\"}\n";
   return json;
+}
+
+bool apply_scenario(std::string_view name, SimOptions& options) {
+  const std::uint64_t third = options.duration_ms / 3;
+  using Kind = SimEvent::Kind;
+  if (name == "kill-one") {
+    options.events.push_back({third, Kind::kKill, 0});
+    options.events.push_back({2 * third, Kind::kRestart, 0});
+  } else if (name == "degrade-one") {
+    options.events.push_back({third, Kind::kDegrade, 0});
+    options.events.push_back({2 * third, Kind::kRecover, 0});
+  } else if (name == "partition") {
+    // Requests routed at replica 0 burn the attempt timeout, then fail
+    // over.
+    options.fault.partition({0}, {static_cast<int>(options.front_node())},
+                            static_cast<std::int64_t>(third),
+                            static_cast<std::int64_t>(2 * third));
+  } else if (name != "none") {
+    return false;
+  }
+  return true;
 }
 
 SimReport run_sim(const SimOptions& options) {
@@ -169,12 +191,42 @@ SimReport run_sim(const SimOptions& options) {
                            static_cast<std::int64_t>(now))
                .drop;
       state.alive = reachable;
-      if (reachable) {
-        state.degraded = replica.degraded;
-        state.epoch = replica.epoch;
-      }
+      if (reachable) state.degraded = replica.degraded;
     }
   };
+
+  // One attempt on the virtual clock: advances `clock` by its cost. A dead
+  // node refuses at once. A dropped link is a connect that never completes
+  // (the sim models no pooled sockets), so it costs the attempt deadline.
+  auto attempt = [&](std::size_t index, std::uint64_t& clock,
+                     const AttemptAction& action) {
+    const int node = static_cast<int>(index);
+    const auto t = static_cast<std::int64_t>(clock);
+    if (!replicas[index].alive || !fault.alive(node, t)) {
+      clock += 1;
+      return AttemptOutcome::kRefused;
+    }
+    const auto link = fault.intercept(front, node, t);
+    if (link.drop) {
+      clock += static_cast<std::uint64_t>(action.deadline.count());
+      return AttemptOutcome::kConnectTimeout;
+    }
+    const std::uint64_t cost =
+        options.service_ms + static_cast<std::uint64_t>(link.delay_ms);
+    const auto left = static_cast<std::uint64_t>(action.remaining.count());
+    if (cost > left) {
+      clock += left;
+      return AttemptOutcome::kTimedOut;
+    }
+    clock += cost;
+    return AttemptOutcome::kServed;
+  };
+
+  using std::chrono::milliseconds;
+  const AttemptLimits limits{milliseconds(options.budget_ms),
+                             milliseconds(options.attempt_timeout_ms),
+                             milliseconds(options.backoff_initial_ms),
+                             milliseconds(options.backoff_cap_ms)};
 
   for (const Tick& tick : ticks) {
     const std::uint64_t now = tick.at_ms;
@@ -238,78 +290,41 @@ SimReport run_sim(const SimOptions& options) {
         ++report.requests_total;
         const std::string key =
             "/activities/a" + std::to_string(rng.below(256)) + "/";
-        const std::string owner = ring.owner(key);
-        const auto plan =
-            plan_route(ring, key, options.max_attempts, probes, front_map);
-        if (!plan.empty() && plan.front().id != owner) {
-          for (const Candidate& c : plan) {
-            if (c.id == owner && c.cls == CandidateClass::kDegraded) {
-              ++report.shed;
-              break;
-            }
-          }
-        }
+        AttemptMachine machine(
+            plan_route(ring, key, options.max_attempts, probes, front_map),
+            limits);
         std::uint64_t clock = now;
-        bool served = false;
-        std::string served_by;
-        std::size_t attempts = 0;
-        for (std::size_t i = 0; i < plan.size(); ++i) {
-          if (clock - now >= options.budget_ms) break;
-          if (i > 0) {
-            ++report.retries;
-            clock += backoff_for(static_cast<unsigned>(i - 1),
-                                 std::chrono::milliseconds(
-                                     options.backoff_initial_ms),
-                                 std::chrono::milliseconds(
-                                     options.backoff_cap_ms))
-                         .count();
-            if (clock - now >= options.budget_ms) break;
-          }
-          ++attempts;
-          const unsigned index = static_cast<unsigned>(
-              std::stoul(plan[i].id.substr(plan[i].id.rfind('-') + 1)));
-          SimReplica& replica = replicas[index];
-          const bool node_up =
-              replica.alive &&
-              fault.alive(static_cast<int>(index),
-                          static_cast<std::int64_t>(clock));
-          if (!node_up) {
-            // Connection refused: fast failure, and the front learns
-            // immediately (same as the real proxy's mark-dead-on-connect).
-            clock += 1;
-            ++report.upstream_errors;
-            probes[index].second.alive = false;
+        std::optional<std::size_t> served_by;
+        for (;;) {
+          const AttemptAction action =
+              machine.next(milliseconds(clock - now));
+          if (action.kind == AttemptAction::Kind::kGiveUp) break;
+          if (action.kind == AttemptAction::Kind::kWait) {
+            clock += static_cast<std::uint64_t>(action.wait.count());
             continue;
           }
-          const auto action = fault.intercept(
-              front, static_cast<int>(index),
-              static_cast<std::int64_t>(clock));
-          if (action.drop) {
-            clock += options.attempt_timeout_ms;
-            ++report.upstream_errors;
-            continue;
+          const std::size_t index = action.candidate->replica;
+          const auto outcome = attempt(index, clock, action);
+          if (const auto alive = machine.report(outcome)) {
+            probes[index].second.alive = *alive;
           }
-          clock += options.service_ms +
-                   static_cast<std::uint64_t>(action.delay_ms);
-          served = true;
-          served_by = plan[i].id;
-          probes[index].second.alive = true;
-          break;
+          if (outcome == AttemptOutcome::kServed) {
+            served_by = index;
+            break;
+          }
         }
+        const AttemptTally& tally = machine.tally();
+        report.retries += tally.retries;
+        report.upstream_errors += tally.upstream_errors;
+        if (tally.shed) ++report.shed;
+        if (tally.failover) ++report.failovers;
         const std::uint64_t latency = clock - now;
         report.max_latency_ms = std::max(report.max_latency_ms, latency);
-        if (served) {
-          ++report.ok;
-          if (served_by != owner) ++report.failovers;
-          note("t=" + std::to_string(now) + " req " + key + " -> " +
-               served_by + " attempts=" + std::to_string(attempts) +
-               " lat=" + std::to_string(latency));
-        } else {
-          ++report.client_errors;
-          note("t=" + std::to_string(now) + " req " + key +
-               " -> FAIL attempts=" + std::to_string(attempts) +
-               " lat=" + std::to_string(latency));
-        }
+        ++(served_by ? report.ok : report.client_errors);
+        note("t=" + std::to_string(now) + " req " + key + " -> " +
+             (served_by ? replicas[*served_by].id : "FAIL") +
+             " attempts=" + std::to_string(tally.attempts) +
+             " lat=" + std::to_string(latency));
         break;
       }
     }

@@ -1,11 +1,14 @@
 // The deterministic virtual-time cluster simulation: bit-identical replay
-// from a seed, and the two chaos acceptance scenarios — a killed replica
-// and a degraded (failed-reload) replica — absorbed with zero
-// client-visible errors.
+// from a seed, the named scenarios' pinned checksums, the two chaos
+// acceptance scenarios — a killed replica and a degraded (failed-reload)
+// replica — absorbed with zero client-visible errors, and the budget and
+// liveness rules it shares with the front tier through the attempt
+// machine.
 #include "pdcu/cluster/sim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace cluster = pdcu::cluster;
@@ -100,6 +103,84 @@ TEST(ClusterSim, PartitionedLinkBurnsTimeoutThenFailsOver) {
   // At least one request paid a dropped-attempt timeout before failing
   // over — the latency tail records the partition.
   EXPECT_GE(report.max_latency_ms, options.attempt_timeout_ms);
+  // The dropped link is a connect timeout, so the first burned attempt
+  // marks replica-0 dead and later requests walk past it until a probe
+  // finds the link healed.
+  EXPECT_EQ(report.upstream_errors, 1u);
+}
+
+TEST(ClusterSim, DroppedLinkSpendsNoMoreThanTheBudget) {
+  auto options = base_options();
+  options.budget_ms = 100;
+  options.fault.partition({0}, {static_cast<int>(options.front_node())},
+                          3'050, 7'000);
+  const auto report = cluster::run_sim(options);
+  EXPECT_GT(report.upstream_errors, 0u);
+  EXPECT_LE(report.max_latency_ms, 100u);
+}
+
+TEST(ClusterSim, BackoffSpendsNoMoreThanTheBudget) {
+  auto options = base_options();
+  options.budget_ms = 15;
+  for (unsigned i = 0; i < options.replicas; ++i) {
+    options.events.push_back({1'000, SimEvent::Kind::kKill, i});
+  }
+  const auto report = cluster::run_sim(options);
+  EXPECT_GT(report.client_errors, 0u);
+  EXPECT_LE(report.max_latency_ms, 15u);
+}
+
+// The seeded twin of FrontTier.KilledReplicaIsAbsorbedWithZeroClientVisible5xx:
+// no prober and no gossip, so the attempts alone must route around the
+// corpse, on every seed.
+TEST(ClusterSim, KilledReplicaIsAbsorbedByAttemptsAlone) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    auto options = base_options();
+    options.seed = seed;
+    options.requests = 120;
+    options.probe_interval_ms = 0;
+    options.gossip_interval_ms = 0;
+    options.events.push_back({options.duration_ms / 4,
+                              SimEvent::Kind::kKill, 0});
+    const auto report = cluster::run_sim(options);
+    EXPECT_EQ(report.client_errors, 0u) << "seed " << seed;
+    EXPECT_EQ(report.ok, 120u) << "seed " << seed;
+    EXPECT_GT(report.failovers, 0u) << "seed " << seed;
+    EXPECT_EQ(report.gossip_rounds, 0u);
+  }
+}
+
+// `pdcu cluster --sim --scenario S --seed N` with the default options. A
+// change that moves one of these changed what the chaos report says about
+// the shipped policy, and must say why.
+TEST(ClusterSim, NamedScenariosKeepTheirChecksums) {
+  struct Pinned {
+    const char* scenario;
+    std::uint64_t seed;
+    std::uint64_t checksum;
+  };
+  const Pinned pinned[] = {
+      {"none", 1, 16219650409847724377ULL},
+      {"none", 42, 6763280844557416407ULL},
+      {"kill-one", 1, 10123015071772490880ULL},
+      {"kill-one", 42, 9044830549846970058ULL},
+      {"degrade-one", 1, 2359751281965694223ULL},
+      {"degrade-one", 42, 2427103939621014153ULL},
+      {"partition", 1, 16169092182295063693ULL},
+      {"partition", 42, 2295305614077863251ULL},
+  };
+  for (const Pinned& pin : pinned) {
+    SimOptions options;
+    options.seed = pin.seed;
+    ASSERT_TRUE(cluster::apply_scenario(pin.scenario, options));
+    const auto report = cluster::run_sim(options);
+    EXPECT_EQ(report.checksum, pin.checksum)
+        << pin.scenario << " seed " << pin.seed;
+    EXPECT_EQ(report.client_errors, 0u) << pin.scenario;
+  }
+  SimOptions options;
+  EXPECT_FALSE(cluster::apply_scenario("meteor", options));
+  EXPECT_TRUE(options.events.empty());
 }
 
 TEST(ClusterSim, WholeFleetDeadYieldsClientErrors) {

@@ -89,14 +89,16 @@ pdcu::site::BuildStats build_stats() {
 
 void fill(pdcu::cluster::ClusterMetrics& metrics) {
   for (int i = 0; i < 9; ++i) metrics.record_request();
-  metrics.record_retry();
-  metrics.record_retry();
-  metrics.record_failover();
-  metrics.record_shed();
-  metrics.record_upstream_error();
-  metrics.record_upstream_error();
-  metrics.record_upstream_error();
-  metrics.record_exhausted();
+  pdcu::cluster::AttemptTally failed_over;
+  failed_over.retries = 2;
+  failed_over.upstream_errors = 2;
+  failed_over.shed = true;
+  failed_over.failover = true;
+  metrics.record_attempts(failed_over);
+  pdcu::cluster::AttemptTally gave_up;
+  gave_up.upstream_errors = 1;
+  gave_up.exhausted = true;
+  metrics.record_attempts(gave_up);
   metrics.record_gossip_round();
   metrics.record_gossip_merge(5);
   metrics.record_probe_failure();

@@ -103,7 +103,9 @@ TEST(Classroom, ReduceSumsAtRoot) {
     std::int64_t total = comm.reduce(
         0, comm.rank() + 1,
         [](std::int64_t a, std::int64_t b) { return a + b; });
-    if (comm.rank() == 0) EXPECT_EQ(total, 21);  // 1+2+...+6
+    if (comm.rank() == 0) {
+      EXPECT_EQ(total, 21);  // 1+2+...+6
+    }
   });
   EXPECT_TRUE(result.ok());
 }

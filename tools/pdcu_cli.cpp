@@ -866,22 +866,7 @@ int cluster_cmd(int argc, char** argv) {
 
   if (sim) {
     sim_options.replicas = replicas;
-    const std::uint64_t third = sim_options.duration_ms / 3;
-    using Kind = pdcu::cluster::SimEvent::Kind;
-    if (scenario == "kill-one") {
-      sim_options.events.push_back({third, Kind::kKill, 0});
-      sim_options.events.push_back({2 * third, Kind::kRestart, 0});
-    } else if (scenario == "degrade-one") {
-      sim_options.events.push_back({third, Kind::kDegrade, 0});
-      sim_options.events.push_back({2 * third, Kind::kRecover, 0});
-    } else if (scenario == "partition") {
-      // Replica 0 loses its link to the front tier for the middle third;
-      // requests routed at it burn the attempt timeout, then fail over.
-      sim_options.fault.partition(
-          {0}, {static_cast<int>(sim_options.front_node())},
-          static_cast<std::int64_t>(third),
-          static_cast<std::int64_t>(2 * third));
-    } else if (scenario != "none") {
+    if (!pdcu::cluster::apply_scenario(scenario, sim_options)) {
       std::fprintf(stderr,
                    "cluster: --scenario expects kill-one|degrade-one|"
                    "partition|none, got '%s'\n",
