@@ -104,19 +104,6 @@ std::vector<std::string> Fleet::replica_argv(std::size_t i) const {
           ? 0
           : static_cast<std::uint16_t>(options_.base_port + i);
   argv.push_back(std::to_string(port));
-  argv.push_back("--cluster-id");
-  argv.push_back("replica-" + std::to_string(i));
-  if (options_.base_port != 0 && options_.replicas > 1) {
-    std::string peers;
-    for (unsigned j = 0; j < options_.replicas; ++j) {
-      if (j == i) continue;
-      if (!peers.empty()) peers += ',';
-      peers += options_.host + ":" +
-               std::to_string(options_.base_port + j);
-    }
-    argv.push_back("--gossip-peers");
-    argv.push_back(peers);
-  }
   if (options_.watch) argv.push_back("--watch");
   for (const std::string& extra : options_.extra_args) {
     argv.push_back(extra);

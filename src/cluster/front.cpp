@@ -95,19 +95,11 @@ class FrontHandler final : public net::Handler {
 FrontTier::FrontTier(FrontOptions options, std::vector<ReplicaTarget> replicas)
     : options_(std::move(options)),
       replicas_(std::move(replicas)),
-      ring_(options_.vnodes),
-      gossip_(options_.id, &metrics_),
-      pool_(4) {
+      ring_(options_.vnodes) {
   for (const ReplicaTarget& replica : replicas_) {
     ring_.add_node(replica.id);
     probes_.push_back({replica.id, ProbeState{}});  // replicas_ order
   }
-  std::vector<GossipPeer> peers;
-  peers.reserve(replicas_.size());
-  for (const ReplicaTarget& replica : replicas_) {
-    peers.push_back({replica.host, replica.port});
-  }
-  gossip_.set_peers(std::move(peers));
   metrics_.set_routable(replicas_.size(), replicas_.size());
   sample_owner_.resize(kSampleKeys);
 }
@@ -155,15 +147,11 @@ Status FrontTier::start() {
       }
     });
   }
-  if (options_.gossip_interval.count() > 0) {
-    gossip_.start(options_.gossip_interval);
-  }
   return Status::ok();
 }
 
 void FrontTier::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  gossip_.stop();
   {
     std::lock_guard lock(probe_stop_mutex_);
     probe_stopping_ = true;
@@ -229,12 +217,14 @@ void FrontTier::refresh_routable_and_moves() {
   metrics_.set_routable(routable, replicas_.size());
 
   // Sampled owner churn: for a fixed key set, count keys whose effective
-  // target (first planned candidate) changed since the last refresh.
+  // target (first planned candidate) changed since the last refresh. The
+  // plan must span the whole walk: a one-candidate plan is the ring owner
+  // alone, whatever its state.
   std::lock_guard lock(probes_mutex_);
   std::uint64_t moves = 0;
   for (std::size_t i = 0; i < kSampleKeys; ++i) {
     const std::string key = "sample-" + std::to_string(i);
-    const auto plan = plan_route(ring_, key, 1, probes, gossip_.map());
+    const auto plan = plan_route(ring_, key, options_.max_attempts, probes);
     const std::string target =
         plan.candidates.empty() ? std::string() : plan.candidates.front().id;
     if (!sample_owner_[i].empty() && sample_owner_[i] != target) ++moves;
@@ -276,8 +266,7 @@ server::Response FrontTier::proxy(const server::Request& request) {
   metrics_.record_request();
   const auto started = Clock::now();
   AttemptMachine machine(
-      plan_route(ring_, path, options_.max_attempts, probe_snapshot(),
-                 gossip_.map()),
+      plan_route(ring_, path, options_.max_attempts, probe_snapshot()),
       {effective_budget(options_.request_budget,
                         request.header(kDeadlineHeader)),
        options_.connect_timeout, options_.backoff_initial,

@@ -2,11 +2,9 @@
 // subprocesses, reads each one's machine-parseable "listening port=" line
 // to learn its (possibly ephemeral) port, and exposes kill/restart so
 // chaos tests and `pdcu cluster` can SIGKILL a replica mid-run and bring
-// it back. With a fixed --base-port every replica also gets the full
-// --gossip-peers list, so replicas rumor among themselves; with
-// ephemeral ports (base_port == 0) peer ports are unknowable at spawn
-// time and rumors route through the front tier instead (it exchanges
-// with every replica round-robin and relays what it heard).
+// it back. Replicas listen on base_port + i, or on ephemeral ports when
+// base_port is 0. They never talk to each other: the front tier learns
+// each one's state from its /healthz probes and its own attempts.
 #pragma once
 
 #include <sys/types.h>

@@ -6,20 +6,19 @@
 // dead/alive verdicts, and propagates the remaining budget upstream in
 // X-Pdcu-Deadline so a replica never spends time the request no longer has.
 //
-// Failure detection is three-layered: a periodic /healthz prober, gossip
-// rumors (a replica that fails its rebuild marks itself degraded and the
-// rumor reaches the front within a few rounds), and the attempts
-// themselves (a refused or timed-out connect marks the replica dead
-// immediately, without waiting for the next probe tick).
+// Failure detection is two-layered: a periodic /healthz prober (a dead
+// replica fails it; a replica whose rebuild failed answers "degraded" and
+// is shed), and the attempts themselves (a refused or timed-out connect
+// marks the replica dead immediately, without waiting for the next probe
+// tick).
 //
 // The front's own surface lives under /_front/ (healthz + metrics) so it
 // can never shadow a replica route. Connections ride the same sharded
 // epoll reactor as HttpServer (`threads` shards): idle keep-alive clients
 // cost no thread, and each shard proxies one request at a time with a
 // blocking upstream fetch, so there is one in-flight fetch per shard.
-// Tests run deterministically by setting probe_interval and
-// gossip_interval to zero and driving probe_once() / gossip rounds by
-// hand.
+// Tests run deterministically by setting probe_interval to zero and
+// driving probe_once() by hand.
 #pragma once
 
 #include <atomic>
@@ -32,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "pdcu/cluster/gossip_agent.hpp"
 #include "pdcu/cluster/metrics.hpp"
 #include "pdcu/cluster/policy.hpp"
 #include "pdcu/cluster/ring.hpp"
@@ -53,7 +51,6 @@ struct ReplicaTarget {
 struct FrontOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 picks an ephemeral port (see port())
-  std::string id = "front";
   unsigned threads = 4;  ///< reactor shards; 0 means 1
   unsigned vnodes = 64;
   std::size_t max_attempts = 3;  ///< candidate replicas tried per request
@@ -63,8 +60,6 @@ struct FrontOptions {
   std::chrono::milliseconds backoff_cap{200};
   /// 0 disables the background prober; tests call probe_once().
   std::chrono::milliseconds probe_interval{200};
-  /// 0 disables the background gossip loop; tests drive rounds by hand.
-  std::chrono::milliseconds gossip_interval{200};
   std::chrono::milliseconds read_timeout{5000};
   std::size_t max_request_bytes = 16 * 1024;
   std::size_t max_connections = 256;
@@ -85,7 +80,6 @@ class FrontTier {
   std::uint16_t port() const { return bound_port_; }
 
   ClusterMetrics& metrics() { return metrics_; }
-  GossipAgent& gossip() { return gossip_; }
 
   /// One synchronous probe sweep over every replica (test hook; the
   /// background prober calls this on its interval).
@@ -108,7 +102,6 @@ class FrontTier {
   const std::vector<ReplicaTarget> replicas_;
   HashRing ring_;
   ClusterMetrics metrics_;
-  GossipAgent gossip_;
   UpstreamPool pool_;
 
   mutable std::mutex probes_mutex_;

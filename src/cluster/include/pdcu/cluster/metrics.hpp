@@ -1,8 +1,8 @@
-// Front-tier and gossip counters, exposed as the pdcu_cluster_* family on
-// the front tier's /_front/metrics endpoint (lint-clean exposition, same
-// conventions as ServerMetrics). All relaxed atomics: every front shard
-// and the prober/gossip threads bump them concurrently, and a scrape only
-// needs a consistent-enough snapshot.
+// Front-tier counters, exposed as the pdcu_cluster_* family on the front
+// tier's /_front/metrics endpoint (lint-clean exposition, same conventions
+// as ServerMetrics). All relaxed atomics: every front shard and the prober
+// thread bump them concurrently, and a scrape only needs a
+// consistent-enough snapshot.
 #pragma once
 
 #include <atomic>
@@ -24,10 +24,6 @@ class ClusterMetrics {
     shed_.fetch_add(tally.shed ? 1 : 0, kRelaxed);
     exhausted_.fetch_add(tally.exhausted ? 1 : 0, kRelaxed);
   }
-  void record_gossip_round() { gossip_rounds_.fetch_add(1, kRelaxed); }
-  void record_gossip_merge(std::uint64_t changed) {
-    gossip_merges_.fetch_add(changed, kRelaxed);
-  }
   void record_probe_failure() { probe_failures_.fetch_add(1, kRelaxed); }
   void record_ring_moves(std::uint64_t moves) {
     ring_moves_.fetch_add(moves, kRelaxed);
@@ -45,8 +41,6 @@ class ClusterMetrics {
     return upstream_errors_.load(kRelaxed);
   }
   std::uint64_t exhausted() const { return exhausted_.load(kRelaxed); }
-  std::uint64_t gossip_rounds() const { return gossip_rounds_.load(kRelaxed); }
-  std::uint64_t gossip_merges() const { return gossip_merges_.load(kRelaxed); }
   std::uint64_t probe_failures() const {
     return probe_failures_.load(kRelaxed);
   }
@@ -65,8 +59,6 @@ class ClusterMetrics {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> upstream_errors_{0};
   std::atomic<std::uint64_t> exhausted_{0};
-  std::atomic<std::uint64_t> gossip_rounds_{0};
-  std::atomic<std::uint64_t> gossip_merges_{0};
   std::atomic<std::uint64_t> probe_failures_{0};
   std::atomic<std::uint64_t> ring_moves_{0};
   std::atomic<std::uint64_t> ring_nodes_{0};

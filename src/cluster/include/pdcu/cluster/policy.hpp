@@ -17,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "pdcu/cluster/gossip.hpp"
 #include "pdcu/cluster/ring.hpp"
 
 namespace pdcu::cluster {
@@ -53,12 +52,10 @@ struct RoutePlan {
 /// whole fleet down it is still better to try than to fail without a
 /// connection attempt. `probes` has one entry per replica, in the
 /// caller's replica order; a candidate's `replica` indexes it, and a ring
-/// node with no entry is left out. A node is degraded if its probe or its
-/// gossip rumor says so (either may lag the other by a round).
+/// node with no entry is left out.
 RoutePlan plan_route(
     const HashRing& ring, std::string_view key, std::size_t max_attempts,
-    const std::vector<std::pair<std::string, ProbeState>>& probes,
-    const GossipMap& gossip);
+    const std::vector<std::pair<std::string, ProbeState>>& probes);
 
 /// Capped exponential backoff before retry `attempt` (0-based: the first
 /// retry waits `initial`, doubling after that).
@@ -114,7 +111,7 @@ class AttemptMachine {
   /// How the last kTry ended. Returns the `alive` to record for its
   /// replica when the outcome contradicts the plan (a refused or
   /// timed-out connect to a live one, a served attempt from a dead one),
-  /// else nullopt. `degraded` is left to the probes and gossip.
+  /// else nullopt. `degraded` is left to the probes.
   std::optional<bool> report(AttemptOutcome outcome);
 
   const RoutePlan& plan() const { return plan_; }

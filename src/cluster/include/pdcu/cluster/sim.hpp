@@ -1,13 +1,13 @@
 // Deterministic virtual-time cluster simulation: policy.hpp's
 // virtual-clock driver. Each request runs FrontTier::proxy's plan_route
-// and AttemptMachine over the real gossip merge (GossipMap) and ring
-// (HashRing); the sim owns only what an attempt costs and how it ends (a
-// killed node refuses, a dropped link is a connect timeout), the probe and
-// gossip ticks, and faults from net's FaultInjector and scripted
-// SimEvents, all on a discrete-event virtual clock. No sockets, no
-// threads, no wall clock: the run is a pure function of SimOptions, so a
-// seed that exposes a failover bug replays bit-identically (the report
-// carries an fnv1a checksum of the event log to prove it).
+// and AttemptMachine over the real ring (HashRing); the sim owns only what
+// an attempt costs and how it ends (a killed node refuses, a dropped link
+// is a connect timeout), the probe ticks, and faults from net's
+// FaultInjector and scripted SimEvents, all on a discrete-event virtual
+// clock. No sockets, no threads, no wall clock: the run is a pure function
+// of SimOptions, so a seed that exposes a failover bug replays
+// bit-identically (the report carries an fnv1a checksum of the event log
+// to prove it).
 //
 // Node numbering for FaultInjector rules: replica i is node i; the front
 // tier is node `replicas` (see SimOptions::front_node()).
@@ -26,10 +26,10 @@ namespace pdcu::cluster {
 struct SimEvent {
   enum class Kind {
     kKill,     ///< replica process dies (connect refused from now on)
-    kRestart,  ///< replica comes back with a fresh gossip map
-    kDegrade,  ///< reload fails: keeps serving last-known-good, gossips
-               ///< its degraded epoch
-    kRecover,  ///< reload succeeds: epoch advances, degraded clears
+    kRestart,  ///< replica process comes back
+    kDegrade,  ///< reload fails: keeps serving last-known-good, and its
+               ///< /healthz answers "degraded"
+    kRecover,  ///< reload succeeds: degraded clears
   };
   std::uint64_t at_ms = 0;
   Kind kind = Kind::kKill;
@@ -48,7 +48,6 @@ struct SimOptions {
   std::uint64_t attempt_timeout_ms = 250;  ///< cost of a dropped link
   std::uint64_t service_ms = 2;            ///< healthy replica latency
   std::uint64_t probe_interval_ms = 200;
-  std::uint64_t gossip_interval_ms = 200;
   unsigned vnodes = 64;
   std::vector<SimEvent> events;
   net::FaultInjector fault;  ///< link drop/delay/partition rules
@@ -64,7 +63,6 @@ struct SimReport {
   std::uint64_t failovers = 0;
   std::uint64_t shed = 0;  ///< requests routed around a degraded owner
   std::uint64_t upstream_errors = 0;
-  std::uint64_t gossip_rounds = 0;
   std::uint64_t max_latency_ms = 0;
   /// fnv1a_64 over every event-log line; equal seeds ⇒ equal checksums.
   std::uint64_t checksum = 0;

@@ -36,8 +36,7 @@ using HeaderList = std::vector<std::pair<std::string, std::string>>;
 
 class UpstreamPool {
  public:
-  explicit UpstreamPool(std::size_t max_idle_per_target = 4)
-      : max_idle_per_target_(max_idle_per_target) {}
+  UpstreamPool() = default;
   ~UpstreamPool();
 
   UpstreamPool(const UpstreamPool&) = delete;
@@ -60,7 +59,9 @@ class UpstreamPool {
   int take_idle(const std::string& key);
   void give_back(const std::string& key, int fd);
 
-  const std::size_t max_idle_per_target_;
+  /// Idle sockets kept per target: one for each default front shard.
+  static constexpr std::size_t kMaxIdlePerTarget = 4;
+
   std::mutex mutex_;
   std::map<std::string, std::vector<int>> idle_;
 };

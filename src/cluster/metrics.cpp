@@ -23,11 +23,6 @@ std::string ClusterMetrics::render_text() const {
               "Requests that failed every candidate replica (client saw an "
               "error).",
               exhausted());
-  out.counter("pdcu_cluster_gossip_rounds_total",
-              "Gossip exchanges initiated.", gossip_rounds());
-  out.counter("pdcu_cluster_gossip_merges_total",
-              "Gossip map entries changed by merged digests.",
-              gossip_merges());
   out.counter("pdcu_cluster_probe_failures_total",
               "Health probes that failed.", probe_failures());
   out.counter("pdcu_cluster_ring_moves_total",

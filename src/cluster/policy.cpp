@@ -8,21 +8,16 @@ namespace {
 
 using std::chrono::milliseconds;
 
-CandidateClass classify(const std::string& id, const ProbeState& probe,
-                        const GossipMap& gossip) {
+CandidateClass classify(const ProbeState& probe) {
   if (!probe.alive) return CandidateClass::kDead;
-  const auto rumor = gossip.get(id);
-  const bool degraded =
-      probe.degraded || (rumor.has_value() && rumor->degraded);
-  return degraded ? CandidateClass::kDegraded : CandidateClass::kHealthy;
+  return probe.degraded ? CandidateClass::kDegraded : CandidateClass::kHealthy;
 }
 
 }  // namespace
 
 RoutePlan plan_route(
     const HashRing& ring, std::string_view key, std::size_t max_attempts,
-    const std::vector<std::pair<std::string, ProbeState>>& probes,
-    const GossipMap& gossip) {
+    const std::vector<std::pair<std::string, ProbeState>>& probes) {
   RoutePlan plan;
   const std::vector<std::string> order = ring.route(key, max_attempts);
   if (order.empty()) return plan;
@@ -31,7 +26,7 @@ RoutePlan plan_route(
   for (const std::string& id : order) {
     for (std::size_t i = 0; i < probes.size(); ++i) {
       if (probes[i].first != id) continue;
-      out.push_back({id, i, classify(id, probes[i].second, gossip)});
+      out.push_back({id, i, classify(probes[i].second)});
       break;
     }
   }

@@ -17,17 +17,14 @@ struct SimReplica {
   std::string id;
   bool alive = true;
   bool degraded = false;
-  std::uint64_t epoch = 1;
-  GossipMap map;
-  std::size_t next_peer = 0;
 };
 
-/// Chronological merge of scripted events, probe ticks, gossip ticks, and
-/// request arrivals, with a stable tie-break so identical options always
-/// replay in the same order: at equal times, scripted events apply first
-/// (a kill at t and a request at t sees the kill), then probes, then
-/// gossip, then requests in arrival order.
-enum class TickKind { kEvent = 0, kProbe = 1, kGossip = 2, kRequest = 3 };
+/// Chronological merge of scripted events, probe ticks and request
+/// arrivals, with a stable tie-break so identical options always replay
+/// in the same order: at equal times, scripted events apply first (a kill
+/// at t and a request at t sees the kill), then probes, then requests in
+/// arrival order.
+enum class TickKind { kEvent = 0, kProbe = 1, kRequest = 2 };
 
 struct Tick {
   std::uint64_t at_ms;
@@ -65,7 +62,6 @@ std::string SimReport::render_json() const {
   json += ",\"failovers\":" + std::to_string(failovers);
   json += ",\"shed\":" + std::to_string(shed);
   json += ",\"upstream_errors\":" + std::to_string(upstream_errors);
-  json += ",\"gossip_rounds\":" + std::to_string(gossip_rounds);
   json += ",\"max_latency_ms\":" + std::to_string(max_latency_ms);
   json += ",\"checksum\":\"" + std::to_string(checksum) + "\"}\n";
   return json;
@@ -104,15 +100,12 @@ SimReport run_sim(const SimOptions& options) {
   HashRing ring(options.vnodes);
   for (unsigned i = 0; i < options.replicas; ++i) {
     replicas[i].id = "replica-" + std::to_string(i);
-    replicas[i].map.update_self(replicas[i].id, 1, false);
     ring.add_node(replicas[i].id);
   }
-  GossipMap front_map;
   std::vector<std::pair<std::string, ProbeState>> probes;
   for (const SimReplica& replica : replicas) {
     probes.push_back({replica.id, ProbeState{}});
   }
-  std::size_t front_next_peer = 0;
 
   // Build the schedule: uniform request arrivals (keys drawn from the rng
   // per request, in arrival order, so the stream is seed-stable).
@@ -132,13 +125,6 @@ SimReport run_sim(const SimOptions& options) {
       ticks.push_back({t, TickKind::kProbe, n++});
     }
   }
-  if (options.gossip_interval_ms > 0) {
-    std::size_t n = 0;
-    for (std::uint64_t t = options.gossip_interval_ms;
-         t <= options.duration_ms; t += options.gossip_interval_ms) {
-      ticks.push_back({t, TickKind::kGossip, n++});
-    }
-  }
   for (std::uint64_t i = 0; i < options.requests; ++i) {
     const std::uint64_t at =
         options.requests <= 1
@@ -154,27 +140,6 @@ SimReport run_sim(const SimOptions& options) {
                                               : hash::kFnv1aInit,
                               line);
     report.log.push_back(std::move(line));
-  };
-
-  // One gossip exchange between two nodes' maps over the faulty network.
-  // Both directions travel (digest out, digest back), so both links are
-  // consulted; either drop loses the whole round.
-  auto exchange = [&](GossipMap& a, int a_node, GossipMap& b, int b_node,
-                      std::uint64_t now) -> bool {
-    ++report.gossip_rounds;
-    if (!fault.alive(a_node, static_cast<std::int64_t>(now)) ||
-        !fault.alive(b_node, static_cast<std::int64_t>(now))) {
-      return false;
-    }
-    const auto out = fault.intercept(a_node, b_node,
-                                     static_cast<std::int64_t>(now));
-    if (out.drop) return false;
-    b.merge_digest(a.encode());
-    const auto back = fault.intercept(b_node, a_node,
-                                      static_cast<std::int64_t>(now));
-    if (back.drop) return false;
-    a.merge_digest(b.encode());
-    return true;
   };
 
   auto probe_all = [&](std::uint64_t now) {
@@ -240,20 +205,14 @@ SimReport run_sim(const SimOptions& options) {
             break;
           case SimEvent::Kind::kRestart:
             replica.alive = true;
-            replica.map.clear();  // fresh process, fresh rumors
-            replica.map.update_self(replica.id, replica.epoch,
-                                    replica.degraded);
             break;
           case SimEvent::Kind::kDegrade:
-            // Failed rebuild: keeps serving last-known-good at the same
-            // epoch, and says so.
+            // Failed rebuild: keeps serving last-known-good, and its
+            // /healthz says so.
             replica.degraded = true;
-            replica.map.update_self(replica.id, replica.epoch, true);
             break;
           case SimEvent::Kind::kRecover:
             replica.degraded = false;
-            ++replica.epoch;
-            replica.map.update_self(replica.id, replica.epoch, false);
             break;
         }
         note("t=" + std::to_string(now) + " event " +
@@ -263,35 +222,12 @@ SimReport run_sim(const SimOptions& options) {
       case TickKind::kProbe:
         probe_all(now);
         break;
-      case TickKind::kGossip: {
-        // Every live replica exchanges with its next round-robin peer;
-        // the front exchanges with its next replica. Order is fixed
-        // (replica index, then front), so the round is deterministic.
-        for (unsigned i = 0; i < options.replicas; ++i) {
-          SimReplica& replica = replicas[i];
-          if (!replica.alive || options.replicas < 2) continue;
-          std::size_t peer = replica.next_peer % (options.replicas - 1);
-          replica.next_peer = peer + 1;
-          const unsigned j = (i + 1 + static_cast<unsigned>(peer)) %
-                             options.replicas;
-          if (!replicas[j].alive) continue;
-          exchange(replica.map, static_cast<int>(i), replicas[j].map,
-                   static_cast<int>(j), now);
-        }
-        const unsigned j =
-            static_cast<unsigned>(front_next_peer++ % options.replicas);
-        if (replicas[j].alive) {
-          exchange(front_map, front, replicas[j].map, static_cast<int>(j),
-                   now);
-        }
-        break;
-      }
       case TickKind::kRequest: {
         ++report.requests_total;
         const std::string key =
             "/activities/a" + std::to_string(rng.below(256)) + "/";
         AttemptMachine machine(
-            plan_route(ring, key, options.max_attempts, probes, front_map),
+            plan_route(ring, key, options.max_attempts, probes),
             limits);
         std::uint64_t clock = now;
         std::optional<std::size_t> served_by;

@@ -142,7 +142,7 @@ int UpstreamPool::take_idle(const std::string& key) {
 void UpstreamPool::give_back(const std::string& key, int fd) {
   std::lock_guard lock(mutex_);
   auto& stack = idle_[key];
-  if (stack.size() >= max_idle_per_target_) {
+  if (stack.size() >= kMaxIdlePerTarget) {
     ::close(fd);
     return;
   }

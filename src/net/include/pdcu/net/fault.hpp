@@ -3,9 +3,9 @@
 // breaks the Nth message on a (src, dst) link at a given virtual time:
 // drop it, delay it, partition two node groups, or declare a node dead for
 // a window. The virtual-time simulation (cluster::run_sim) consults it for
-// every request attempt, health probe, and gossip exchange, so a partition
-// or replica-kill scenario replays bit-identically from a seed plus a rule
-// list — no wall clock, no thread scheduling, no sockets.
+// every request attempt and health probe, so a partition or replica-kill
+// scenario replays bit-identically from a seed plus a rule list — no wall
+// clock, no thread scheduling, no sockets.
 //
 // Nodes are small integers (the simulation uses 0..replicas-1 for replicas
 // and `replicas` for the front tier); kAnyNode matches every node. Rules

@@ -32,11 +32,6 @@ bool HealthTracker::degraded() const {
   return !quarantined_.empty() || last_reload_ == ReloadOutcome::kFailed;
 }
 
-std::uint64_t HealthTracker::epoch() const {
-  std::lock_guard lock(mutex_);
-  return epoch_;
-}
-
 std::string HealthTracker::render_json() const {
   std::lock_guard lock(mutex_);
   const bool degraded =

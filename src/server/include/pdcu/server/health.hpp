@@ -32,16 +32,14 @@ class HealthTracker {
   /// Degraded when anything is quarantined or the last reload failed.
   bool degraded() const;
 
-  /// The content generation this process is serving: 1 after the initial
-  /// load, +1 per successful reload. A failed reload does NOT advance it —
-  /// "degraded at epoch E" tells the fleet exactly which last-known-good
-  /// snapshot this replica is stuck on, which is what gossip propagates.
-  std::uint64_t epoch() const;
-
   /// The /healthz body: {"status":"ok|degraded","epoch":N,"activities":N,
   /// "quarantined":N,"quarantined_slugs":[...],"last_reload":
   /// "never|ok|failed","last_reload_age_ms":N,"last_error":"..."}.
   /// last_reload_age_ms and last_error appear once a reload has happened.
+  /// `epoch` is the content generation this process is serving: 1 after
+  /// the initial load, +1 per successful reload. A failed reload does NOT
+  /// advance it — "degraded at epoch E" tells an operator exactly which
+  /// last-known-good snapshot this replica is stuck on.
   std::string render_json() const;
 
  private:

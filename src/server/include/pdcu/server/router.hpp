@@ -14,9 +14,6 @@
 //                                        (ok|degraded, quarantine, last
 //                                        reload), otherwise plain "ok\n"
 //   GET /metrics                         ServerMetrics exposition text
-//   GET /cluster/gossip?digest=...       gossip exchange (only when a
-//                                        GossipEndpoint is wired; 404
-//                                        otherwise)
 //
 // Non-GET/HEAD methods on known routes get 405 with an Allow header;
 // unknown paths are 404 regardless of method.
@@ -29,7 +26,6 @@
 #include "pdcu/net/metrics.hpp"
 #include "pdcu/obs/span.hpp"
 #include "pdcu/search/index.hpp"
-#include "pdcu/server/gossip_hook.hpp"
 #include "pdcu/server/health.hpp"
 #include "pdcu/server/http.hpp"
 #include "pdcu/server/metrics.hpp"
@@ -76,12 +72,6 @@ class Router {
   void set_reload_metrics(const ReloadMetrics* metrics) {
     reload_metrics_ = metrics;
   }
-
-  /// Enables GET /cluster/gossip?digest=... — merge the sender's digest,
-  /// answer with ours. Without it the route is a 404 (standalone servers
-  /// advertise no cluster surface). The pointee must outlive the router
-  /// and every snapshot swapped after it.
-  void set_gossip(const GossipEndpoint* gossip) { gossip_ = gossip; }
 
   /// Appends the pdcu_span_duration_us histogram series (site-build
   /// phases, index builds) to /metrics. The registry must outlive the
@@ -154,7 +144,6 @@ class Router {
   const ServerMetrics* metrics_ = nullptr;
   const HealthTracker* health_ = nullptr;
   const ReloadMetrics* reload_metrics_ = nullptr;
-  const GossipEndpoint* gossip_ = nullptr;
   const obs::SpanRegistry* spans_ = nullptr;
   const net::NetMetrics* net_metrics_ = nullptr;
   std::optional<site::BuildStats> build_stats_;

@@ -123,7 +123,6 @@ Router::Router(const site::Site& site, const core::Repository& repo,
     metrics_ = previous->metrics_;
     health_ = previous->health_;
     reload_metrics_ = previous->reload_metrics_;
-    gossip_ = previous->gossip_;
     spans_ = previous->spans_;
     net_metrics_ = previous->net_metrics_;
   }
@@ -141,7 +140,6 @@ Response Router::handle(const Request& request) const {
   const std::string_view path = request.path();
   const bool known_route = path == "/healthz" || path == "/metrics" ||
                            path == "/api/search" ||
-                           (path == "/cluster/gossip" && gossip_ != nullptr) ||
                            cache_.find(path) != nullptr;
   if (request.method != "GET" && request.method != "HEAD") {
     // 405 promises the path exists for some method; an unknown path is a
@@ -177,13 +175,6 @@ Response Router::handle(const Request& request) const {
   }
   if (path == "/api/search") {
     return handle_search(request);
-  }
-  if (path == "/cluster/gossip" && gossip_ != nullptr) {
-    std::string peer_digest;
-    for (const auto& [key, value] : parse_query_params(request.query())) {
-      if (key == "digest") peer_digest = value;
-    }
-    return plain_response(200, gossip_->exchange(peer_digest));
   }
 
   const CachedEntry* entry = cache_.find(path);

@@ -39,7 +39,6 @@ cluster::FleetOptions fleet_options(unsigned replicas) {
 cluster::FrontOptions manual_front() {
   cluster::FrontOptions options;
   options.probe_interval = milliseconds(0);
-  options.gossip_interval = milliseconds(0);
   options.backoff_initial = milliseconds(1);
   options.backoff_cap = milliseconds(5);
   return options;
@@ -131,9 +130,8 @@ TEST(Fleet, SoakSurvivesKillAndRestartUnderLoad) {
   cluster::Fleet fleet(fleet_options(3));
   const auto status = fleet.start();
   ASSERT_TRUE(status.has_value()) << status.error().message;
-  cluster::FrontOptions options;  // real probing + gossip this time
+  cluster::FrontOptions options;  // real probing this time
   options.probe_interval = milliseconds(100);
-  options.gossip_interval = milliseconds(100);
   cluster::FrontTier front(options, fleet.targets());
   const auto started = front.start();
   ASSERT_TRUE(started.has_value()) << started.error().message;

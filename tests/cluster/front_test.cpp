@@ -1,7 +1,8 @@
 // The front tier against real in-process replicas: consistent-hash
 // routing, the two chaos acceptance scenarios (killed replica absorbed
-// with zero client-visible 5xx; degraded replica shed via gossip), the
-// half-open-connection bound, and deadline-budget propagation.
+// with zero client-visible 5xx; degraded replica shed via probes), the
+// sampled ring-move counter, the half-open-connection bound, and
+// deadline-budget propagation.
 #include "pdcu/cluster/front.hpp"
 
 #include <arpa/inet.h>
@@ -10,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -34,16 +36,12 @@ using std::chrono::milliseconds;
 namespace {
 
 /// One in-process replica: a real HttpServer over the builtin curation,
-/// with health + gossip wired exactly like `pdcu serve --cluster-id`.
+/// with health wired exactly like `pdcu serve`.
 struct Replica {
-  explicit Replica(const std::string& id) : agent(id) {
-    agent.set_self_source(
-        [this] { return std::make_pair(health.epoch(), health.degraded()); });
-    agent.update_self(health.epoch(), health.degraded());
+  Replica() {
     const auto& repo = core::Repository::builtin();
     server::Router router(site::build_site(repo), repo);
     router.set_health(&health);
-    router.set_gossip(&agent);
     server::ServerOptions options;
     options.port = 0;
     instance = std::make_unique<server::HttpServer>(std::move(router),
@@ -57,16 +55,12 @@ struct Replica {
   void kill() { instance->stop(); }
 
   server::HealthTracker health;
-  cluster::GossipAgent agent;
   std::unique_ptr<server::HttpServer> instance;
 };
 
 struct Fleet3 {
   Fleet3() {
-    for (int i = 0; i < 3; ++i) {
-      replicas.push_back(
-          std::make_unique<Replica>("replica-" + std::to_string(i)));
-    }
+    for (int i = 0; i < 3; ++i) replicas.push_back(std::make_unique<Replica>());
   }
   std::vector<cluster::ReplicaTarget> targets() const {
     std::vector<cluster::ReplicaTarget> out;
@@ -79,11 +73,10 @@ struct Fleet3 {
   std::vector<std::unique_ptr<Replica>> replicas;
 };
 
-/// Deterministic test options: no background prober or gossip loop.
+/// Deterministic test options: no background prober.
 cluster::FrontOptions manual_options() {
   cluster::FrontOptions options;
   options.probe_interval = milliseconds(0);
-  options.gossip_interval = milliseconds(0);
   options.backoff_initial = milliseconds(1);
   options.backoff_cap = milliseconds(5);
   return options;
@@ -244,33 +237,24 @@ TEST(FrontTier, NonGetIsRejectedWithoutBurningUpstreamAttempts) {
 }
 
 // Chaos acceptance: a replica dies under load; after front-tier retry the
-// clients see zero 5xx.
+// clients see zero 5xx. The kill lands before a fixed request index, so
+// the 90 requests after it (which cycle every builtin path) always meet
+// the corpse.
 TEST(FrontTier, KilledReplicaIsAbsorbedWithZeroClientVisible5xx) {
   Fleet3 fleet;
   cluster::FrontTier front(manual_options(), fleet.targets());
   front.probe_once();
 
   const auto paths = activity_paths();
-  std::atomic<int> worst_status{200};
-  std::atomic<std::size_t> sent{0};
-  std::thread load([&] {
-    for (int i = 0; i < 120; ++i) {
-      const auto response =
-          front.proxy(get_request(paths[i % paths.size()]));
-      int expected = worst_status.load();
-      while (response.status > expected &&
-             !worst_status.compare_exchange_weak(expected,
-                                                 response.status)) {
-      }
-      sent.fetch_add(1);
-    }
-  });
-  // Kill replica-0 mid-run, without warning the front.
-  while (sent.load() < 30) std::this_thread::sleep_for(milliseconds(1));
-  fleet.replicas[0]->kill();
-  load.join();
+  int worst_status = 0;
+  for (std::size_t i = 0; i < 120; ++i) {
+    // Kill replica-0 mid-run, without warning the front.
+    if (i == 30) fleet.replicas[0]->kill();
+    worst_status = std::max(
+        worst_status, front.proxy(get_request(paths[i % paths.size()])).status);
+  }
 
-  EXPECT_LT(worst_status.load(), 500)
+  EXPECT_LT(worst_status, 500)
       << "a killed replica leaked a 5xx through the front tier";
   EXPECT_GT(front.metrics().failovers(), 0u);
 }
@@ -294,21 +278,17 @@ TEST(FrontTier, DeadOwnerKeysFailOverAndProbeSeesTheCorpse) {
 }
 
 // Chaos acceptance: a replica whose rebuild failed keeps serving
-// last-known-good, gossips its degraded epoch, and the front sheds its
-// keys to healthy replicas.
-TEST(FrontTier, DegradedReplicaIsShedViaGossipAlone) {
+// last-known-good, its /healthz answers "degraded", and after the next
+// probe the front sheds its keys to healthy replicas.
+TEST(FrontTier, DegradedReplicaIsShedViaProbes) {
   Fleet3 fleet;
   cluster::FrontTier front(manual_options(), fleet.targets());
+  front.probe_once();
 
   // replica-0's reload fails; it stays up, serving epoch-1 content.
   fleet.replicas[0]->health.record_reload_failure("poisoned content");
   ASSERT_TRUE(fleet.replicas[0]->health.degraded());
-
-  // No probes — the rumor must arrive via gossip rounds only (the front
-  // exchanges round-robin, so three rounds reach every replica).
-  for (int i = 0; i < 3; ++i) front.gossip().run_round();
-  ASSERT_TRUE(front.gossip().map().get("replica-0").has_value());
-  EXPECT_TRUE(front.gossip().map().get("replica-0")->degraded);
+  front.probe_once();
 
   const auto owned = path_owned_by("replica-0");
   const auto response = front.proxy(get_request(owned));
@@ -318,28 +298,36 @@ TEST(FrontTier, DegradedReplicaIsShedViaGossipAlone) {
   EXPECT_NE(*upstream, "replica-0") << "degraded owner was not shed";
   EXPECT_GT(front.metrics().shed(), 0u);
 
-  // Recovery: the reload succeeds, the epoch advances, and after another
-  // gossip sweep the owner serves its own keys again.
+  // Recovery: the reload succeeds, and after the next probe the owner
+  // serves its own keys again.
   fleet.replicas[0]->health.record_reload_success();
-  for (int i = 0; i < 3; ++i) front.gossip().run_round();
+  front.probe_once();
   const auto healed = front.proxy(get_request(owned));
   const auto* healed_upstream = healed.header("X-Pdcu-Upstream");
   ASSERT_NE(healed_upstream, nullptr);
   EXPECT_EQ(*healed_upstream, "replica-0");
 }
 
-TEST(FrontTier, RumorsRelayBetweenReplicasThroughTheFront) {
+// pdcu_cluster_ring_moves_total counts sampled keys whose first planned
+// candidate changed: a degraded replica's keys move to their successors,
+// and move back when it heals.
+TEST(FrontTier, ProbesCountRingMovesBothWays) {
   Fleet3 fleet;
   cluster::FrontTier front(manual_options(), fleet.targets());
-  fleet.replicas[2]->health.record_reload_failure("poisoned");
+  front.probe_once();
+  EXPECT_EQ(front.metrics().ring_moves(), 0u);
 
-  // Enough front-mediated rounds for the rumor to travel replica-2 ->
-  // front -> replica-0 even though the replicas never talk directly
-  // (ephemeral-port fleets have no peer lists).
-  for (int i = 0; i < 6; ++i) front.gossip().run_round();
-  const auto relayed = fleet.replicas[0]->agent.map().get("replica-2");
-  ASSERT_TRUE(relayed.has_value());
-  EXPECT_TRUE(relayed->degraded);
+  fleet.replicas[1]->health.record_reload_failure("poisoned content");
+  front.probe_once();
+  const std::uint64_t shed_moves = front.metrics().ring_moves();
+  EXPECT_GT(shed_moves, 0u);
+  EXPECT_EQ(front.metrics().routable(), 2u);
+
+  fleet.replicas[1]->health.record_reload_success();
+  front.probe_once();
+  // Every sampled key that moved off replica-1 moves back onto it.
+  EXPECT_EQ(front.metrics().ring_moves(), 2 * shed_moves);
+  EXPECT_EQ(front.metrics().routable(), 3u);
 }
 
 // Satellite: a SYN-reachable but never-completing peer costs one bounded
@@ -373,7 +361,7 @@ TEST(FrontTier, HalfOpenOwnerFailsOverWithinTheBudget) {
   // replica-silent owns some keys but never answers its SYNs; the front
   // must burn one connect timeout and serve from the real replica.
   UnresponsiveListener half_open;
-  Replica real("replica-real");
+  Replica real;
   auto options = manual_options();
   options.connect_timeout = milliseconds(150);
   cluster::FrontTier front(

@@ -18,7 +18,6 @@ using cluster::AttemptMachine;
 using cluster::AttemptOutcome;
 using cluster::Candidate;
 using cluster::CandidateClass;
-using cluster::GossipMap;
 using cluster::HashRing;
 using cluster::ProbeState;
 using std::chrono::milliseconds;
@@ -47,8 +46,7 @@ constexpr std::string_view kKey = "/activities/x/";
 
 /// A fleet-wide healthy plan for kKey: the owner first.
 cluster::RoutePlan healthy_plan() {
-  return cluster::plan_route(three_ring(), kKey, 3, all_healthy(),
-                             GossipMap());
+  return cluster::plan_route(three_ring(), kKey, 3, all_healthy());
 }
 
 /// The front tier's defaults, under `budget`.
@@ -60,10 +58,8 @@ AttemptLimits limits(milliseconds budget) {
 
 TEST(PlanRoute, AllHealthyFollowsRingOrder) {
   const auto ring = three_ring();
-  const GossipMap gossip;
   const auto plan =
-      cluster::plan_route(ring, "/activities/x/", 3, all_healthy(), gossip)
-          .candidates;
+      cluster::plan_route(ring, "/activities/x/", 3, all_healthy()).candidates;
   EXPECT_EQ(ids(plan), ring.route("/activities/x/", 3));
   for (const auto& candidate : plan) {
     EXPECT_EQ(candidate.cls, CandidateClass::kHealthy);
@@ -72,7 +68,6 @@ TEST(PlanRoute, AllHealthyFollowsRingOrder) {
 
 TEST(PlanRoute, ProbeDeadOwnerSinksToLastResort) {
   const auto ring = three_ring();
-  const GossipMap gossip;
   const std::string key = "/activities/x/";
   const auto owner = ring.owner(key);
 
@@ -80,8 +75,7 @@ TEST(PlanRoute, ProbeDeadOwnerSinksToLastResort) {
   for (auto& [id, state] : probes) {
     if (id == owner) state.alive = false;
   }
-  const auto plan =
-      cluster::plan_route(ring, key, 3, probes, gossip).candidates;
+  const auto plan = cluster::plan_route(ring, key, 3, probes).candidates;
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan.back().id, owner);
   EXPECT_EQ(plan.back().cls, CandidateClass::kDead);
@@ -103,9 +97,7 @@ TEST(PlanRoute, DegradedOwnerYieldsToHealthyButBeatsDead) {
     if (id == route[0]) state.degraded = true;  // owner: last-known-good
     if (id == route[2]) state.alive = false;    // third node: dead
   }
-  const GossipMap gossip;
-  const auto plan =
-      cluster::plan_route(ring, key, 3, probes, gossip).candidates;
+  const auto plan = cluster::plan_route(ring, key, 3, probes).candidates;
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan[0].id, route[1]);
   EXPECT_EQ(plan[0].cls, CandidateClass::kHealthy);
@@ -115,30 +107,12 @@ TEST(PlanRoute, DegradedOwnerYieldsToHealthyButBeatsDead) {
   EXPECT_EQ(plan[2].cls, CandidateClass::kDead);
 }
 
-TEST(PlanRoute, GossipRumorAloneMarksDegraded) {
-  const auto ring = three_ring();
-  const std::string key = "/activities/x/";
-  const auto owner = ring.owner(key);
-
-  // Probes still say healthy (they lag); gossip already knows better.
-  GossipMap gossip;
-  gossip.update_self(owner, 2, true);
-  const auto plan =
-      cluster::plan_route(ring, key, 3, all_healthy(), gossip).candidates;
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_NE(plan[0].id, owner);
-  EXPECT_EQ(plan.back().id, owner);
-  EXPECT_EQ(plan.back().cls, CandidateClass::kDegraded);
-}
-
 TEST(PlanRoute, WholeFleetDegradedStillRoutes) {
   const auto ring = three_ring();
   auto probes = all_healthy();
   for (auto& [id, state] : probes) state.degraded = true;
-  const GossipMap gossip;
   const auto plan =
-      cluster::plan_route(ring, "/activities/x/", 3, probes, gossip)
-          .candidates;
+      cluster::plan_route(ring, "/activities/x/", 3, probes).candidates;
   ASSERT_EQ(plan.size(), 3u);
   // Degraded everywhere: original ring order survives the stable partition.
   EXPECT_EQ(ids(plan), ring.route("/activities/x/", 3));
@@ -200,11 +174,11 @@ TEST(PlanRoute, NamesTheOwnerAndShedsItOnlyWhenDegraded) {
   for (auto& [id, state] : probes) {
     if (id == owner) state.degraded = true;
   }
-  EXPECT_TRUE(cluster::plan_route(ring, kKey, 3, probes, GossipMap()).shed);
+  EXPECT_TRUE(cluster::plan_route(ring, kKey, 3, probes).shed);
   for (auto& [id, state] : probes) {
     if (id == owner) state.alive = false;
   }
-  EXPECT_FALSE(cluster::plan_route(ring, kKey, 3, probes, GossipMap()).shed)
+  EXPECT_FALSE(cluster::plan_route(ring, kKey, 3, probes).shed)
       << "a dead owner failed; it was not shed";
 }
 
@@ -309,9 +283,8 @@ TEST(AttemptMachine, ServedMarksAliveButNeverClearsDegraded) {
     state.alive = false;
     state.degraded = id == ring.owner(kKey);
   }
-  AttemptMachine machine(
-      cluster::plan_route(ring, kKey, 3, probes, GossipMap()),
-      limits(milliseconds(2000)));
+  AttemptMachine machine(cluster::plan_route(ring, kKey, 3, probes),
+                         limits(milliseconds(2000)));
   const AttemptAction first = machine.next(milliseconds(0));
   ASSERT_EQ(first.kind, AttemptAction::Kind::kTry);
   ASSERT_EQ(first.candidate->id, ring.owner(kKey));
@@ -319,8 +292,7 @@ TEST(AttemptMachine, ServedMarksAliveButNeverClearsDegraded) {
   ASSERT_EQ(alive, true);
 
   probes[first.candidate->replica].second.alive = *alive;
-  const auto replanned = cluster::plan_route(ring, kKey, 3, probes,
-                                             GossipMap());
+  const auto replanned = cluster::plan_route(ring, kKey, 3, probes);
   EXPECT_EQ(replanned.candidates.front().id, ring.owner(kKey));
   EXPECT_EQ(replanned.candidates.front().cls, CandidateClass::kDegraded);
 }

@@ -56,7 +56,6 @@ TEST(ClusterSim, QuietFleetServesEverythingFirstTry) {
   EXPECT_EQ(report.retries, 0u);
   EXPECT_EQ(report.failovers, 0u);
   EXPECT_EQ(report.shed, 0u);
-  EXPECT_GT(report.gossip_rounds, 0u);
 }
 
 TEST(ClusterSim, KilledReplicaFailsOverWithZeroClientErrors) {
@@ -73,7 +72,7 @@ TEST(ClusterSim, KilledReplicaFailsOverWithZeroClientErrors) {
   EXPECT_GT(report.failovers, 0u);
 }
 
-TEST(ClusterSim, DegradedReplicaIsShedViaGossip) {
+TEST(ClusterSim, DegradedReplicaIsShedViaProbes) {
   auto options = base_options();
   options.events.push_back({3'000, SimEvent::Kind::kDegrade, 0});
   options.events.push_back({7'000, SimEvent::Kind::kRecover, 0});
@@ -81,8 +80,9 @@ TEST(ClusterSim, DegradedReplicaIsShedViaGossip) {
 
   EXPECT_EQ(report.client_errors, 0u);
   EXPECT_EQ(report.ok, 400u);
-  // The degraded owner keeps serving last-known-good, but gossip lets the
-  // front route its keys to healthy replicas instead.
+  // The degraded owner keeps serving last-known-good, but its /healthz
+  // says so, and the next probe lets the front route its keys to healthy
+  // replicas instead.
   EXPECT_GT(report.shed, 0u);
 }
 
@@ -131,22 +131,20 @@ TEST(ClusterSim, BackoffSpendsNoMoreThanTheBudget) {
 }
 
 // The seeded twin of FrontTier.KilledReplicaIsAbsorbedWithZeroClientVisible5xx:
-// no prober and no gossip, so the attempts alone must route around the
-// corpse, on every seed.
+// no prober, so the attempts alone must route around the corpse, on every
+// seed.
 TEST(ClusterSim, KilledReplicaIsAbsorbedByAttemptsAlone) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     auto options = base_options();
     options.seed = seed;
     options.requests = 120;
     options.probe_interval_ms = 0;
-    options.gossip_interval_ms = 0;
     options.events.push_back({options.duration_ms / 4,
                               SimEvent::Kind::kKill, 0});
     const auto report = cluster::run_sim(options);
     EXPECT_EQ(report.client_errors, 0u) << "seed " << seed;
     EXPECT_EQ(report.ok, 120u) << "seed " << seed;
     EXPECT_GT(report.failovers, 0u) << "seed " << seed;
-    EXPECT_EQ(report.gossip_rounds, 0u);
   }
 }
 

@@ -15,7 +15,6 @@
 #include "pdcu/obs/lint.hpp"
 #include "pdcu/obs/span.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
-#include "pdcu/server/gossip_hook.hpp"
 #include "pdcu/server/health.hpp"
 #include "pdcu/server/metrics.hpp"
 #include "pdcu/server/router.hpp"
@@ -99,17 +98,10 @@ void fill(pdcu::cluster::ClusterMetrics& metrics) {
   gave_up.upstream_errors = 1;
   gave_up.exhausted = true;
   metrics.record_attempts(gave_up);
-  metrics.record_gossip_round();
-  metrics.record_gossip_merge(5);
   metrics.record_probe_failure();
   metrics.record_ring_moves(7);
   metrics.set_routable(2, 3);
 }
-
-class SilentGossip : public server::GossipEndpoint {
- public:
-  std::string exchange(std::string_view) const override { return {}; }
-};
 
 // ---- golden exposition ----------------------------------------------------
 
@@ -478,12 +470,6 @@ pdcu_cluster_upstream_errors_total 3
 # HELP pdcu_cluster_exhausted_total Requests that failed every candidate replica (client saw an error).
 # TYPE pdcu_cluster_exhausted_total counter
 pdcu_cluster_exhausted_total 1
-# HELP pdcu_cluster_gossip_rounds_total Gossip exchanges initiated.
-# TYPE pdcu_cluster_gossip_rounds_total counter
-pdcu_cluster_gossip_rounds_total 1
-# HELP pdcu_cluster_gossip_merges_total Gossip map entries changed by merged digests.
-# TYPE pdcu_cluster_gossip_merges_total counter
-pdcu_cluster_gossip_merges_total 5
 # HELP pdcu_cluster_probe_failures_total Health probes that failed.
 # TYPE pdcu_cluster_probe_failures_total counter
 pdcu_cluster_probe_failures_total 1
@@ -563,7 +549,6 @@ TEST(ExpositionGolden, RouterComposesEveryFamilyInOrder) {
   server::ServerMetrics metrics;
   server::HealthTracker health;
   server::ReloadMetrics reload;
-  SilentGossip gossip;
   obs::SpanRegistry spans;
   pdcu::net::NetMetrics net;
   pdcu::rt::ThreadPool pool(2);
@@ -575,7 +560,6 @@ TEST(ExpositionGolden, RouterComposesEveryFamilyInOrder) {
   router.set_build_stats(build_stats());
   router.set_health(&health);
   router.set_reload_metrics(&reload);
-  router.set_gossip(&gossip);
   router.set_spans(&spans);
   router.set_net_metrics(&net);
   router.set_search_pool(&pool);

@@ -10,12 +10,10 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "pdcu/core/repository.hpp"
-#include "pdcu/server/gossip_hook.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 #include "pdcu/support/fs.hpp"
@@ -57,14 +55,14 @@ struct Fixture {
                    server::ReloadOptions options = {.backoff_initial =
                                                         std::chrono::
                                                             milliseconds(0)},
-                   const server::GossipEndpoint* gossip = nullptr) {
+                   bool wire_health = false) {
     auto loaded = core::Repository::load_lenient(content_dir);
     EXPECT_TRUE(loaded.has_value());
     site::SiteOptions site_options;
     site::Site built = site::rebuild(loaded.value().repository, cache,
                                      site_options);
     server::Router router(built, loaded.value().repository);
-    router.set_gossip(gossip);
+    if (wire_health) router.set_health(&health);
     http = std::make_unique<server::HttpServer>(std::move(router));
     auto fingerprint = server::content_fingerprint(content_dir);
     EXPECT_TRUE(fingerprint.has_value());
@@ -145,29 +143,29 @@ TEST(ReloadManager, PartialQuarantineSwapsInDegradedSite) {
   EXPECT_EQ(snapshot->handle(request).status, 404);
 }
 
-/// Answers every gossip exchange with a fixed digest.
-class StubGossip final : public server::GossipEndpoint {
- public:
-  std::string exchange(std::string_view) const override { return "{}"; }
-};
-
-TEST(ReloadManager, ReloadedRouterKeepsTheGossipEndpoint) {
-  auto dir = fresh_content_dir("pdcu_reload_gossip");
-  const StubGossip gossip;
+TEST(ReloadManager, ReloadedRouterKeepsTheHealthTracker) {
+  auto dir = fresh_content_dir("pdcu_reload_wiring");
+  // Only the first router is wired; the manager builds its replacement
+  // from the content and the previous snapshot alone.
   Fixture fx(dir, {.backoff_initial = std::chrono::milliseconds(0)},
-             &gossip);
+             /*wire_health=*/true);
   server::Request request;
   request.method = "GET";
-  request.target = "/cluster/gossip?digest=";
+  request.target = "/healthz";
   request.version = "HTTP/1.1";
-  ASSERT_EQ(fx.http->router()->handle(request).status, 200);
+  const auto before = fx.http->router();
+  ASSERT_TRUE(strs::contains(before->handle(request).body, "\"epoch\":1"));
 
   grow(dir, "findsmallestcard");
   ASSERT_EQ(fx.manager->check_once(),
             server::ReloadManager::Step::kReloaded);
-  // The swapped-in snapshot inherits the replica's gossip wiring: a reload
-  // must not take the replica out of the cluster.
-  EXPECT_EQ(fx.http->router()->handle(request).status, 200);
+  // The swapped-in snapshot inherits the replica's health wiring: a reload
+  // must not turn the fleet's probe target back into a bare "ok".
+  const auto after = fx.http->router();
+  ASSERT_NE(after, before);
+  const auto response = after->handle(request);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_TRUE(strs::contains(response.body, "\"epoch\":2")) << response.body;
 }
 
 TEST(ReloadManager, SymlinkLoopIsQuarantinedNotACrash) {

@@ -62,11 +62,12 @@
 //        Real mode (default): spawn --replicas M (default 3) `pdcu serve`
 //        subprocesses and front them with a consistent-hash proxy that
 //        health-checks, retries with backoff, and sheds toward healthy
-//        replicas. --base-port P (replicas listen on P..P+M-1 and gossip
-//        peer-to-peer; 0 = ephemeral ports, front-mediated gossip),
-//        --front-port N (default ephemeral), --watch (replica live
-//        reload). Prints the front tier's machine-parseable
-//        `listening port=` line, runs until SIGINT/SIGTERM.
+//        replicas. --base-port P (replicas listen on P..P+M-1; default 0
+//        = ephemeral ports), --front-port N (default ephemeral), --watch
+//        (replica live reload). The front detects failure by /healthz
+//        probes every 200 ms and by its own attempts. Prints the front
+//        tier's machine-parseable `listening port=` line, runs until
+//        SIGINT/SIGTERM.
 //        Sim mode (--sim): deterministic in-process virtual-time replay
 //        of the same routing policy — --seed S, --requests N,
 //        --duration-ms D, --scenario kill-one|degrade-one|partition|none,
@@ -86,7 +87,6 @@
 #include "pdcu/activities/stencil.hpp"
 #include "pdcu/cluster/fleet.hpp"
 #include "pdcu/cluster/front.hpp"
-#include "pdcu/cluster/gossip_agent.hpp"
 #include "pdcu/cluster/sim.hpp"
 #include "pdcu/core/annotate.hpp"
 #include "pdcu/core/archetype.hpp"
@@ -616,9 +616,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   std::string content_dir;
   std::string index_path;
   std::string access_log_path;
-  std::string cluster_id;
-  std::string gossip_peers;
-  unsigned long gossip_interval_ms = 200;
   bool use_mmap = false;
   bool watch = false;
   for (int i = 2; i < argc; ++i) {
@@ -645,12 +642,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
           std::chrono::milliseconds(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--access-log" && i + 1 < argc) {
       access_log_path = argv[++i];
-    } else if (arg == "--cluster-id" && i + 1 < argc) {
-      cluster_id = argv[++i];
-    } else if (arg == "--gossip-peers" && i + 1 < argc) {
-      gossip_peers = argv[++i];
-    } else if (arg == "--gossip-ms" && i + 1 < argc) {
-      gossip_interval_ms = std::strtoul(argv[++i], nullptr, 10);
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "serve: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -746,34 +737,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   // reactor's shard threads, never on the pool they would wait for.
   router.set_search_pool(&pdcu::rt::default_pool());
   if (watch) router.set_reload_metrics(&reload_metrics);
-  // Cluster membership: with --cluster-id the replica answers
-  // /cluster/gossip and (given --gossip-peers host:port,...) initiates
-  // rounds, pulling its own (epoch, degraded) from the health tracker
-  // before every exchange so a failed rebuild's degraded epoch spreads
-  // without the reload path knowing gossip exists.
-  std::optional<pdcu::cluster::GossipAgent> gossip;
-  if (!cluster_id.empty()) {
-    gossip.emplace(cluster_id);
-    gossip->set_self_source([&health] {
-      return std::make_pair(health.epoch(), health.degraded());
-    });
-    gossip->update_self(health.epoch(), health.degraded());
-    std::vector<pdcu::cluster::GossipPeer> peers;
-    for (const auto& entry :
-         pdcu::strings::split(gossip_peers, ',')) {
-      const auto colon = entry.rfind(':');
-      if (entry.empty() || colon == std::string::npos) continue;
-      peers.push_back({entry.substr(0, colon),
-                       static_cast<std::uint16_t>(std::strtoul(
-                           entry.c_str() + colon + 1, nullptr, 10))});
-    }
-    const bool has_peers = !peers.empty();
-    if (has_peers) gossip->set_peers(std::move(peers));
-    router.set_gossip(&*gossip);
-    if (has_peers && gossip_interval_ms > 0) {
-      gossip->start(std::chrono::milliseconds(gossip_interval_ms));
-    }
-  }
   pdcu::server::HttpServer server(std::move(router), options, &trace);
   auto status = server.start();
   if (!status) {
@@ -799,7 +762,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   std::fflush(stdout);
   server.run_until_signalled();
   if (reloader.has_value()) reloader->stop();
-  if (gossip.has_value()) gossip->stop();
   if (access_log.has_value()) access_log->flush();
   std::fputs(server.metrics().render_text().c_str(), stdout);
   std::fputs(trace.render_script().c_str(), stdout);
