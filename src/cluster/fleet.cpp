@@ -105,9 +105,6 @@ std::vector<std::string> Fleet::replica_argv(std::size_t i) const {
           : static_cast<std::uint16_t>(options_.base_port + i);
   argv.push_back(std::to_string(port));
   if (options_.watch) argv.push_back("--watch");
-  for (const std::string& extra : options_.extra_args) {
-    argv.push_back(extra);
-  }
   if (!options_.content_dir.empty()) argv.push_back(options_.content_dir);
   return argv;
 }

@@ -100,8 +100,10 @@ FrontTier::FrontTier(FrontOptions options, std::vector<ReplicaTarget> replicas)
     ring_.add_node(replica.id);
     probes_.push_back({replica.id, ProbeState{}});  // replicas_ order
   }
-  metrics_.set_routable(replicas_.size(), replicas_.size());
+  // Plan the initial state once: a probe that finds it unchanged skips
+  // the refresh, and the first change counts its moves against this.
   sample_owner_.resize(kSampleKeys);
+  refresh_routable_and_moves();
 }
 
 FrontTier::~FrontTier() { stop(); }
@@ -187,7 +189,9 @@ server::Response FrontTier::front_healthz() const {
 void FrontTier::mark_probe(std::size_t replica, bool alive, bool degraded) {
   {
     std::lock_guard lock(probes_mutex_);
-    probes_[replica].second = {alive, degraded};
+    ProbeState& state = probes_[replica].second;
+    if (state.alive == alive && state.degraded == degraded) return;
+    state = {alive, degraded};
   }
   refresh_routable_and_moves();
 }

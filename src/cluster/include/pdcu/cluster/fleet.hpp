@@ -25,7 +25,6 @@ struct FleetOptions {
   std::string host = "127.0.0.1";
   std::string content_dir;  ///< empty serves the builtin curation
   bool watch = false;       ///< pass --watch (live reload) to replicas
-  std::vector<std::string> extra_args;  ///< appended to every replica
 };
 
 /// One `pdcu serve` subprocess.

@@ -91,7 +91,8 @@ class FrontTier {
 
  private:
   server::Response front_healthz() const;
-  /// `replica` indexes replicas_ and probes_ alike.
+  /// `replica` indexes replicas_ and probes_ alike. Refreshes only if
+  /// the replica's state changed.
   void mark_probe(std::size_t replica, bool alive, bool degraded);
   /// An attempt's verdict: refreshes only if `alive` changed.
   void set_alive(std::size_t replica, bool alive);

@@ -5,18 +5,16 @@
 // term frequency per posting.
 //
 // Storage model: the index always serves from its *serialized payload* —
-// one contiguous byte buffer holding the document table and the packed
-// posting lists — with small directory vectors of views pointing into it.
-// The buffer is either heap-owned (built or deserialized) or a shared
-// memory-mapped file (`mmap_index` in serialize.hpp), and the query path is
-// identical either way: document ids and term frequencies decode on the
-// fly from the packed little-endian records (one word load per field), so
-// `pdcu serve --index --mmap` serves its postings straight from the page
-// cache. What attach derives lives on the heap in both cases, `--mmap`
-// included: per-document norms, per-term idf and maxima, per-block maxima,
-// and one double per posting, its BM25F contribution, which the rankers
-// read instead of recomputing it. That double is never serialized, so the
-// payload format does not depend on it.
+// one contiguous heap-owned byte buffer holding the document table and the
+// packed posting lists — with small directory vectors of views pointing
+// into it. The buffer is written by a build or adopted from a loaded file,
+// and copies of an index share it. Document ids and term frequencies
+// decode on the fly from the packed little-endian records (one word load
+// per field). What attach derives lives beside it: per-document norms,
+// per-term idf and maxima, per-block maxima, and one double per posting,
+// its BM25F contribution, which the rankers read instead of recomputing
+// it. That double is never serialized, so the payload format does not
+// depend on it.
 //
 // Construction can run in parallel on the existing rt::ThreadPool: each
 // block of documents tokenizes and numbers its own terms, and one pass in
@@ -69,7 +67,6 @@
 #include "pdcu/search/query.hpp"
 #include "pdcu/search/snippet.hpp"
 #include "pdcu/support/expected.hpp"
-#include "pdcu/support/mmap.hpp"
 #include "pdcu/taxonomy/term_index.hpp"
 
 namespace pdcu::obs {
@@ -133,7 +130,7 @@ struct DocEntry {
 };
 
 /// A term's postings as a view over the packed payload records; decodes
-/// lazily, so iterating an mmap-backed list touches only the mapped pages.
+/// each posting lazily, on access.
 class PostingsView {
  public:
   PostingsView() = default;
@@ -340,13 +337,6 @@ class SearchIndex {
   /// on-disk format), validating the same invariants as from_parts.
   static Expected<SearchIndex> from_payload(std::string payload);
 
-  /// Serves directly from a mapped index file: `payload_offset` is where
-  /// the payload starts inside the mapping. No posting or document text is
-  /// copied to the heap; the mapping stays alive for as long as any copy
-  /// of the returned index (or a Hit-producing call on it) needs it.
-  static Expected<SearchIndex> from_mapped(
-      std::shared_ptr<const fs::MappedFile> file, std::size_t payload_offset);
-
   /// Ranked search. Filters resolve against `taxonomy` (pass
   /// repo.index()); a query with filters but a null taxonomy, or with a
   /// filter that resolves to no term, matches nothing. A filter-only query
@@ -370,9 +360,6 @@ class SearchIndex {
 
   /// The serialized payload this index serves from (no file header).
   std::string_view payload() const { return payload_; }
-
-  /// True when the payload is a view into a memory-mapped file.
-  bool mapped() const { return mapping_ != nullptr; }
 
   /// The exact per-posting BM25F contribution, computed from the posting
   /// (not read from the stored ones), exposed so the scale and oracle
@@ -423,10 +410,8 @@ class SearchIndex {
   void rank_maxscore(const std::vector<ListRange>& lists,
                      const std::vector<char>* allowed, Ranked& out) const;
 
-  /// Byte storage: exactly one of owned_/mapping_ is set (or neither for
-  /// the canonical empty index before attach).
+  /// Byte storage, shared by copies of the index; payload_ views all of it.
   std::shared_ptr<const std::string> owned_;
-  std::shared_ptr<const fs::MappedFile> mapping_;
   std::string_view payload_;
 
   /// Directories into payload_.

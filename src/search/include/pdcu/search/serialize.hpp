@@ -1,5 +1,5 @@
-// Binary index persistence, so `pdcu serve` can cold-start from a prebuilt
-// index instead of re-tokenizing the corpus. The format is a fixed header
+// Binary index persistence: `pdcu index FILE` writes an index file and
+// `pdcu search --index FILE` answers from it. The format is a fixed header
 // (magic, version, FNV-1a checksum of the payload) followed by
 // length-prefixed little-endian records; load verifies all three before
 // parsing and bounds-checks every read, so a truncated or corrupted file is
@@ -27,13 +27,8 @@ Expected<SearchIndex> deserialize_index(std::string_view bytes);
 /// Writes the serialized index to `path` (creating parent directories).
 Status save_index(const SearchIndex& index, const std::filesystem::path& path);
 
-/// Reads and deserializes an index file (payload copied to the heap).
+/// Reads and deserializes an index file. The payload is copied to the
+/// heap, so the index outlives any later change to the file.
 Expected<SearchIndex> load_index(const std::filesystem::path& path);
-
-/// Memory-maps an index file and serves from the mapping in place: the
-/// same header verification as load_index, but postings and document text
-/// stay in the page cache instead of being copied into heap vectors. The
-/// returned index (and every copy of it) keeps the mapping alive.
-Expected<SearchIndex> mmap_index(const std::filesystem::path& path);
 
 }  // namespace pdcu::search

@@ -119,7 +119,7 @@ std::string encode_payload(const std::vector<DocEntry>& docs,
 }
 
 /// Bounds-checked reader that hands out views into the payload instead of
-/// copying strings, so an mmap-backed index never materializes text.
+/// copying strings, so document text and terms exist once, in the payload.
 class ViewReader {
  public:
   explicit ViewReader(std::string_view bytes) : bytes_(bytes) {}
@@ -620,22 +620,6 @@ Expected<SearchIndex> SearchIndex::from_payload(std::string payload) {
   auto storage = std::make_shared<const std::string>(std::move(payload));
   index.payload_ = *storage;
   index.owned_ = std::move(storage);
-  index.mapping_.reset();
-  const Status status = index.attach();
-  if (!status) return status.error();
-  return index;
-}
-
-Expected<SearchIndex> SearchIndex::from_mapped(
-    std::shared_ptr<const fs::MappedFile> file, std::size_t payload_offset) {
-  SearchIndex index;
-  if (file == nullptr || payload_offset > file->size()) {
-    return Error::make("search.index.truncated",
-                       "index payload truncated or trailing bytes");
-  }
-  index.payload_ = file->view().substr(payload_offset);
-  index.mapping_ = std::move(file);
-  index.owned_.reset();
   const Status status = index.attach();
   if (!status) return status.error();
   return index;

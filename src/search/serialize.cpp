@@ -1,11 +1,7 @@
 #include "pdcu/search/serialize.hpp"
 
-#include <memory>
-#include <utility>
-
 #include "pdcu/support/fs.hpp"
 #include "pdcu/support/hash.hpp"
-#include "pdcu/support/mmap.hpp"
 #include "little_endian.hpp"
 
 namespace pdcu::search {
@@ -73,25 +69,14 @@ Expected<SearchIndex> deserialize_index(std::string_view bytes) {
 
 Status save_index(const SearchIndex& index,
                   const std::filesystem::path& path) {
-  // Never truncate in place: a server may have this file memory-mapped
-  // (mmap_index), and truncating a mapped file turns its next page fault
-  // into SIGBUS. The rename leaves the old inode to the mapping.
+  // Never truncate in place: a concurrent load_index sees either the old
+  // or the new file, never a partial one.
   return fs::replace_file(path, serialize_index(index));
 }
 
 Expected<SearchIndex> load_index(const std::filesystem::path& path) {
   return fs::read_file(path).and_then(
       [](const std::string& bytes) { return deserialize_index(bytes); });
-}
-
-Expected<SearchIndex> mmap_index(const std::filesystem::path& path) {
-  auto mapped = fs::MappedFile::open(path);
-  if (!mapped) return mapped.error();
-  auto file =
-      std::make_shared<const fs::MappedFile>(std::move(mapped).value());
-  const Status header = check_header(file->view());
-  if (!header) return header.error();
-  return SearchIndex::from_mapped(std::move(file), kHeaderBytes);
 }
 
 }  // namespace pdcu::search

@@ -14,15 +14,17 @@
 //
 // Thread safety: one mutex around an intrusive LRU list + hash map. A
 // cache round-trip replaces BM25 scoring plus JSON assembly, so the
-// critical section (a splice and a string copy) is far below the work it
-// saves; the stats counters feed /metrics (pdcu_search_cache_*).
+// critical section (a splice and a pointer copy) is far below the work it
+// saves; the stats counters feed /metrics (pdcu_search_cache_*). Fragments
+// are immutable and shared, so a hit copies its bytes only into the
+// response body, outside the lock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -42,13 +44,15 @@ class QueryCache {
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  /// The cached fragment for `key`, refreshing its recency; nullopt on
-  /// miss. Counts a hit or a miss.
-  std::optional<std::string> get(const std::string& key);
+  /// The cached fragment for `key`, refreshing its recency; null on miss.
+  /// Counts a hit or a miss.
+  std::shared_ptr<const std::string> get(const std::string& key);
 
   /// Inserts (or refreshes) `key`, evicting the least recently used entry
-  /// beyond capacity.
-  void put(const std::string& key, std::string value);
+  /// beyond capacity. Returns the fragment as stored (still returned, not
+  /// stored, when capacity is 0).
+  std::shared_ptr<const std::string> put(const std::string& key,
+                                         std::string value);
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;
@@ -59,7 +63,7 @@ class QueryCache {
  private:
   struct Entry {
     std::string key;
-    std::string value;
+    std::shared_ptr<const std::string> value;
   };
 
   mutable std::mutex mutex_;

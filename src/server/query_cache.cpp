@@ -27,34 +27,37 @@ QueryCache& QueryCache::operator=(QueryCache&& other) noexcept {
   return *this;
 }
 
-std::optional<std::string> QueryCache::get(const std::string& key) {
+std::shared_ptr<const std::string> QueryCache::get(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = by_key_.find(key);
   if (it == by_key_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
   return it->second->value;
 }
 
-void QueryCache::put(const std::string& key, std::string value) {
-  if (capacity_ == 0) return;
+std::shared_ptr<const std::string> QueryCache::put(const std::string& key,
+                                                   std::string value) {
+  auto stored = std::make_shared<const std::string>(std::move(value));
+  if (capacity_ == 0) return stored;
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = by_key_.find(key);
   if (it != by_key_.end()) {
-    it->second->value = std::move(value);
+    it->second->value = stored;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return stored;
   }
-  lru_.push_front({key, std::move(value)});
+  lru_.push_front({key, stored});
   by_key_.emplace(key, lru_.begin());
   if (lru_.size() > capacity_) {
     by_key_.erase(lru_.back().key);
     lru_.pop_back();
     ++evictions_;
   }
+  return stored;
 }
 
 std::uint64_t QueryCache::hits() const {

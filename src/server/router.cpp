@@ -247,24 +247,20 @@ Response Router::handle_search(const Request& request) const {
   // normalized query has been answered before against this exact index;
   // otherwise run the (possibly sharded) ranked search and remember it.
   const std::string key = search_cache_key(query, limit);
-  std::string fragment;
-  auto cached = query_cache_.get(key);
-  if (cached.has_value()) {
-    fragment = std::move(*cached);
-  } else {
+  std::shared_ptr<const std::string> fragment = query_cache_.get(key);
+  if (fragment == nullptr) {
     search::SearchOptions options;
     options.limit = limit;
     options.pool = search_pool_;
     options.filter_cache = &filter_cache_;
     const auto hits = index_.search(query, taxonomy_.get(), options);
-    fragment = search_results_fragment(hits);
-    query_cache_.put(key, fragment);
+    fragment = query_cache_.put(key, search_results_fragment(hits));
   }
 
   std::string body = "{\"query\":\"";
   strs::json_escape_append(query.raw, body);
   body += "\",";
-  body += fragment;
+  body += *fragment;
   Response response = json_response(200, std::move(body));
   // Same conditional-GET contract as cached pages: the body is a pure
   // function of (index, query), so the ETag is stable until a reindex.

@@ -20,9 +20,9 @@ Status write_file(const std::filesystem::path& path,
 
 /// Replaces `path` atomically: writes a temporary file next to it,
 /// fsyncs it, and renames it over `path`. A reader that has the old file
-/// open or memory-mapped keeps its bytes (the old inode lives on until it
-/// lets go); any other reader sees either the old or the new content,
-/// never a partial file. Parent directories are created as needed.
+/// open keeps its bytes (the old inode lives on until it lets go); any
+/// other reader sees either the old or the new content, never a partial
+/// file. Parent directories are created as needed.
 Status replace_file(const std::filesystem::path& path,
                     std::string_view content);
 

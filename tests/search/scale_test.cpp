@@ -1,14 +1,11 @@
 // Corpus-scale property suite. The contract under test: every execution
 // strategy — exhaustive scoring, MaxScore with block-max early termination,
-// sharded execution across a thread pool, heap-loaded or mmap-backed
-// storage — returns the *identical* top-k: same documents, same scores
-// (bit-identical doubles), same order. Early termination that is only
-// "approximately right" would silently corrupt ranking; these properties
-// are what let MaxScore be the default.
+// sharded execution across a thread pool — returns the *identical* top-k:
+// same documents, same scores (bit-identical doubles), same order. Early
+// termination that is only "approximately right" would silently corrupt
+// ranking; these properties are what let MaxScore be the default.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,7 +14,6 @@
 #include "pdcu/search/corpus.hpp"
 #include "pdcu/search/index.hpp"
 #include "pdcu/search/query.hpp"
-#include "pdcu/search/serialize.hpp"
 
 namespace search = pdcu::search;
 namespace corpus = pdcu::search::corpus;
@@ -142,31 +138,6 @@ TEST(SearchScale, ShardBoundaryPlacementDoesNotChangeResults) {
     expect_same_hits(expected, run(fix, query, sharded),
                      "min_shard_docs=" + std::to_string(min_docs));
   }
-}
-
-TEST(SearchScale, MmapIndexMatchesLoadedIndex) {
-  const auto& fix = fixture(512);
-  const auto path = std::filesystem::temp_directory_path() /
-                    "pdcu_scale_mmap_test.idx";
-  ASSERT_TRUE(search::save_index(fix.index, path).has_value());
-
-  auto loaded = search::load_index(path);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  auto mapped = search::mmap_index(path);
-  ASSERT_TRUE(mapped.has_value()) << mapped.error().message;
-
-  EXPECT_FALSE(loaded.value().mapped());
-  EXPECT_TRUE(mapped.value().mapped());
-  EXPECT_TRUE(loaded.value() == mapped.value());
-  EXPECT_TRUE(fix.index == mapped.value());
-
-  for (const auto& input : adversarial_queries()) {
-    const auto query = search::parse_query(input);
-    expect_same_hits(
-        loaded.value().search(query, &fix.repo.index(), 10),
-        mapped.value().search(query, &fix.repo.index(), 10), input);
-  }
-  std::filesystem::remove(path);
 }
 
 TEST(SearchScale, TieBreakIsScoreDescThenDocAsc) {

@@ -105,39 +105,20 @@ TEST(IndexSerialize, EmptyIndexRoundTrips) {
   EXPECT_EQ(loaded.value().term_count(), 0u);
 }
 
-TEST(IndexSerialize, SavingOverAMappedIndexKeepsItServing) {
-  // A server started with --index F --mmap serves from F's mapping while
-  // `pdcu index` rewrites F. Truncating F in place would turn the
-  // mapping's next page fault into SIGBUS; save_index must replace the
-  // file instead, leaving the old bytes to the mapping.
+TEST(IndexSerialize, LoadedIndexOutlivesItsFile) {
+  // A loaded index owns its payload: rewriting, truncating in place and
+  // removing the file it came from changes nothing it serves.
   const auto path = std::filesystem::temp_directory_path() /
-                    "pdcu_serialize_mapped_rewrite.idx";
+                    "pdcu_serialize_outlives_file.idx";
   ASSERT_TRUE(search::save_index(index(), path).has_value());
-  const auto mapped = search::mmap_index(path);
-  ASSERT_TRUE(mapped.has_value()) << mapped.error().message;
-  ASSERT_TRUE(mapped.value().mapped());
+  const auto loaded = search::load_index(path);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
 
-  // Rewrite the same path with a far smaller index (one document), so an
-  // in-place truncation would cut the mapping short by many pages.
+  // Rewrite the same path with a far smaller index (one document).
   const core::Repository tiny(std::vector<core::Activity>{
       core::Repository::builtin().activities().front()});
   ASSERT_TRUE(
       search::save_index(search::SearchIndex::build(tiny), path).has_value());
-
-  const auto& taxonomy = core::Repository::builtin().index();
-  for (const char* input : {"message passing", "sorting", "race condition",
-                            "byzantine generals", "course:CS2"}) {
-    const auto query = search::parse_query(input);
-    const auto want = index().search(query, &taxonomy, 20);
-    const auto got = mapped.value().search(query, &taxonomy, 20);
-    ASSERT_EQ(want.size(), got.size()) << input;
-    for (std::size_t h = 0; h < want.size(); ++h) {
-      EXPECT_EQ(want[h].slug, got[h].slug) << input;
-      EXPECT_EQ(want[h].score, got[h].score) << input;
-      EXPECT_EQ(want[h].snippet.text, got[h].snippet.text) << input;
-    }
-  }
-  EXPECT_TRUE(mapped.value() == index());
 
   // The path now holds the new index, and no temporary is left behind.
   const auto reloaded = search::load_index(path);
@@ -149,5 +130,21 @@ TEST(IndexSerialize, SavingOverAMappedIndexKeepsItServing) {
               std::string::npos)
         << entry.path();
   }
+
+  std::filesystem::resize_file(path, 0);
   std::filesystem::remove(path);
+  const auto& taxonomy = core::Repository::builtin().index();
+  for (const char* input : {"message passing", "sorting", "race condition",
+                            "byzantine generals", "course:CS2"}) {
+    const auto query = search::parse_query(input);
+    const auto want = index().search(query, &taxonomy, 20);
+    const auto got = loaded.value().search(query, &taxonomy, 20);
+    ASSERT_EQ(want.size(), got.size()) << input;
+    for (std::size_t h = 0; h < want.size(); ++h) {
+      EXPECT_EQ(want[h].slug, got[h].slug) << input;
+      EXPECT_EQ(want[h].score, got[h].score) << input;
+      EXPECT_EQ(want[h].snippet.text, got[h].snippet.text) << input;
+    }
+  }
+  EXPECT_TRUE(loaded.value() == index());
 }

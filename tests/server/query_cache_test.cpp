@@ -44,11 +44,11 @@ std::string header(const server::Response& response, std::string_view name) {
 
 TEST(QueryCache, MissesThenHits) {
   server::QueryCache cache(4);
-  EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_EQ(cache.get("a"), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
   cache.put("a", "value-a");
   const auto found = cache.get("a");
-  ASSERT_TRUE(found.has_value());
+  ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, "value-a");
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -58,12 +58,12 @@ TEST(QueryCache, EvictsLeastRecentlyUsed) {
   server::QueryCache cache(2);
   cache.put("a", "1");
   cache.put("b", "2");
-  EXPECT_TRUE(cache.get("a").has_value());  // a is now most recent
-  cache.put("c", "3");                      // evicts b
+  EXPECT_NE(cache.get("a"), nullptr);  // a is now most recent
+  cache.put("c", "3");                  // evicts b
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
+  EXPECT_NE(cache.get("a"), nullptr);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  EXPECT_NE(cache.get("c"), nullptr);
   EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -74,14 +74,14 @@ TEST(QueryCache, PutRefreshesExistingKey) {
   cache.put("a", "new");  // refresh, not insert: a becomes most recent
   cache.put("c", "3");    // evicts b, not a
   EXPECT_EQ(*cache.get("a"), "new");
-  EXPECT_FALSE(cache.get("b").has_value());
+  EXPECT_EQ(cache.get("b"), nullptr);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(QueryCache, ZeroCapacityDisablesCaching) {
   server::QueryCache cache(0);
   cache.put("a", "1");
-  EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_EQ(cache.get("a"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -282,7 +282,7 @@ std::string search_scale_summary_json(const std::vector<std::size_t>& sizes) {
     for (int request = 0; request < 2000; ++request) {
       const std::string& text = queries[query_zipf.sample(rng)];
       const auto start = SteadyClock::now();
-      if (!cache.get(text).has_value()) {
+      if (cache.get(text) == nullptr) {
         const auto query = search::parse_query(text);
         const auto hits = index.search(query, &repo.index(), 10);
         cache.put(text, std::to_string(hits.size()));

@@ -21,8 +21,7 @@
 //   pdcu annotate <dir> <slug> <note>  record a classroom experience
 //   pdcu run <simulation> [seed]   run an activity simulation
 //   pdcu search [options] <query>  ranked full-text + taxonomy search
-//        --limit N (default 10), --index FILE (load a prebuilt index),
-//        --mmap (serve the --index file from a memory map, no heap copy)
+//        --limit N (default 10), --index FILE (load a prebuilt index)
 //        query: free text plus cs2013:/tcpp:/course:/sense: filters
 //   pdcu index <out-file>          build and save the binary search index
 //        --synthetic N (index a deterministic N-document generated corpus
@@ -32,8 +31,6 @@
 //        --port N (default 8080, 0 = ephemeral), --host H,
 //        --net-shards N (epoll shards, default 1), --max-connections N
 //        (concurrent cap, default 128, excess answered 503),
-//        --index FILE (cold-start search from a prebuilt index),
-//        --mmap (serve the --index file from a memory map),
 //        --watch (live reload: poll the content dir, rebuild
 //        incrementally, keep serving last-known-good on failure),
 //        --poll-ms N (watch poll interval, default 500),
@@ -498,15 +495,12 @@ int search(const pdcu::core::Repository& repo, int argc, char** argv) {
   std::size_t limit = 10;
   std::string index_path;
   std::string query_text;
-  bool use_mmap = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--limit" && i + 1 < argc) {
       limit = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--index" && i + 1 < argc) {
       index_path = argv[++i];
-    } else if (arg == "--mmap") {
-      use_mmap = true;
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "search: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -520,14 +514,9 @@ int search(const pdcu::core::Repository& repo, int argc, char** argv) {
     return 2;
   }
 
-  if (use_mmap && index_path.empty()) {
-    std::fprintf(stderr, "search: --mmap requires --index FILE\n");
-    return 2;
-  }
   pdcu::search::SearchIndex index;
   if (!index_path.empty()) {
-    auto loaded = use_mmap ? pdcu::search::mmap_index(index_path)
-                           : pdcu::search::load_index(index_path);
+    auto loaded = pdcu::search::load_index(index_path);
     if (!loaded) {
       std::fprintf(stderr, "search: %s\n", loaded.error().message.c_str());
       return 1;
@@ -614,9 +603,7 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   pdcu::server::ServerOptions options;
   pdcu::server::ReloadOptions reload_options;
   std::string content_dir;
-  std::string index_path;
   std::string access_log_path;
-  bool use_mmap = false;
   bool watch = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -631,10 +618,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
     } else if (arg == "--max-connections" && i + 1 < argc) {
       options.max_connections =
           static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--index" && i + 1 < argc) {
-      index_path = argv[++i];
-    } else if (arg == "--mmap") {
-      use_mmap = true;
     } else if (arg == "--watch") {
       watch = true;
     } else if (arg == "--poll-ms" && i + 1 < argc) {
@@ -696,26 +679,10 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
     health.set_content(repo.activities().size(), {});
   }
 
-  // Cold-start search from a prebuilt index file (--mmap serves straight
-  // from the mapped file: no heap copy of postings or document text), or
-  // build it here in parallel before the server accepts traffic.
-  if (use_mmap && index_path.empty()) {
-    std::fprintf(stderr, "serve: --mmap requires --index FILE\n");
-    return 2;
-  }
-  std::optional<pdcu::search::SearchIndex> index;
-  if (!index_path.empty()) {
-    auto loaded = use_mmap ? pdcu::search::mmap_index(index_path)
-                           : pdcu::search::load_index(index_path);
-    if (!loaded) {
-      std::fprintf(stderr, "serve: %s\n", loaded.error().message.c_str());
-      return 1;
-    }
-    index = std::move(loaded).value();
-  } else {
-    index = pdcu::search::SearchIndex::build(repo, &pdcu::rt::default_pool(),
-                                             &spans);
-  }
+  // Build the search index from the repository being served, in parallel,
+  // before the server accepts traffic.
+  auto index = pdcu::search::SearchIndex::build(
+      repo, &pdcu::rt::default_pool(), &spans);
 
   pdcu::rt::TraceLog trace;
   pdcu::site::SiteOptions site_options;
