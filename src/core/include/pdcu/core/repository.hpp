@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@ struct LoadDiagnostic {
   Error error;
 };
 
+class Repository;
 struct LoadReport;
 
 /// One activities/*.md content file as listed, with the (size, mtime)
@@ -46,13 +48,19 @@ Expected<std::vector<ContentFile>> list_content(
 std::uint64_t listing_fingerprint(const std::vector<ContentFile>& files);
 
 /// The state a reloading server carries from one load to the next: the
-/// per-file parse memo and the last repository's term index.
+/// per-file parse memo, the repository the last load built (once its
+/// holder hands it back) and that repository's term index.
 ///
-/// The memo holds each file's parsed activity (or its parse error) and the
-/// activity's fingerprint, in the listing's path order, each trusted while
-/// the file's stamp is unchanged. A load through it merge-walks the memo
-/// against the new sorted listing, reads and parses only added or
-/// restamped files, and drops deleted and renamed ones.
+/// The memo holds each file's stamp, its activity's fingerprint or its
+/// parse error, and where its activity sits in the last repository, in the
+/// listing's path order, each trusted while the file's stamp is unchanged.
+/// It holds no activity: the repository does. A load through it
+/// merge-walks the memo against the new sorted listing, reads and parses
+/// only added or restamped files, and drops deleted and renamed ones. An
+/// unchanged activity is moved out of the repository handed back with
+/// hand_back(); without one (the first load, or when the last repository
+/// was dropped or handed back to no one) every healthy file is parsed
+/// again, as a cold load does. A memoized parse error needs no repository.
 ///
 /// The term index is shared by the next repository when its taxonomy
 /// fingerprint is unchanged, which is what a body-only edit leaves.
@@ -60,15 +68,26 @@ class LoadCache {
  public:
   std::size_t size() const { return entries_.size(); }
 
+  /// Hands back the repository the last load through this cache built,
+  /// once nothing reads its activities any more: it takes them, leaving
+  /// `served`'s index and fingerprints as they were, and the next load
+  /// moves the unchanged ones out instead of parsing their files. Any
+  /// other repository (another size, or a copy of that one) is ignored.
+  void hand_back(Repository&& served);
+
  private:
   struct Entry {
     std::string path;  ///< the listed path's native string
     std::uint64_t size = 0;
     std::int64_t mtime_ns = 0;
-    Expected<Activity> parsed;  ///< the activity, or why it failed to parse
-    std::uint64_t fingerprint = 0;
+    std::uint64_t fingerprint = 0;  ///< of the activity, when it parsed
+    std::optional<Error> error;     ///< why the file failed to parse
+    std::size_t slot = 0;  ///< the activity's index in the last repository
   };
   std::vector<Entry> entries_;  ///< sorted by path, like the listing
+  std::size_t built_ = 0;  ///< activities the last load built
+  const Activity* built_data_ = nullptr;  ///< ... and where they live
+  std::vector<Activity> returned_;  ///< handed back: built_ activities
   std::shared_ptr<const tax::TermIndex> index_;
   std::uint64_t index_taxonomy_ = 0;  ///< taxonomy fingerprint of index_
 
@@ -100,12 +119,13 @@ class Repository {
 
   /// The same lenient load over an existing listing (see list_content),
   /// through `cache`: files whose stamp matches their memo entry are not
-  /// read, and the cache is left describing exactly `files`. An empty
-  /// cache loads every file, like the overload above. The repository
-  /// carries each activity's fingerprint, and shares the cache's term
-  /// index when its taxonomy fingerprint is the cached one. `files` must
-  /// be sorted by path, as list_content gives them (an unsorted listing
-  /// loads correctly but misses memo hits).
+  /// read when their activity can be moved out of the repository handed
+  /// back to the cache (see LoadCache), and the cache is left describing
+  /// exactly `files`. An empty cache loads every file, like the overload
+  /// above. The repository carries each activity's fingerprint, and shares
+  /// the cache's term index when its taxonomy fingerprint is the cached
+  /// one. `files` must be sorted by path, as list_content gives them (an
+  /// unsorted listing loads correctly but misses memo hits).
   static LoadReport load_lenient(const std::vector<ContentFile>& files,
                                  LoadCache& cache);
 
@@ -160,6 +180,8 @@ class Repository {
   std::vector<std::uint64_t> fingerprints_;  ///< empty, or one per activity
   std::uint64_t taxonomy_fingerprint_ = 0;
   std::shared_ptr<const tax::TermIndex> index_;
+
+  friend class LoadCache;
 };
 
 /// The outcome of Repository::load_lenient: the repository over every

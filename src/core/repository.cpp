@@ -106,13 +106,16 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
                                   LoadCache* cache) {
   const std::size_t n = files.size();
 
-  // Memo hits: a stat'ed file whose stamp matches its entry is not read.
-  // The memo and the listing are both sorted by path, so one merge walk
-  // finds every hit, serially, and the parallel phase below never touches
-  // the memo. Each entry is matched at most once.
+  // Memo hits: a stat'ed file whose stamp matches its entry is not read
+  // when the entry holds its parse error or its activity is in the
+  // repository handed back. The memo and the listing are both sorted by
+  // path, so one merge walk finds every hit, serially, and the parallel
+  // phase below never touches the memo. Each entry is matched at most
+  // once.
   std::vector<LoadCache::Entry*> hits(n, nullptr);
   if (cache != nullptr) {
     auto& memo = cache->entries_;
+    const std::size_t returned = cache->returned_.size();
     std::size_t j = 0;
     for (std::size_t i = 0; i < n && j < memo.size(); ++i) {
       const std::string& key = files[i].path.native();
@@ -121,7 +124,8 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
       if (order != 0) continue;
       LoadCache::Entry& entry = memo[j++];
       if (files[i].stat_ok && entry.size == files[i].size &&
-          entry.mtime_ns == files[i].mtime_ns) {
+          entry.mtime_ns == files[i].mtime_ns &&
+          (entry.error.has_value() || entry.slot < returned)) {
         hits[i] = &entry;
       }
     }
@@ -154,13 +158,13 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
   LoadReport report;
   report.total_files = n;
   std::vector<Activity> healthy;
+  healthy.reserve(n);
   const auto quarantine = [&](std::size_t i, Error error) {
     report.quarantined.push_back(LoadDiagnostic{
         files[i].path, files[i].path.stem().string(), std::move(error)});
   };
 
   if (cache == nullptr) {
-    healthy.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       ++report.files_parsed;
       if (read_errors[i].has_value()) {
@@ -176,27 +180,26 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
   }
 
   // Refill the memo with exactly this listing, in its order: hits move
-  // over, fresh parses (activities and parse errors alike) go in, and
+  // over, fresh parses (fingerprints and parse errors alike) go in, and
   // entries of deleted or renamed files are dropped. Read errors are not
-  // memoized — the next load retries them. Both vectors are reserved for
-  // every file, so the pointers in `sources` stay valid.
+  // memoized — the next load retries them, and so is a file without a
+  // stamp: there is nothing to trust next time. The activities go to the
+  // repository in listing order, a hit's moved out of the one handed back.
   std::vector<LoadCache::Entry> next;
   next.reserve(n);
-  std::vector<LoadCache::Entry> unstamped;  // parsed but not memoized
-  unstamped.reserve(n);
-  std::vector<const LoadCache::Entry*> sources;  // one per healthy file
-  sources.reserve(n);
-  const auto take = [&](std::size_t i, const LoadCache::Entry& entry) {
-    if (entry.parsed.has_value()) {
-      sources.push_back(&entry);
-    } else {
-      quarantine(i, entry.parsed.error());
-    }
-  };
+  std::vector<std::uint64_t> fingerprints;
+  fingerprints.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (hits[i] != nullptr) {
       ++report.files_reused;
-      take(i, next.emplace_back(std::move(*hits[i])));
+      LoadCache::Entry& entry = next.emplace_back(std::move(*hits[i]));
+      if (entry.error.has_value()) {
+        quarantine(i, *entry.error);
+        continue;
+      }
+      healthy.push_back(std::move(cache->returned_[entry.slot]));
+      entry.slot = healthy.size() - 1;
+      fingerprints.push_back(entry.fingerprint);
       continue;
     }
     ++report.files_parsed;
@@ -204,33 +207,39 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
       quarantine(i, std::move(*read_errors[i]));
       continue;
     }
+    Expected<Activity>& result = *parsed[i];
     LoadCache::Entry fresh{files[i].path.native(), files[i].size,
-                           files[i].mtime_ns, std::move(*parsed[i]),
-                           parsed_fingerprints[i]};
-    // Without a stamp there is nothing to trust next time: use the parse,
-    // do not memoize it.
-    take(i, files[i].stat_ok ? next.emplace_back(std::move(fresh))
-                             : unstamped.emplace_back(std::move(fresh)));
+                           files[i].mtime_ns, parsed_fingerprints[i],
+                           std::nullopt, 0};
+    if (result.has_value()) {
+      fresh.slot = healthy.size();
+      fingerprints.push_back(parsed_fingerprints[i]);
+      healthy.push_back(std::move(result).value());
+    } else {
+      fresh.error = result.error();
+      quarantine(i, result.error());
+    }
+    if (files[i].stat_ok) next.push_back(std::move(fresh));
   }
 
-  // The repository gets its own copies; made in parallel, since every
-  // activity is copied on every load.
-  healthy.resize(sources.size());
-  std::vector<std::uint64_t> fingerprints(sources.size());
-  rt::default_pool().parallel_for(
-      0, sources.size(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          healthy[k] = sources[k]->parsed.value();
-          fingerprints[k] = sources[k]->fingerprint;
-        }
-      });
   cache->entries_ = std::move(next);
+  cache->returned_ = {};  // what no hit took: edited, renamed or deleted
   report.repository = Repository(std::move(healthy), std::move(fingerprints),
                                  std::move(cache->index_),
                                  cache->index_taxonomy_);
+  cache->built_ = report.repository.activities_.size();
+  cache->built_data_ = report.repository.activities_.data();
   cache->index_ = report.repository.shared_index();
   cache->index_taxonomy_ = report.repository.taxonomy_fingerprint();
   return report;
+}
+
+void LoadCache::hand_back(Repository&& served) {
+  if (served.activities_.size() != built_ ||
+      served.activities_.data() != built_data_) {
+    return;
+  }
+  returned_ = std::exchange(served.activities_, {});
 }
 
 Expected<Repository> Repository::load(

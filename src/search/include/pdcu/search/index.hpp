@@ -319,13 +319,18 @@ class SearchIndex {
   /// build shards across its workers; the result is identical either way.
   /// With `spans`, the wall time lands there as a "search.build" span (and
   /// "search.merge" for the merge-and-encode tail), so repeated builds —
-  /// watch mode reloads, benchmarks — accumulate a latency histogram. With
-  /// `cache`, documents the previous build held are spliced from its
-  /// payload instead of tokenized (see IndexCache).
+  /// watch mode reloads, benchmarks — accumulate a latency histogram.
   static SearchIndex build(const core::Repository& repo,
                            rt::ThreadPool* pool = nullptr,
-                           obs::SpanRegistry* spans = nullptr,
-                           IndexCache* cache = nullptr);
+                           obs::SpanRegistry* spans = nullptr);
+
+  /// The same build through `cache`: documents the previous build held
+  /// are spliced from its payload instead of tokenized (see IndexCache).
+  /// The index comes back shared with the cache, which keeps it, uncopied,
+  /// as the previous build of the next one.
+  static std::shared_ptr<const SearchIndex> build(
+      const core::Repository& repo, IndexCache& cache,
+      rt::ThreadPool* pool = nullptr, obs::SpanRegistry* spans = nullptr);
 
   /// Reassembles an index from builder parts, validating invariants
   /// (terms sorted and unique, postings sorted, doc ids in range, each
@@ -374,6 +379,13 @@ class SearchIndex {
   }
 
  private:
+  /// Both builds: with `cache`, through it (its index is the previous
+  /// build; the caller stores the result there).
+  static SearchIndex build_through(const core::Repository& repo,
+                                   rt::ThreadPool* pool,
+                                   obs::SpanRegistry* spans,
+                                   IndexCache* cache);
+
   /// Parses payload_ into the directory views, validating invariants,
   /// then precomputes the scoring metadata (norms, idf, block maxima).
   Status attach();
@@ -446,7 +458,8 @@ class SearchIndex {
 /// copied from the previous payload and their postings renumbered to the
 /// new ids, merged with the postings of the tokenized rest, and a term
 /// left without postings is dropped. The payload is byte-identical to a
-/// build without a cache, and the cache then holds the new index.
+/// build without a cache, and the cache then shares the new index with
+/// whoever serves it.
 class IndexCache {
  public:
   /// Documents the last build through this cache held.
@@ -456,7 +469,7 @@ class IndexCache {
   std::size_t reused() const { return reused_; }
 
  private:
-  SearchIndex index_;
+  std::shared_ptr<const SearchIndex> index_;  ///< null before a build
   std::vector<std::uint64_t> fingerprints_;  ///< per document of index_
   std::size_t tokenized_ = 0;
   std::size_t reused_ = 0;

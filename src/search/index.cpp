@@ -510,11 +510,29 @@ SearchIndex::SearchIndex() {
 
 SearchIndex SearchIndex::build(const core::Repository& repo,
                                rt::ThreadPool* pool,
-                               obs::SpanRegistry* spans, IndexCache* cache) {
+                               obs::SpanRegistry* spans) {
+  return build_through(repo, pool, spans, nullptr);
+}
+
+std::shared_ptr<const SearchIndex> SearchIndex::build(
+    const core::Repository& repo, IndexCache& cache, rt::ThreadPool* pool,
+    obs::SpanRegistry* spans) {
+  auto index = std::make_shared<const SearchIndex>(
+      build_through(repo, pool, spans, &cache));
+  cache.index_ = index;
+  return index;
+}
+
+SearchIndex SearchIndex::build_through(const core::Repository& repo,
+                                       rt::ThreadPool* pool,
+                                       obs::SpanRegistry* spans,
+                                       IndexCache* cache) {
   const auto started = std::chrono::steady_clock::now();
   const std::size_t n = repo.activities().size();
   static const SearchIndex kEmpty;
-  const SearchIndex& old = cache != nullptr ? cache->index_ : kEmpty;
+  const SearchIndex& old = cache != nullptr && cache->index_ != nullptr
+                               ? *cache->index_
+                               : kEmpty;
 
   // Match each document to the first previous one with its fingerprint
   // past the last match, so both id tables stay monotone. `next_same`
@@ -587,7 +605,6 @@ SearchIndex SearchIndex::build(const core::Repository& repo,
   SearchIndex result = from_payload(std::move(payload)).value();
 
   if (cache != nullptr) {
-    cache->index_ = result;
     cache->fingerprints_ = std::move(fingerprints);
     cache->tokenized_ = fresh_count;
     cache->reused_ = n - fresh_count;

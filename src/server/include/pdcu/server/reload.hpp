@@ -10,14 +10,18 @@
 // first reload runs the same code with empty caches:
 //   core   — a core::LoadCache memo keyed by (path, size, mtime) and
 //            merge-walked against the sorted listing: only added or
-//            restamped files are read and parsed; and the last term
-//            index, shared while the taxonomy fingerprint (slugs, titles,
+//            restamped files are read and parsed. After each swap the
+//            manager hands the repository it just served back to the
+//            cache, and the next load moves every unchanged activity out
+//            of it instead of copying or parsing it. The last term index
+//            is shared while the taxonomy fingerprint (slugs, titles,
 //            tags) is unchanged, as it is after a body-only edit;
-//   site   — the site::BuildCache: only pages whose input fingerprints
-//            moved are rendered, the rest share the cached bytes;
-//   search — a search::IndexCache holding the previous index: only changed
-//            documents are tokenized, the rest are spliced out of the
-//            previous payload under their new ids;
+//   site   — the site::BuildCache, refreshed in place: only pages whose
+//            input fingerprints moved are rendered, the rest share the
+//            cached bytes;
+//   search — a search::IndexCache sharing the index the router serves:
+//            only changed documents are tokenized, the rest are spliced
+//            out of the previous payload under their new ids;
 //   server — the new Router takes over the PageCache entries (body, ETag,
 //            header blocks) of unchanged pages and activity JSON from the
 //            snapshot this manager last published.
@@ -98,7 +102,11 @@ class ReloadManager {
   ReloadManager& operator=(const ReloadManager&) = delete;
 
   /// Span registry for reload-built sites and indexes (site.* and
-  /// search.build phase timings keep accumulating across reloads). The
+  /// search.build phase timings keep accumulating across reloads) and for
+  /// the reload's own stages, once per reload: reload.list (the listing
+  /// that found the change), reload.load, reload.router (the new Router),
+  /// reload.swap and reload.release (the old snapshot freed, the served
+  /// repository handed back to the load cache). The
   /// swapped-in router serves whatever registry the router it replaces
   /// served. Must outlive the manager. Call before start().
   void set_spans(obs::SpanRegistry* spans) { spans_ = spans; }

@@ -53,6 +53,12 @@ class Router {
          std::optional<search::SearchIndex> index = std::nullopt,
          const Router* previous = nullptr);
 
+  /// The same over a shared index (one a search::IndexCache also holds),
+  /// which the router serves without copying; it must not be null.
+  Router(const site::Site& site, const core::Repository& repo,
+         std::shared_ptr<const search::SearchIndex> index,
+         const Router* previous = nullptr);
+
   /// Wires the /metrics endpoint; without it /metrics is a 404. The
   /// pointee must outlive the router (HttpServer passes its own metrics).
   void set_metrics(const ServerMetrics* metrics) { metrics_ = metrics; }
@@ -117,7 +123,7 @@ class Router {
   /// Cache entries this router took over from `previous` at construction;
   /// the other cache().size() - entries_reused() entries were built.
   std::size_t entries_reused() const { return entries_reused_; }
-  const search::SearchIndex& index() const { return index_; }
+  const search::SearchIndex& index() const { return *index_; }
 
   /// The per-snapshot search result cache (stats feed pdcu_search_cache_*
   /// on /metrics). A reload swaps in a new router with a cold cache, which
@@ -136,7 +142,7 @@ class Router {
 
   PageCache cache_;
   std::size_t entries_reused_;
-  search::SearchIndex index_;
+  std::shared_ptr<const search::SearchIndex> index_;
   std::shared_ptr<const tax::TermIndex> taxonomy_;
   mutable QueryCache query_cache_{kQueryCacheEntries};
   mutable search::FilterCache filter_cache_;

@@ -4,9 +4,29 @@
 #include <utility>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/obs/span.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
 
 namespace pdcu::server {
+
+namespace {
+
+/// Records the time since `started` under `span` (when there is a
+/// registry) and returns the current time, the next stage's start.
+std::chrono::steady_clock::time_point lap(
+    obs::SpanRegistry* spans, std::string_view span,
+    std::chrono::steady_clock::time_point started) {
+  const auto now = std::chrono::steady_clock::now();
+  if (spans != nullptr) {
+    spans->record(span, static_cast<std::uint64_t>(
+                            std::chrono::duration_cast<
+                                std::chrono::microseconds>(now - started)
+                                .count()));
+  }
+  return now;
+}
+
+}  // namespace
 
 Expected<std::uint64_t> content_fingerprint(
     const std::filesystem::path& content_dir) {
@@ -61,6 +81,7 @@ ReloadManager::Step ReloadManager::check_once() {
     return Step::kBackoff;
   }
   // One listing feeds both the change check and the load.
+  const auto listed = std::chrono::steady_clock::now();
   auto files = core::list_content(content_dir_);
   if (!files) {
     metrics_.record_attempt();
@@ -72,14 +93,17 @@ ReloadManager::Step ReloadManager::check_once() {
   // way the failure only clears by completing a clean reload, so keep
   // attempting until one lands.
   if (fingerprint == last_fingerprint_ && !last_failed_) return Step::kIdle;
+  lap(spans_, "reload.list", listed);
   return attempt_reload(files.value(), fingerprint);
 }
 
 ReloadManager::Step ReloadManager::attempt_reload(
     const std::vector<core::ContentFile>& files, std::uint64_t fingerprint) {
   metrics_.record_attempt();
+  auto started = std::chrono::steady_clock::now();
   core::LoadReport report =
       core::Repository::load_lenient(files, load_cache_);
+  lap(spans_, "reload.load", started);
   if (report.total_files > 0 && report.loaded() == 0) {
     // Quarantining everything is indistinguishable from losing the
     // content dir; treat it as a failed reload rather than swapping an
@@ -99,8 +123,9 @@ ReloadManager::Step ReloadManager::attempt_reload(
   site::Site site =
       site::rebuild(report.repository, cache_, site_options, &stats);
 
-  auto index = search::SearchIndex::build(
-      report.repository, &rt::default_pool(), spans_, &index_cache_);
+  auto index = search::SearchIndex::build(report.repository, index_cache_,
+                                         &rt::default_pool(), spans_);
+  started = std::chrono::steady_clock::now();
   Router router(site, report.repository, std::move(index), published_.get());
   router.set_build_stats(stats);
   ReloadReuse reuse;
@@ -110,12 +135,19 @@ ReloadManager::Step ReloadManager::attempt_reload(
   reuse.docs_reused = index_cache_.reused();
   reuse.entries_reused = router.entries_reused();
   reuse.entries_rebuilt = router.cache().size() - router.entries_reused();
+  started = lap(spans_, "reload.router", started);
   server_.swap_router(std::move(router));
+  started = lap(spans_, "reload.swap", started);
   // The current snapshot is the router just built unless another thread
   // swapped in between, which costs later reloads hits, never bytes: reuse
   // is checked per entry. Replacing published_ here, after the swap, frees
-  // the old snapshot on the reload thread rather than on a request.
+  // the old snapshot on the reload thread rather than on a request. The
+  // router holds nothing of the repository it was built from, so that
+  // goes back to the load cache: the next load moves its unchanged
+  // activities out instead of parsing them again.
   published_ = server_.router();
+  load_cache_.hand_back(std::move(report.repository));
+  lap(spans_, "reload.release", started);
 
   health_.set_content(report.loaded(), report.quarantined_slugs());
   health_.record_reload_success();

@@ -111,10 +111,18 @@ std::string query_cache_metrics_text(const QueryCache& cache) {
 Router::Router(const site::Site& site, const core::Repository& repo,
                std::optional<search::SearchIndex> index,
                const Router* previous)
+    : Router(site, repo,
+             std::make_shared<const search::SearchIndex>(
+                 index.has_value() ? std::move(*index)
+                                   : search::SearchIndex::build(repo)),
+             previous) {}
+
+Router::Router(const site::Site& site, const core::Repository& repo,
+               std::shared_ptr<const search::SearchIndex> index,
+               const Router* previous)
     : cache_(site, previous != nullptr ? &previous->cache_ : nullptr),
       entries_reused_(cache_.reused()),
-      index_(index.has_value() ? std::move(*index)
-                               : search::SearchIndex::build(repo)),
+      index_(std::move(index)),
       taxonomy_(repo.shared_index()) {
   // The process-lifetime wiring outlives every snapshot, so a replacement
   // serves the same endpoints as the router it replaces.
@@ -253,7 +261,7 @@ Response Router::handle_search(const Request& request) const {
     options.limit = limit;
     options.pool = search_pool_;
     options.filter_cache = &filter_cache_;
-    const auto hits = index_.search(query, taxonomy_.get(), options);
+    const auto hits = index_->search(query, taxonomy_.get(), options);
     fragment = query_cache_.put(key, search_results_fragment(hits));
   }
 

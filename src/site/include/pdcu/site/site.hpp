@@ -8,7 +8,7 @@
 //   render   — render pages (independently, in parallel when a pool is
 //              given) into pre-sized slots, so the page order — and every
 //              byte — matches the serial build exactly
-//   assemble — refresh the cache, rebuild the path index
+//   assemble — refresh the cache in place, rebuild the path index
 // A BuildCache carried across builds turns the render phase incremental:
 // only pages whose input fingerprints changed are re-rendered, the rest
 // share the cached bytes. Page bytes are immutable and shared, never
@@ -145,10 +145,13 @@ struct BuildStats {
 class BuildCache {
  public:
   /// One cached page or document: the fingerprint of its inputs and the
-  /// rendered bytes, shared with the Site that rebuild() returned.
+  /// rendered bytes, shared with the Site that rebuild() returned. A
+  /// rebuild refreshes the map in place: the entries it produces take its
+  /// generation, and the ones it did not produce are erased.
   struct Entry {
     std::uint64_t fingerprint = 0;
     std::shared_ptr<const std::string> html;
+    std::uint64_t generation = 0;  ///< the rebuild that produced it
   };
   using Map = std::unordered_map<std::string, Entry>;
 

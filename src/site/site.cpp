@@ -343,11 +343,11 @@ std::size_t render_jobs(std::vector<PageJob>& jobs, std::vector<Page>& out,
     std::size_t block_reused = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       PageJob& job = jobs[i];
-      out[i].path = job.path;
+      out[i].path = std::move(job.path);
       if (cache_pages != nullptr) {
         // The render phase only reads the map, so no synchronization is
         // needed around the lookups.
-        const auto it = cache_pages->find(job.path);
+        const auto it = cache_pages->find(out[i].path);
         if (it != cache_pages->end() &&
             it->second.fingerprint == job.fingerprint) {
           out[i].bytes = it->second.html;
@@ -404,20 +404,36 @@ Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
       render_jobs(jobs, site.pages, cache_pages, options.pool);
   const auto rendered = std::chrono::steady_clock::now();
 
-  // --- assemble: refill the cache from this build (sharing, not copying,
-  // the bytes), index the pages -----------------------------------------
+  // --- assemble: refresh the cache in place from this build (sharing,
+  // not copying, the bytes), index the pages ----------------------------
   if (cache_pages != nullptr) {
-    cache_pages->clear();
-    cache_pages->reserve(jobs.size() + document_jobs.size());
-    const auto remember = [cache_pages](const std::vector<PageJob>& done,
-                                        const std::vector<Page>& out) {
+    BuildCache::Map& map = *cache_pages;
+    const std::size_t previous = map.size();
+    if (previous == 0) map.reserve(jobs.size() + document_jobs.size());
+    // Every entry this build touches takes its generation; entries of the
+    // previous build it did not touch are the removed paths. After a build
+    // every entry carries that build's generation, so any one tells it.
+    const std::uint64_t generation =
+        previous == 0 ? 1 : map.begin()->second.generation + 1;
+    std::size_t kept = 0;  // previous entries this build touched
+    const auto remember = [&](const std::vector<PageJob>& done,
+                              const std::vector<Page>& out) {
       for (std::size_t i = 0; i < done.size(); ++i) {
-        (*cache_pages)[out[i].path] =
-            BuildCache::Entry{done[i].fingerprint, out[i].bytes};
+        auto [it, added] = map.try_emplace(out[i].path);
+        BuildCache::Entry& entry = it->second;
+        if (!added && entry.generation != generation) ++kept;
+        entry.fingerprint = done[i].fingerprint;
+        entry.generation = generation;
+        if (entry.html != out[i].bytes) entry.html = out[i].bytes;
       }
     };
     remember(document_jobs, site.documents);
     remember(jobs, site.pages);
+    if (kept != previous) {
+      std::erase_if(map, [generation](const auto& cached) {
+        return cached.second.generation != generation;
+      });
+    }
   }
   site.reindex();
   const auto done = std::chrono::steady_clock::now();

@@ -207,17 +207,20 @@ TEST(LoadCache, ReparsesOnlyRestampedFilesAndDropsDeletedOnes) {
   };
 
   core::LoadCache cache;
-  const core::LoadReport cold = core::Repository::load_lenient(list(), cache);
+  core::LoadReport cold = core::Repository::load_lenient(list(), cache);
   EXPECT_EQ(cold.files_parsed, 38u);
   EXPECT_EQ(cold.files_reused, 0u);
   EXPECT_EQ(cache.size(), 38u);
-  const auto& activities = cold.repository.activities();
+  const std::vector<core::Activity> activities = cold.repository.activities();
   for (std::size_t i = 0; i < activities.size(); ++i) {
     EXPECT_EQ(cold.repository.fingerprint(i),
               core::activity_fingerprint(activities[i]));
   }
 
-  const core::LoadReport warm = core::Repository::load_lenient(list(), cache);
+  // Each repository goes back to the cache once read, as a reloading
+  // server hands back the one it served.
+  cache.hand_back(std::move(cold.repository));
+  core::LoadReport warm = core::Repository::load_lenient(list(), cache);
   EXPECT_EQ(warm.files_parsed, 0u);
   EXPECT_EQ(warm.files_reused, 38u);
   ASSERT_EQ(warm.repository.activities().size(), activities.size());
@@ -240,7 +243,8 @@ TEST(LoadCache, ReparsesOnlyRestampedFilesAndDropsDeletedOnes) {
   std::filesystem::remove(path_of("sortingnetworks"));
   corrupt(dir, "findsmallestcard");
   restamp(path_of("findsmallestcard"));
-  const core::LoadReport edit = core::Repository::load_lenient(list(), cache);
+  cache.hand_back(std::move(warm.repository));
+  core::LoadReport edit = core::Repository::load_lenient(list(), cache);
   EXPECT_EQ(edit.files_parsed, 2u);
   EXPECT_EQ(edit.files_reused, 35u);
   EXPECT_EQ(edit.total_files, 37u);
@@ -253,6 +257,7 @@ TEST(LoadCache, ReparsesOnlyRestampedFilesAndDropsDeletedOnes) {
 
   // The parse error is memoized with its stamp: nothing is re-read, and
   // the file stays quarantined until it changes.
+  cache.hand_back(std::move(edit.repository));
   const core::LoadReport again = core::Repository::load_lenient(list(), cache);
   EXPECT_EQ(again.files_parsed, 0u);
   EXPECT_EQ(again.quarantined_slugs(),
@@ -269,9 +274,10 @@ TEST(LoadCache, ReadErrorsAreRetriedNotMemoized) {
     injector.add_rule({.path_substring = "findsmallestcard.md",
                        .mode = fs::FaultInjector::Mode::kIoError});
     fs::ScopedFaultInjection scope(injector);
-    const auto faulted = core::Repository::load_lenient(files.value(), cache);
+    auto faulted = core::Repository::load_lenient(files.value(), cache);
     EXPECT_EQ(faulted.quarantined_slugs(),
               std::vector<std::string>{"findsmallestcard"});
+    cache.hand_back(std::move(faulted.repository));
   }
   const auto healed = core::Repository::load_lenient(files.value(), cache);
   EXPECT_EQ(healed.files_parsed, 1u);
@@ -291,7 +297,11 @@ TEST(LoadCache, SharesTheTermIndexOnlyWhileTheTaxonomyHolds) {
     std::filesystem::last_write_time(path, stamp);
   };
   core::LoadCache cache;
-  const auto load = [&dir, &cache] {
+  core::LoadReport previous;
+  const auto load = [&dir, &cache, &previous] {
+    // The previous repository is done with: it goes back to the cache,
+    // which takes its activities and leaves its index and fingerprints.
+    cache.hand_back(std::move(previous.repository));
     auto files = core::list_content(dir);
     EXPECT_TRUE(files.has_value());
     core::LoadReport report =
@@ -299,7 +309,7 @@ TEST(LoadCache, SharesTheTermIndexOnlyWhileTheTaxonomyHolds) {
     EXPECT_FALSE(report.degraded());
     return report;
   };
-  core::LoadReport previous = load();
+  previous = load();
   std::vector<core::Activity> current = previous.repository.activities();
   const auto find = [&current](const std::string& slug) -> core::Activity& {
     const auto it =
@@ -400,4 +410,86 @@ TEST(LoadCache, SharesTheTermIndexOnlyWhileTheTaxonomyHolds) {
   renamed.slug = pdcu::slugify(renamed.title);
   write(path_of(renamed.slug), renamed);
   expect_fresh("rename");
+}
+
+namespace {
+
+/// Every activity's canonical text and carried fingerprint, in order.
+std::vector<std::string> describe(const core::Repository& repo) {
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < repo.activities().size(); ++i) {
+    lines.push_back(core::write_activity(repo.activities()[i]) + "#" +
+                    std::to_string(repo.fingerprint(i)));
+  }
+  return lines;
+}
+
+}  // namespace
+
+TEST(LoadCache, AHandedBackRepositoryIsMovedNotReparsed) {
+  auto dir = fresh_content_dir("pdcu_load_cache_hand_back");
+  auto files = core::list_content(dir);
+  ASSERT_TRUE(files.has_value());
+  auto cold_load = core::Repository::load_lenient(dir);
+  ASSERT_TRUE(cold_load.has_value());
+  const std::vector<std::string> cold = describe(cold_load.value().repository);
+
+  core::LoadCache cache;
+  core::LoadReport first = core::Repository::load_lenient(files.value(), cache);
+  EXPECT_EQ(first.files_parsed, 38u);
+  EXPECT_EQ(describe(first.repository), cold);
+
+  cache.hand_back(std::move(first.repository));
+  EXPECT_TRUE(first.repository.activities().empty());
+  core::LoadReport moved = core::Repository::load_lenient(files.value(), cache);
+  EXPECT_EQ(moved.files_parsed, 0u);
+  EXPECT_EQ(moved.files_reused, 38u);
+  EXPECT_EQ(describe(moved.repository), cold);
+}
+
+TEST(LoadCache, WithoutAHandBackEveryFileIsParsedAgain) {
+  auto dir = fresh_content_dir("pdcu_load_cache_no_hand_back");
+  auto files = core::list_content(dir);
+  ASSERT_TRUE(files.has_value());
+  core::LoadCache cache;
+  const core::LoadReport first =
+      core::Repository::load_lenient(files.value(), cache);
+  const std::vector<std::string> cold = describe(first.repository);
+
+  // The last repository is still held: nothing can be moved out of it.
+  const core::LoadReport again =
+      core::Repository::load_lenient(files.value(), cache);
+  EXPECT_EQ(again.files_parsed, 38u);
+  EXPECT_EQ(again.files_reused, 0u);
+  EXPECT_EQ(describe(again.repository), cold);
+  EXPECT_EQ(describe(first.repository), cold);
+}
+
+TEST(LoadCache, AnotherRepositoryHandedBackIsIgnored) {
+  auto dir = fresh_content_dir("pdcu_load_cache_wrong_hand_back");
+  auto files = core::list_content(dir);
+  ASSERT_TRUE(files.has_value());
+  core::LoadCache cache;
+  core::LoadReport first = core::Repository::load_lenient(files.value(), cache);
+  const std::vector<std::string> cold = describe(first.repository);
+
+  // One activity short: the wrong size.
+  std::vector<core::Activity> fewer = first.repository.activities();
+  fewer.pop_back();
+  core::Repository smaller(std::move(fewer));
+  cache.hand_back(std::move(smaller));
+  EXPECT_EQ(smaller.activities().size(), 37u);  // not taken
+  core::LoadReport after_smaller =
+      core::Repository::load_lenient(files.value(), cache);
+  EXPECT_EQ(after_smaller.files_parsed, 38u);
+  EXPECT_EQ(describe(after_smaller.repository), cold);
+
+  // The right size, but a copy of the one the load built.
+  core::Repository copy = after_smaller.repository;
+  cache.hand_back(std::move(copy));
+  EXPECT_EQ(copy.activities().size(), 38u);  // not taken
+  const core::LoadReport after_copy =
+      core::Repository::load_lenient(files.value(), cache);
+  EXPECT_EQ(after_copy.files_parsed, 38u);
+  EXPECT_EQ(describe(after_copy.repository), cold);
 }

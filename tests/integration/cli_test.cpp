@@ -170,3 +170,37 @@ TEST(Cli, CheckJsonEmitsTheMachineReadableLoadReport) {
                          " 2>/dev/null");
   EXPECT_EQ(unknown.exit_code, 2);
 }
+
+TEST(Cli, SearchAnIndexOfTheCurationResolvesFilters) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "pdcu_cli_curation.idx";
+  ASSERT_EQ(run_cli("index " + path.string() + " > /dev/null").exit_code, 0);
+  const auto result = run_cli("search --index " + path.string() +
+                              " course:CS1 --limit 50");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(result.output, run_cli("search course:CS1 --limit 50").output);
+  EXPECT_TRUE(contains(result.output, "of 38 activities matched"))
+      << result.output;
+  std::filesystem::remove(path);
+}
+
+TEST(Cli, SearchASyntheticIndexRefusesFiltersAndCountsItsDocuments) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "pdcu_cli_synthetic.idx";
+  ASSERT_EQ(run_cli("index " + path.string() +
+                    " --synthetic 500 --seed 42 > /dev/null")
+                .exit_code,
+            0);
+  // The file carries no taxonomy to resolve course:CS1 against.
+  const auto filtered =
+      run_cli("search --index " + path.string() + " course:CS1 2>&1");
+  EXPECT_EQ(filtered.exit_code, 2) << filtered.output;
+  EXPECT_TRUE(contains(filtered.output, "carries no taxonomy"))
+      << filtered.output;
+  // Free text ranks the file's own documents, and counts them.
+  const auto text = run_cli("search --index " + path.string() + " message");
+  EXPECT_EQ(text.exit_code, 0) << text.output;
+  EXPECT_TRUE(contains(text.output, "of 500 activities matched"))
+      << text.output;
+  std::filesystem::remove(path);
+}

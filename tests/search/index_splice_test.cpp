@@ -45,8 +45,8 @@ class Spliced {
                            const std::string& what) {
     SCOPED_TRACE(what);
     const core::Repository repo(activities);
-    search::SearchIndex spliced =
-        search::SearchIndex::build(repo, pool_, nullptr, &cache_);
+    const search::SearchIndex spliced =
+        *search::SearchIndex::build(repo, cache_, pool_);
     const search::SearchIndex cold = search::SearchIndex::build(repo);
     EXPECT_TRUE(spliced.payload() == cold.payload())
         << "payload differs from a cold build";

@@ -329,3 +329,59 @@ TEST(ReloadIncremental, OneEditReparsesRetokenizesAndRebuildsOnlyItsOwn) {
   expect_matches_cold_build(*served.http->router(), content.dir(),
                             "after the second edit");
 }
+
+TEST(ReloadIncremental, AMassQuarantineThenAHealServesWhatAColdBuildWould) {
+  Content content("pdcu_reload_incremental_mass");
+  Served served(content.dir());
+  // A first reload, so the manager holds a repository to hand back.
+  const auto files = content.files();
+  core::Activity first = content.read(files[0]);
+  first.details += "\n\nFirst revision.";
+  content.write(files[0], core::write_activity(first));
+  ASSERT_EQ(served.manager->check_once(),
+            server::ReloadManager::Step::kReloaded);
+  expect_matches_cold_build(*served.http->router(), content.dir(),
+                            "first reload");
+
+  // Every file broken: the reload fails, nothing is handed back, and the
+  // last-known-good snapshot keeps serving.
+  std::vector<std::string> good;
+  for (const auto& path : files) {
+    good.push_back(fs::read_file(path).value());
+    content.write(path, "---\ndate: 2020-01-01\n---\nno title\n");
+  }
+  const auto before = served.http->router();
+  ASSERT_EQ(served.manager->check_once(),
+            server::ReloadManager::Step::kFailed);
+  EXPECT_EQ(served.http->router(), before);
+
+  // Healed, with one body edited on the way: every file is parsed again,
+  // and the snapshot equals a cold build.
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    std::string text = good[i];
+    if (i == 1) text += "\nHealed with an edit.\n";
+    content.write(files[i], text);
+  }
+  ASSERT_EQ(served.manager->check_once(),
+            server::ReloadManager::Step::kReloaded);
+  EXPECT_FALSE(served.health.degraded());
+  const std::string metrics = served.metrics.render_text();
+  EXPECT_NE(metrics.find("pdcu_reload_files_parsed_last " +
+                         std::to_string(files.size()) + "\n"),
+            std::string::npos)
+      << metrics;
+  expect_matches_cold_build(*served.http->router(), content.dir(),
+                            "after the heal");
+
+  // The heal's repository went back: the next edit parses one file.
+  core::Activity third = content.read(files[2]);
+  third.details += "\n\nAfter the heal.";
+  content.write(files[2], core::write_activity(third));
+  ASSERT_EQ(served.manager->check_once(),
+            server::ReloadManager::Step::kReloaded);
+  EXPECT_NE(served.metrics.render_text().find(
+                "pdcu_reload_files_parsed_last 1\n"),
+            std::string::npos);
+  expect_matches_cold_build(*served.http->router(), content.dir(),
+                            "an edit after the heal");
+}

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/obs/span.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 #include "pdcu/support/fs.hpp"
@@ -166,6 +167,33 @@ TEST(ReloadManager, ReloadedRouterKeepsTheHealthTracker) {
   const auto response = after->handle(request);
   EXPECT_EQ(response.status, 200);
   EXPECT_TRUE(strs::contains(response.body, "\"epoch\":2")) << response.body;
+}
+
+TEST(ReloadManager, RecordsEachStageOncePerReload) {
+  auto dir = fresh_content_dir("pdcu_reload_stages");
+  Fixture fx(dir);
+  pdcu::obs::SpanRegistry spans;
+  fx.manager->set_spans(&spans);
+  // An idle poll lists the directory but reloads nothing: no stage.
+  EXPECT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kIdle);
+  EXPECT_EQ(spans.find("reload.list"), nullptr);
+  for (const char* slug : {"findsmallestcard", "sortingnetworks"}) {
+    grow(dir, slug);
+    ASSERT_EQ(fx.manager->check_once(),
+              server::ReloadManager::Step::kReloaded);
+  }
+  EXPECT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kIdle);
+  for (const char* span : {"reload.list", "reload.load", "reload.router",
+                           "reload.swap", "reload.release", "search.build",
+                           "site.total"}) {
+    const auto* histogram = spans.find(span);
+    ASSERT_NE(histogram, nullptr) << span;
+    EXPECT_EQ(histogram->count(), 2u) << span;
+  }
+  EXPECT_TRUE(strs::contains(spans.render_text(),
+                             "pdcu_span_duration_us_count{span=\"reload."
+                             "release\"} 2\n"))
+      << spans.render_text();
 }
 
 TEST(ReloadManager, SymlinkLoopIsQuarantinedNotACrash) {

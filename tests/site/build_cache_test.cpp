@@ -4,6 +4,10 @@
 // would, re-rendering only pages whose inputs changed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "pdcu/core/repository.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/site/site.hpp"
@@ -178,4 +182,46 @@ TEST(BuildCache, BaseTitleChangeInvalidatesEveryHtmlPage) {
   expect_identical(site::build_site(repo(), options), rebranded);
   // Every HTML page embeds the site title; only index.json is reusable.
   EXPECT_EQ(stats.pages_reused, 1u);
+}
+
+TEST(BuildCache, AddDeleteAndRenameKeepExactlyTheBuiltPaths) {
+  site::BuildCache cache;
+  const site::Site original = site::rebuild(repo(), cache);
+  std::vector<core::Activity> activities = repo().activities();
+  const auto step = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    const core::Repository edited(activities);
+    const site::Site built = site::rebuild(edited, cache);
+    expect_identical(site::build_site(edited), built);
+    EXPECT_EQ(cache.size(), built.pages.size() + built.documents.size());
+    return built;
+  };
+  const auto find = [&activities](const std::string& slug) {
+    return std::find_if(
+        activities.begin(), activities.end(),
+        [&slug](const core::Activity& a) { return a.slug == slug; });
+  };
+
+  core::Activity added = *find("findsmallestcard");
+  added.slug = "findsmallestcard-added";
+  added.title += " (Added)";
+  activities.push_back(added);
+  step("add");
+  activities.erase(find("findsmallestcard"));
+  step("delete");
+  find("concerttickets")->slug = "concerttickets-renamed";
+  step("rename");
+
+  // Back to the original curation: the deleted and the renamed-away paths
+  // left the cache, so their bytes are rendered again rather than shared
+  // from the first build; a page no step touched is still shared.
+  activities = repo().activities();
+  const site::Site restored = step("restore");
+  for (const char* path : {"activities/findsmallestcard/index.html",
+                           "activities/concerttickets/index.html"}) {
+    ASSERT_NE(restored.find(path), nullptr) << path;
+    EXPECT_NE(restored.find(path)->bytes, original.find(path)->bytes) << path;
+  }
+  EXPECT_EQ(restored.find("search/index.html")->bytes,
+            original.find("search/index.html")->bytes);
 }

@@ -25,16 +25,20 @@
 //   ./build/tools/bench_gate             # from the repo root
 //   ./build/tools/bench_gate --refresh   # rewrite every BENCH_*.json
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include "pdcu/activities/stencil.hpp"
 #include "pdcu/core/repository.hpp"
 #include "pdcu/loadgen/bench_json.hpp"
 #include "pdcu/loadgen/gate.hpp"
@@ -44,6 +48,7 @@
 #include "pdcu/search/query.hpp"
 #include "pdcu/server/query_cache.hpp"
 #include "pdcu/support/fs.hpp"
+#include "pdcu/support/hash.hpp"
 #include "pdcu/support/rng.hpp"
 #include "pdcu/support/strings.hpp"
 
@@ -97,12 +102,99 @@ std::string capture(const std::string& command) {
   return out;
 }
 
-/// The checkout's revision, marked -dirty when tracked files differ.
+/// A stamp of the source a document measures: FNV-1a over the path and
+/// bytes of every tracked file under src/, perfbench/ and tools/, in path
+/// order ("unknown" outside a git checkout). Unlike a commit name, it is
+/// the same for a tree whether or not it was committed yet, so the gate
+/// can tell whether a document was measured on the tree it checks.
 std::string revision() {
-  const std::string out =
-      capture("git describe --always --dirty --abbrev=40 2>/dev/null");
-  const auto trimmed = pdcu::strings::trim(out);
-  return trimmed.empty() ? "unknown" : std::string(trimmed);
+  const std::string listed =
+      capture("git ls-files -z -- src perfbench tools 2>/dev/null");
+  if (listed.empty()) return "unknown";
+  pdcu::hash::Fingerprint fp;
+  std::size_t start = 0;
+  for (std::size_t end = listed.find('\0'); end != std::string::npos;
+       start = end + 1, end = listed.find('\0', start)) {
+    const std::string path = listed.substr(start, end - start);
+    fp.mix(path);
+    // A tracked file deleted from the work tree mixes its path alone.
+    if (const auto bytes = pdcu::fs::read_file(path)) fp.mix(bytes.value());
+  }
+  char stamp[40];
+  std::snprintf(stamp, sizeof stamp, "source-fnv1a:%016llx",
+                static_cast<unsigned long long>(fp.value()));
+  return stamp;
+}
+
+/// A fixed amount of dependent integer work that touches no memory, so
+/// its rate measures how much CPU a thread really gets.
+std::uint64_t spin(std::uint64_t steps, std::uint64_t seed) {
+  std::uint64_t x = seed | 1;
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+/// How many CPUs' worth of work the host runs at once: n threads of spin
+/// against one, as perfbench calibrates it.
+double effective_parallelism() {
+  constexpr std::uint64_t kSteps = 20'000'000;
+  const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+  std::atomic<std::uint64_t> sink{0};
+  const auto seconds = [&](unsigned threads) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t) {
+      workers.emplace_back([&sink, t] { sink += spin(kSteps, t + 1); });
+    }
+    for (auto& worker : workers) worker.join();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  const double one = seconds(1);
+  return static_cast<double>(n) * one / seconds(n);
+}
+
+/// The "env" block every perf document carries (perfbench's run.py writes
+/// theirs), for the documents this binary measures itself: its compiler,
+/// build type and flags, the CPU counts, the dispatched Life kernel, the
+/// calibrated parallelism, and whether the first four match
+/// perfbench/baseline_env.json.
+std::string env_json() {
+  const auto baseline =
+      pdcu::fs::read_file("perfbench/baseline_env.json")
+          .and_then(loadgen::parse_bench_json);
+  const long nproc = ::sysconf(_SC_NPROCESSORS_ONLN);
+  const bool comparable =
+      baseline.has_value() &&
+      baseline.value().text("compiler") == BENCH_GATE_COMPILER &&
+      baseline.value().text("build_type") == BENCH_GATE_BUILD_TYPE &&
+      baseline.value().text("flags") == BENCH_GATE_CXX_FLAGS &&
+      baseline.value().number("nproc", -1.0) == static_cast<double>(nproc);
+  const auto quoted = [](std::string_view text) {
+    std::string out = "\"";
+    pdcu::strings::json_escape_append(text, out);
+    return out + "\"";
+  };
+  const auto kernel = pdcu::act::best_simd_kernel();
+  char parallelism[32];
+  std::snprintf(parallelism, sizeof parallelism, "%.17g",
+                effective_parallelism());
+  return "{\"env\": {\"compiler\": " + quoted(BENCH_GATE_COMPILER) +
+         ", \"build_type\": " + quoted(BENCH_GATE_BUILD_TYPE) +
+         ", \"flags\": " + quoted(BENCH_GATE_CXX_FLAGS) +
+         ", \"nproc\": " + std::to_string(nproc) +
+         ", \"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"simd_kernel\": " + quoted(pdcu::act::kernel_name(kernel)) +
+         ", \"avx2_dispatched\": " +
+         (kernel == pdcu::act::LifeKernel::kAvx2 ? "true" : "false") +
+         ", \"effective_parallelism\": " + parallelism +
+         ", \"comparable\": " + (comparable ? "true" : "false") + "}}";
 }
 
 /// Measures one BENCH_perf document: an untraced and a traced run.py run
@@ -188,6 +280,8 @@ std::string search_scale_summary_json(const std::vector<std::size_t>& sizes) {
   loadgen::BenchWriter writer("search_scale", "bench_gate");
   writer.integer("seed", 42);
   writer.integer("sizes", sizes.size());
+  writer.text("revision", revision());
+  writer.splice(env_json());
 
   // One deterministic query set for every size, built from fixed Zipf
   // vocabulary ranks so every list shape is represented: head ranks hit
@@ -452,6 +546,11 @@ int main(int argc, char** argv) {
   if (argc != 1) return usage(argv[0]);
 
   int violations = 0;
+  const std::string tree = revision();
+  const auto measured_on = [&tree](const loadgen::BenchDoc& doc) {
+    return doc.text("revision") == tree ? "measured on this tree"
+                                        : "measured on another tree";
+  };
 
   for (const char* workload : kWorkloads) {
     const std::string name = std::string("perf_") + workload;
@@ -459,7 +558,7 @@ int main(int argc, char** argv) {
     if (!load_baseline("BENCH_" + name + ".json", baseline)) return 2;
     violations += structural(
         name, loadgen::perf_schema_violations(baseline, workload),
-        "revision " + baseline.text("revision").substr(0, 12));
+        measured_on(baseline));
     const auto seed =
         static_cast<std::uint64_t>(baseline.number("seed", kRefreshSeed));
     violations += gated(name, baseline, loadgen::perf_gate_rules(workload),
@@ -473,10 +572,11 @@ int main(int argc, char** argv) {
   if (!load_baseline("BENCH_search_scale.json", scale)) return 2;
   // The committed document must carry both corpus sizes and its measured
   // >= 5x p99 speedup claim; the 10k section is then re-measured.
-  char detail[96];
-  std::snprintf(detail, sizeof detail, "%.1fx speedup at %d docs",
+  char detail[128];
+  std::snprintf(detail, sizeof detail, "%.1fx speedup at %d docs, %s",
                 scale.number("summary.speedup_p99", 0.0),
-                static_cast<int>(scale.number("summary.largest_docs", 0.0)));
+                static_cast<int>(scale.number("summary.largest_docs", 0.0)),
+                measured_on(scale));
   violations += structural("search_scale",
                            loadgen::scale_schema_violations(scale), detail);
   violations += gated("search_scale", scale, loadgen::scale_gate_rules(),

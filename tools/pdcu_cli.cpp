@@ -21,7 +21,9 @@
 //   pdcu annotate <dir> <slug> <note>  record a classroom experience
 //   pdcu run <simulation> [seed]   run an activity simulation
 //   pdcu search [options] <query>  ranked full-text + taxonomy search
-//        --limit N (default 10), --index FILE (load a prebuilt index)
+//        --limit N (default 10), --index FILE (load a prebuilt index;
+//        filters need one built from the curation, as the file carries
+//        no taxonomy: exit 2 otherwise)
 //        query: free text plus cs2013:/tcpp:/course:/sense: filters
 //   pdcu index <out-file>          build and save the binary search index
 //        --synthetic N (index a deterministic N-document generated corpus
@@ -72,6 +74,7 @@
 //        seed => bit-identical checksum.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -526,7 +529,24 @@ int search(const pdcu::core::Repository& repo, int argc, char** argv) {
     index = pdcu::search::SearchIndex::build(repo, &pdcu::rt::default_pool());
   }
 
+  // An index file carries no taxonomy: its filters resolve against the
+  // repository's only when its documents are the repository's.
   const auto query = pdcu::search::parse_query(query_text);
+  const auto& activities = repo.activities();
+  const auto& docs = index.docs();
+  const bool own_documents =
+      docs.size() == activities.size() &&
+      std::equal(docs.begin(), docs.end(), activities.begin(),
+                 [](const auto& doc, const auto& activity) {
+                   return doc.slug == activity.slug;
+                 });
+  if (!query.filters.empty() && !own_documents) {
+    std::fprintf(stderr,
+                 "search: %s holds other documents than the curation and "
+                 "carries no taxonomy; filters cannot be resolved\n",
+                 index_path.c_str());
+    return 2;
+  }
   const auto hits = index.search(query, &repo.index(), limit);
   if (hits.empty()) {
     std::printf("no results for '%s'\n", query_text.c_str());
@@ -551,7 +571,7 @@ int search(const pdcu::core::Repository& repo, int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   std::printf("%zu of %zu activities matched\n", hits.size(),
-              repo.activities().size());
+              index.doc_count());
   return 0;
 }
 
