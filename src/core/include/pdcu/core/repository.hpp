@@ -194,6 +194,11 @@ struct LoadReport {
   std::size_t total_files = 0;  ///< healthy + quarantined
   std::size_t files_parsed = 0;  ///< files read and parsed by this load
   std::size_t files_reused = 0;  ///< files taken from the LoadCache
+  /// A load through a LoadCache: the activities handed back to it that
+  /// this load did not take (edited, renamed or deleted files) and the
+  /// moved-from rest. They are freed with the report, on whichever thread
+  /// drops it.
+  std::vector<Activity> retired;
 
   bool degraded() const { return !quarantined.empty(); }
   std::size_t loaded() const { return total_files - quarantined.size(); }

@@ -223,7 +223,7 @@ LoadReport Repository::load_files(const std::vector<ContentFile>& files,
   }
 
   cache->entries_ = std::move(next);
-  cache->returned_ = {};  // what no hit took: edited, renamed or deleted
+  report.retired = std::exchange(cache->returned_, {});
   report.repository = Repository(std::move(healthy), std::move(fingerprints),
                                  std::move(cache->index_),
                                  cache->index_taxonomy_);

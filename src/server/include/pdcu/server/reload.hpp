@@ -30,6 +30,15 @@
 // fingerprint, so a reload serves exactly the bytes a cold build of the
 // same directory would.
 //
+// A reload's stages form one fork-join on rt::default_pool():
+//   list -> load -> fork { site::rebuild, then the PageCache over it
+//                          || SearchIndex::build } -> join -> Router -> swap
+// The two branches only read the loaded repository, and each touches only
+// its own cache (the BuildCache, the IndexCache). What the swap retires —
+// the snapshot it replaced, this reload's Site and its LoadReport with the
+// activities the load did not take — is handed to one pool task that frees
+// it, so neither the reload thread nor a request pays for the frees.
+//
 // Failure policy — the heart of it: a reload that cannot produce a
 // serving site (unlistable directory, or *every* activity quarantined)
 // never replaces the last-known-good snapshot. The manager records the
@@ -104,11 +113,13 @@ class ReloadManager {
   /// Span registry for reload-built sites and indexes (site.* and
   /// search.build phase timings keep accumulating across reloads) and for
   /// the reload's own stages, once per reload: reload.list (the listing
-  /// that found the change), reload.load, reload.router (the new Router),
-  /// reload.swap and reload.release (the old snapshot freed, the served
-  /// repository handed back to the load cache). The
-  /// swapped-in router serves whatever registry the router it replaces
-  /// served. Must outlive the manager. Call before start().
+  /// that found the change), reload.load, reload.build (the fork to the
+  /// join: site and index side by side), reload.pages (the page cache,
+  /// inside the site branch), reload.router (assembling the new Router),
+  /// reload.swap and reload.release (the served repository handed back to
+  /// the load cache, the retired state queued for a pool task to free).
+  /// The swapped-in router serves whatever registry the router it
+  /// replaces served. Must outlive the manager. Call before start().
   void set_spans(obs::SpanRegistry* spans) { spans_ = spans; }
 
   /// Starts the background poll thread. Idempotent.

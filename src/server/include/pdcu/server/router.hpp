@@ -59,6 +59,14 @@ class Router {
          std::shared_ptr<const search::SearchIndex> index,
          const Router* previous = nullptr);
 
+  /// The same over the site's page cache, already built — with
+  /// `&previous->cache()` as its previous cache when there is a
+  /// `previous` — so a reload can build it beside the index. Both
+  /// constructors above build that cache and delegate here.
+  Router(PageCache pages, const core::Repository& repo,
+         std::shared_ptr<const search::SearchIndex> index,
+         const Router* previous = nullptr);
+
   /// Wires the /metrics endpoint; without it /metrics is a 404. The
   /// pointee must outlive the router (HttpServer passes its own metrics).
   void set_metrics(const ServerMetrics* metrics) { metrics_ = metrics; }

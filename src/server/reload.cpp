@@ -1,6 +1,7 @@
 #include "pdcu/server/reload.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "pdcu/core/repository.hpp"
@@ -25,6 +26,13 @@ std::chrono::steady_clock::time_point lap(
   }
   return now;
 }
+
+/// What a reload's swap retires, freed together by one pool task.
+struct Retired {
+  std::shared_ptr<const Router> router;  ///< the snapshot swapped out
+  site::Site site;
+  core::LoadReport report;
+};
 
 }  // namespace
 
@@ -114,19 +122,37 @@ ReloadManager::Step ReloadManager::attempt_reload(
                             "last-known-good site"));
   }
 
+  // Fork: the site (with the page cache over it) and the search index
+  // each read only the repository and touch only their own cache, so they
+  // build side by side. A parallel_for, not a submit().get(): its caller
+  // runs any branch no worker has claimed, so a check_once called from a
+  // pool task cannot deadlock.
   site::SiteOptions site_options;
   site_options.pool = &rt::default_pool();
   site_options.trace = trace_;
   site_options.quarantined_inputs = report.quarantined.size();
   site_options.spans = spans_;
   site::BuildStats stats;
-  site::Site site =
-      site::rebuild(report.repository, cache_, site_options, &stats);
-
-  auto index = search::SearchIndex::build(report.repository, index_cache_,
-                                         &rt::default_pool(), spans_);
+  site::Site site;
+  PageCache pages;
+  std::shared_ptr<const search::SearchIndex> index;
   started = std::chrono::steady_clock::now();
-  Router router(site, report.repository, std::move(index), published_.get());
+  rt::default_pool().parallel_for(0, 2, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t branch = lo; branch < hi; ++branch) {
+      if (branch == 0) {
+        site = site::rebuild(report.repository, cache_, site_options, &stats);
+        const auto rendered = std::chrono::steady_clock::now();
+        pages = PageCache(site, &published_->cache());
+        lap(spans_, "reload.pages", rendered);
+      } else {
+        index = search::SearchIndex::build(report.repository, index_cache_,
+                                           &rt::default_pool(), spans_);
+      }
+    }
+  });
+  started = lap(spans_, "reload.build", started);
+  Router router(std::move(pages), report.repository, std::move(index),
+                published_.get());
   router.set_build_stats(stats);
   ReloadReuse reuse;
   reuse.files_parsed = report.files_parsed;
@@ -137,17 +163,7 @@ ReloadManager::Step ReloadManager::attempt_reload(
   reuse.entries_rebuilt = router.cache().size() - router.entries_reused();
   started = lap(spans_, "reload.router", started);
   server_.swap_router(std::move(router));
-  started = lap(spans_, "reload.swap", started);
-  // The current snapshot is the router just built unless another thread
-  // swapped in between, which costs later reloads hits, never bytes: reuse
-  // is checked per entry. Replacing published_ here, after the swap, frees
-  // the old snapshot on the reload thread rather than on a request. The
-  // router holds nothing of the repository it was built from, so that
-  // goes back to the load cache: the next load moves its unchanged
-  // activities out instead of parsing them again.
-  published_ = server_.router();
-  load_cache_.hand_back(std::move(report.repository));
-  lap(spans_, "reload.release", started);
+  lap(spans_, "reload.swap", started);
 
   health_.set_content(report.loaded(), report.quarantined_slugs());
   health_.record_reload_success();
@@ -165,6 +181,23 @@ ReloadManager::Step ReloadManager::attempt_reload(
         std::to_string(report.files_parsed) + " files parsed, " +
         std::to_string(reuse.docs_tokenized) + " documents tokenized)");
   }
+
+  // The current snapshot is the router just built unless another thread
+  // swapped in between, which costs later reloads hits, never bytes: reuse
+  // is checked per entry. The router holds nothing of the repository it
+  // was built from, so that goes back to the load cache: the next load
+  // moves its unchanged activities out instead of parsing them again.
+  // What the swap retired — the old snapshot, this reload's site and its
+  // load report with the activities the load did not take — is freed by
+  // one pool task, off the reload thread and off every request.
+  started = std::chrono::steady_clock::now();
+  load_cache_.hand_back(std::move(report.repository));
+  auto retired = std::make_shared<Retired>(
+      Retired{std::exchange(published_, server_.router()), std::move(site),
+              std::move(report)});
+  rt::default_pool().submit(
+      [retired = std::move(retired)]() mutable { retired.reset(); });
+  lap(spans_, "reload.release", started);
   return Step::kReloaded;
 }
 

@@ -120,7 +120,13 @@ Router::Router(const site::Site& site, const core::Repository& repo,
 Router::Router(const site::Site& site, const core::Repository& repo,
                std::shared_ptr<const search::SearchIndex> index,
                const Router* previous)
-    : cache_(site, previous != nullptr ? &previous->cache_ : nullptr),
+    : Router(PageCache(site, previous != nullptr ? &previous->cache_ : nullptr),
+             repo, std::move(index), previous) {}
+
+Router::Router(PageCache pages, const core::Repository& repo,
+               std::shared_ptr<const search::SearchIndex> index,
+               const Router* previous)
+    : cache_(std::move(pages)),
       entries_reused_(cache_.reused()),
       index_(std::move(index)),
       taxonomy_(repo.shared_index()) {

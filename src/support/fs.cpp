@@ -171,13 +171,11 @@ Expected<std::vector<StampedFile>> list_stamped(
     ::close(dir_fd);
     return list_error(error);
   }
-  // Names and stamps first, then one path per entry in sorted order:
-  // sorting paths would also move each one's parsed components.
-  struct Entry {
-    std::string name;
-    StampedFile stamp;
-  };
-  std::vector<Entry> entries;
+  // Names first, sorted, then one stat and one path per name in that
+  // order: the stamps never move, and all entries share `dir`, so ordering
+  // the names orders the paths exactly as comparing their native strings
+  // would.
+  std::vector<std::string> names;
   int read_error = 0;
   for (;;) {
     errno = 0;
@@ -187,10 +185,21 @@ Expected<std::vector<StampedFile>> list_stamped(
       break;
     }
     const std::string_view name(entry->d_name);
-    if (extension_of(name) != extension) continue;
+    if (extension_of(name) == extension) names.emplace_back(name);
+  }
+  if (read_error != 0) {
+    ::closedir(stream);  // closes dir_fd too
+    return list_error(read_error);
+  }
+  std::sort(names.begin(), names.end());
+  std::string prefix = dir.native();
+  if (!prefix.empty() && prefix.back() != '/') prefix += '/';
+  std::vector<StampedFile> files;
+  files.reserve(names.size());
+  for (const std::string& name : names) {
     StampedFile stamp;
     struct ::stat st {};
-    if (::fstatat(dir_fd, entry->d_name, &st, 0) == 0) {
+    if (::fstatat(dir_fd, name.c_str(), &st, 0) == 0) {
       if (!S_ISREG(st.st_mode)) continue;
       stamp.size = static_cast<std::uint64_t>(st.st_size);
       stamp.mtime_ns =
@@ -200,22 +209,10 @@ Expected<std::vector<StampedFile>> list_stamped(
     } else if (errno == ENOENT) {
       continue;  // removed since the read, or a dangling symlink
     }
-    entries.push_back({std::string(name), std::move(stamp)});
+    stamp.path = prefix + name;  // what `dir / name` gives
+    files.push_back(std::move(stamp));
   }
   ::closedir(stream);  // closes dir_fd too
-  if (read_error != 0) return list_error(read_error);
-  // All entries share `dir`, so ordering the names orders the paths
-  // exactly as comparing their native strings would.
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.name < b.name; });
-  std::string prefix = dir.native();
-  if (!prefix.empty() && prefix.back() != '/') prefix += '/';
-  std::vector<StampedFile> files;
-  files.reserve(entries.size());
-  for (Entry& entry : entries) {
-    entry.stamp.path = prefix + entry.name;  // what `dir / name` gives
-    files.push_back(std::move(entry.stamp));
-  }
   return files;
 }
 

@@ -8,13 +8,16 @@
 
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "pdcu/core/repository.hpp"
 #include "pdcu/obs/span.hpp"
+#include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 #include "pdcu/support/fs.hpp"
@@ -25,6 +28,7 @@ namespace core = pdcu::core;
 namespace site = pdcu::site;
 namespace fs = pdcu::fs;
 namespace strs = pdcu::strings;
+namespace rt = pdcu::rt;
 
 namespace {
 
@@ -77,6 +81,33 @@ struct Fixture {
   server::ReloadMetrics metrics;
   std::unique_ptr<server::HttpServer> http;
   std::unique_ptr<server::ReloadManager> manager;
+};
+
+/// Occupies `count` workers of the default pool until release(): every
+/// task queued after them waits, and whoever forks on the pool meanwhile
+/// runs the branches itself.
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(unsigned count) {
+    for (unsigned i = 0; i < count; ++i) {
+      parked_.push_back(rt::default_pool().submit(
+          [released = released_] { released.wait(); }));
+    }
+  }
+  ~ParkedWorkers() { release(); }
+
+  void release() {
+    if (released_once_) return;
+    released_once_ = true;
+    gate_.set_value();
+    for (auto& task : parked_) task.get();
+  }
+
+ private:
+  std::promise<void> gate_;
+  std::shared_future<void> released_ = gate_.get_future().share();
+  bool released_once_ = false;
+  std::vector<std::future<void>> parked_;
 };
 
 }  // namespace
@@ -183,9 +214,10 @@ TEST(ReloadManager, RecordsEachStageOncePerReload) {
               server::ReloadManager::Step::kReloaded);
   }
   EXPECT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kIdle);
-  for (const char* span : {"reload.list", "reload.load", "reload.router",
-                           "reload.swap", "reload.release", "search.build",
-                           "site.total"}) {
+  for (const char* span :
+       {"reload.list", "reload.load", "reload.build", "reload.pages",
+        "reload.router", "reload.swap", "reload.release", "search.build",
+        "site.total"}) {
     const auto* histogram = spans.find(span);
     ASSERT_NE(histogram, nullptr) << span;
     EXPECT_EQ(histogram->count(), 2u) << span;
@@ -316,4 +348,48 @@ TEST(ReloadManager, StartAndStopAreIdempotent) {
   fx.manager->stop();
   fx.manager->stop();
   EXPECT_FALSE(fx.manager->running());
+}
+
+TEST(ReloadManager, CheckOnceFromInsideAPoolTaskCompletes) {
+  auto dir = fresh_content_dir("pdcu_reload_nested_pool");
+  Fixture fx(dir);
+  grow(dir, "findsmallestcard");
+  // Every other worker is parked, so a branch the reload forked can only
+  // run if the pool task that forked it runs it; waiting on a queued task
+  // instead would wait for good.
+  ParkedWorkers others(rt::default_pool().size() - 1);
+  auto step =
+      rt::default_pool().submit([&fx] { return fx.manager->check_once(); });
+  const bool finished =
+      step.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  others.release();  // a deadlocked reload then finishes, and the test fails
+  const auto result = step.get();
+  EXPECT_TRUE(finished) << "check_once deadlocked inside a pool task";
+  EXPECT_EQ(result, server::ReloadManager::Step::kReloaded);
+  EXPECT_EQ(fx.metrics.successes(), 1u);
+}
+
+TEST(ReloadManager, RetiredStateOutlivesTheManagerAndServerSafely) {
+  auto dir = fresh_content_dir("pdcu_reload_teardown");
+  std::weak_ptr<const server::Router> replaced;
+  ParkedWorkers all(rt::default_pool().size());
+  {
+    Fixture fx(dir);
+    replaced = fx.http->router();
+    grow(dir, "findsmallestcard");
+    // The reload forks on the caller alone and queues its retired bundle
+    // behind the parked workers.
+    ASSERT_EQ(fx.manager->check_once(),
+              server::ReloadManager::Step::kReloaded);
+    EXPECT_NE(fx.http->router(), replaced.lock());
+  }  // the manager and the server go first
+  EXPECT_FALSE(replaced.expired()) << "the bundle holds the old snapshot";
+  all.release();
+  // The bundle frees the old snapshot on a worker, long after its server.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!replaced.expired() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(replaced.expired());
 }
