@@ -32,13 +32,17 @@ bool healthz_degraded(const std::string& body) {
   return body.find("\"status\":\"degraded\"") != std::string::npos;
 }
 
+constexpr std::string_view kLocalFailure = "cluster.upstream.local";
+
 /// UpstreamPool::fetch's error codes as attempt outcomes. Past the two
-/// connect codes the replica was reached (.send, .read, .timeout).
+/// connect codes and the local one the replica was reached (.send, .read,
+/// .timeout).
 AttemptOutcome outcome_of(const Error& error) {
   if (error.code == "cluster.upstream.connect") return AttemptOutcome::kRefused;
   if (error.code == "cluster.upstream.connect_timeout") {
     return AttemptOutcome::kConnectTimeout;
   }
+  if (error.code == kLocalFailure) return AttemptOutcome::kLocal;
   return AttemptOutcome::kTimedOut;
 }
 
@@ -242,6 +246,8 @@ void FrontTier::probe_once() {
     const ReplicaTarget& replica = replicas_[i];
     auto reply = pool_.fetch(replica.host, replica.port, "/healthz", {},
                              options_.connect_timeout, kProbeDeadline);
+    // Out of descriptors here: the probe learned nothing about the replica.
+    if (!reply && reply.error().code == kLocalFailure) continue;
     if (!reply || reply.value().status != 200) {
       metrics_.record_probe_failure();
       mark_probe(i, false, false);

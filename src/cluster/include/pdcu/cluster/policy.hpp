@@ -89,6 +89,7 @@ enum class AttemptOutcome {
   kRefused,         ///< nothing accepts connections there
   kConnectTimeout,  ///< not reached within the attempt's deadline
   kTimedOut,        ///< reached, then the exchange failed or ran out
+  kLocal,           ///< this side could not try (no descriptor free)
 };
 
 struct AttemptTally {
@@ -111,7 +112,9 @@ class AttemptMachine {
   /// How the last kTry ended. Returns the `alive` to record for its
   /// replica when the outcome contradicts the plan (a refused or
   /// timed-out connect to a live one, a served attempt from a dead one),
-  /// else nullopt. `degraded` is left to the probes.
+  /// else nullopt. `degraded` is left to the probes. kLocal says nothing
+  /// about the replica: it ends the walk without charging an upstream
+  /// error, since every other candidate would fail the same way.
   std::optional<bool> report(AttemptOutcome outcome);
 
   const RoutePlan& plan() const { return plan_; }

@@ -1,13 +1,15 @@
-// Proxy-grade blocking HTTP client for the front tier's hot path (replies
-// are framed by server::parse_response). Two properties matter here:
+// The front tier's blocking upstream fetch: one server::ClientExchange
+// stepped by server::poll_until_done, plus a per-target stack of idle
+// keep-alive sockets. The exchange owns connect, write, read, framing and
+// both deadlines; this pool owns only which socket an exchange starts on.
 //
-//  * Connect timeouts via non-blocking connect + poll. A replica that is
-//    SYN-reachable but never completes the handshake (half-open peer,
-//    dropped by a fault rule, or a SYN queue full after SIGKILL) must
-//    cost one bounded attempt, not hang a front shard.
+//  * Connect timeouts. A replica that is SYN-reachable but never completes
+//    the handshake (half-open peer, dropped by a fault rule, or a SYN queue
+//    full after SIGKILL) costs one bounded attempt, not a hung front shard.
 //  * Connection reuse keyed by target. The front re-contacts the same M
-//    replicas for every request; a per-target stack of idle keep-alive
-//    sockets keeps the proxy hop at one RTT instead of three.
+//    replicas for every request; reusing idle sockets keeps the proxy hop
+//    at one RTT instead of three. A pooled socket the replica closed while
+//    it sat idle earns one retry on a fresh connection.
 //
 // Every call carries its remaining deadline budget so a slow upstream
 // cannot spend time the request no longer has.
@@ -20,16 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "pdcu/server/client.hpp"
 #include "pdcu/support/expected.hpp"
 
 namespace pdcu::cluster {
 
 /// A parsed upstream response, ready to re-serialize toward the client.
-struct UpstreamReply {
-  int status = 0;
-  std::string content_type;
-  std::string body;
-};
+using UpstreamReply = server::ClientReply;
 
 /// Extra request headers, e.g. the propagated deadline budget.
 using HeaderList = std::vector<std::pair<std::string, std::string>>;
@@ -45,7 +44,8 @@ class UpstreamPool {
   /// One GET against host:port. `connect_timeout` bounds the handshake;
   /// `deadline` is the total remaining budget for the whole exchange
   /// (connect included). Error codes: cluster.upstream.connect,
-  /// .connect_timeout, .send, .read, .timeout.
+  /// .connect_timeout, .send, .read, .timeout, and .local when no socket
+  /// could be made on this side (the descriptor table is full).
   Expected<UpstreamReply> fetch(const std::string& host, std::uint16_t port,
                                 const std::string& target,
                                 const HeaderList& headers,

@@ -85,6 +85,10 @@ std::optional<bool> AttemptMachine::report(AttemptOutcome outcome) {
     tally_.failover = tried.id != plan_.owner;
     return dead ? std::optional(true) : std::nullopt;
   }
+  if (outcome == AttemptOutcome::kLocal) {
+    done_ = tally_.exhausted = true;
+    return std::nullopt;
+  }
   ++tally_.upstream_errors;
   ++next_;
   backed_off_ = false;

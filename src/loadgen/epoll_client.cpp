@@ -1,84 +1,56 @@
 // The load generator's client: one thread multiplexing every configured
-// connection through non-blocking state machines (see loadgen.hpp for the
-// schedule semantics). Responses are framed by server::parse_response.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+// connection over epoll (see loadgen.hpp for the schedule semantics). Each
+// busy connection steps one server::ClientExchange, which owns the
+// connect, write, read, framing and deadline of its request; this driver
+// owns the schedule, the epoll registrations and the tally.
 #include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
 
 #include "pdcu/loadgen/loadgen.hpp"
-#include "pdcu/server/http.hpp"
+#include "pdcu/server/client.hpp"
 
 namespace pdcu::loadgen {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using server::ClientExchange;
+using Want = ClientExchange::Want;
 
-/// One multiplexed connection's request-in-flight state machine.
+/// One connection walking its slice of the schedule.
 struct Conn {
-  enum class State {
-    kIdle,        ///< between requests (socket may stay open: keep-alive)
-    kConnecting,  ///< non-blocking connect in flight (EPOLLOUT = done)
-    kSending,     ///< request partially written (EPOLLOUT)
-    kReading,     ///< awaiting/parsing the response (EPOLLIN)
-  };
-
-  int fd = -1;
-  State state = State::kIdle;
   std::size_t cursor = 0;  ///< how many of this conn's slice are finished
   Clock::time_point intended;  ///< in-flight request's scheduled send time
-  Clock::time_point deadline;  ///< in-flight request's timeout
-  std::string out;             ///< request bytes still to write
-  std::size_t out_off = 0;
-  std::string in;              ///< unparsed response bytes
-};
-
-struct Tally {
-  obs::Histogram latency_us;
-  std::uint64_t max_latency_us = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t status_2xx = 0, status_3xx = 0, status_4xx = 0,
-                status_5xx = 0;
-  std::uint64_t connect_errors = 0, send_errors = 0, read_errors = 0,
-                timeouts = 0;
-  std::uint64_t open_now = 0, peak_open = 0;
-  Clock::time_point last_response;
+  /// The request in flight; empty between requests.
+  std::optional<ClientExchange> exchange;
+  /// The socket registered with epoll: the exchange's, or between requests
+  /// a kept-alive one parked with no interest. -1 when there is none.
+  int watched = -1;
+  std::uint32_t interest = 0;
 };
 
 class EpollDriver {
  public:
   EpollDriver(const Options& options,
               const std::vector<ScheduledRequest>& schedule,
-              std::size_t connections)
+              std::size_t connections, Result empty)
       : options_(options),
         schedule_(schedule),
         conns_(connections),
-        stride_(connections) {}
+        stride_(connections),
+        result_(std::move(empty)) {}
 
   Result run() {
-    Result result;
-    result.target_rate = options_.schedule.rate;
-    result.scheduled = schedule_.size();
-
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) return result;
-    ::inet_pton(AF_INET, options_.host.c_str(), &addr_.sin_addr);
-    addr_.sin_family = AF_INET;
-    addr_.sin_port = htons(options_.port);
+    if (epoll_fd_ < 0) return result_;
 
-    const Clock::time_point start =
-        Clock::now() + std::chrono::milliseconds(20);
-    start_ = start;
-    tally_.last_response = start;
+    start_ = last_response_ = Clock::now() + std::chrono::milliseconds(20);
     // Every connection starts idle: seed the start queue with each one's
     // first scheduled request.
     for (std::size_t c = 0; c < conns_.size(); ++c) {
@@ -99,34 +71,22 @@ class EpollDriver {
                                      static_cast<int>(events.size()),
                                      timeout_ms);
       for (int i = 0; i < ready; ++i) {
-        on_event(static_cast<std::size_t>(events[static_cast<std::size_t>(i)]
-                                              .data.u64),
-                 events[static_cast<std::size_t>(i)].events);
+        on_event(static_cast<std::size_t>(
+            events[static_cast<std::size_t>(i)].data.u64));
       }
     }
 
-    for (Conn& conn : conns_) close_conn(conn);
+    for (Conn& conn : conns_) close_parked(conn);
     ::close(epoll_fd_);
 
-    result.completed = tally_.completed;
-    result.status_2xx = tally_.status_2xx;
-    result.status_3xx = tally_.status_3xx;
-    result.status_4xx = tally_.status_4xx;
-    result.status_5xx = tally_.status_5xx;
-    result.connect_errors = tally_.connect_errors;
-    result.send_errors = tally_.send_errors;
-    result.read_errors = tally_.read_errors;
-    result.timeouts = tally_.timeouts;
-    result.latency_us = tally_.latency_us.snapshot();
-    result.max_latency_us = tally_.max_latency_us;
-    result.peak_connections = tally_.peak_open;
-    result.wall_s =
-        std::chrono::duration<double>(tally_.last_response - start).count();
-    if (result.wall_s > 0.0) {
-      result.achieved_rate =
-          static_cast<double>(result.completed) / result.wall_s;
+    result_.latency_us = latency_us_.snapshot();
+    result_.wall_s =
+        std::chrono::duration<double>(last_response_ - start_).count();
+    if (result_.wall_s > 0.0) {
+      result_.achieved_rate =
+          static_cast<double>(result_.completed) / result_.wall_s;
     }
-    return result;
+    return result_;
   }
 
  private:
@@ -144,238 +104,141 @@ class EpollDriver {
     while (!starts_.empty() && starts_.top().first <= now) {
       const std::size_t c = starts_.top().second;
       starts_.pop();
-      begin_request(conns_[c], c, now);
+      begin_request(c, now);
     }
   }
 
-  /// The only place in_flight_ changes: it is exactly the number of
-  /// connections whose state machine is mid-request (non-idle).
-  void set_state(Conn& conn, Conn::State next) {
-    const bool was_active = conn.state != Conn::State::kIdle;
-    const bool now_active = next != Conn::State::kIdle;
-    if (now_active && !was_active) ++in_flight_;
-    if (!now_active && was_active) --in_flight_;
-    conn.state = next;
-  }
-
-  void begin_request(Conn& conn, std::size_t c, Clock::time_point now) {
+  void begin_request(std::size_t c, Clock::time_point now) {
+    Conn& conn = conns_[c];
     const ScheduledRequest& request = schedule_[slice_index(c, conn.cursor)];
     conn.intended = intended_at(c, conn.cursor);
     // The timeout is an I/O bound, so it runs from actual initiation, not
     // the intended time — a late start (CO backlog) inflates latency, not
     // the error counts.
-    conn.deadline = now + options_.timeout;
-    if (request.fresh_connection) close_conn(conn);
+    const Clock::time_point deadline = now + options_.timeout;
+    if (request.fresh_connection) close_parked(conn);
 
-    conn.out = "GET ";
-    conn.out += request.target;
-    conn.out += " HTTP/1.1\r\nHost: ";
-    conn.out += options_.host;
-    conn.out += "\r\nUser-Agent: pdcu-loadgen\r\n\r\n";
-    conn.out_off = 0;
-    conn.in.clear();
-
-    if (conn.fd >= 0) {
-      set_state(conn, Conn::State::kSending);
-      continue_send(conn, c);
-      return;
-    }
-    conn.fd = ::socket(AF_INET,
-                       SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (conn.fd < 0) {
-      finish_error(conn, c, &Tally::connect_errors);
-      return;
-    }
-    const int nodelay = 1;
-    ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
-                 sizeof nodelay);
-    ++tally_.open_now;
-    tally_.peak_open = std::max(tally_.peak_open, tally_.open_now);
-    const int rc = ::connect(
-        conn.fd, reinterpret_cast<const sockaddr*>(&addr_), sizeof addr_);
-    if (rc == 0) {
-      register_fd(conn, c, EPOLLOUT);
-      set_state(conn, Conn::State::kSending);
-      continue_send(conn, c);
-      return;
-    }
-    if (errno == EINPROGRESS) {
-      register_fd(conn, c, EPOLLOUT);
-      set_state(conn, Conn::State::kConnecting);
-      return;
-    }
-    finish_error(conn, c, &Tally::connect_errors);
-  }
-
-  void register_fd(Conn& conn, std::size_t c, std::uint32_t mask) {
-    epoll_event ev{};
-    ev.events = mask;
-    ev.data.u64 = c;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.fd, &ev);
-  }
-
-  void rearm(Conn& conn, std::size_t c, std::uint32_t mask) {
-    epoll_event ev{};
-    ev.events = mask;
-    ev.data.u64 = c;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
-  }
-
-  void close_conn(Conn& conn) {
-    if (conn.fd < 0) return;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-    ::close(conn.fd);
-    conn.fd = -1;
-    conn.in.clear();
-    if (tally_.open_now > 0) --tally_.open_now;
-  }
-
-  /// The in-flight request failed; count it and queue the next one.
-  void finish_error(Conn& conn, std::size_t c,
-                    std::uint64_t Tally::* counter) {
-    ++(tally_.*counter);
-    close_conn(conn);
-    advance(conn, c);
-  }
-
-  void finish_ok(Conn& conn, std::size_t c, int status, bool server_closes,
-                 Clock::time_point now) {
-    const auto latency = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            now - conn.intended)
-            .count());
-    tally_.latency_us.record(latency);
-    tally_.max_latency_us = std::max(tally_.max_latency_us, latency);
-    ++tally_.completed;
-    tally_.last_response = std::max(tally_.last_response, now);
-    if (status >= 200 && status < 300) {
-      ++tally_.status_2xx;
-    } else if (status < 400) {
-      ++tally_.status_3xx;
-    } else if (status < 500) {
-      ++tally_.status_4xx;
+    std::string bytes = server::get_request(options_.host, request.target,
+                                            {{"User-Agent", "pdcu-loadgen"}});
+    if (conn.watched >= 0) {
+      conn.exchange.emplace(std::move(bytes), conn.watched, deadline);
     } else {
-      ++tally_.status_5xx;
+      conn.exchange.emplace(std::move(bytes), options_.host, options_.port,
+                            deadline, deadline);
     }
-    if (server_closes) {
-      close_conn(conn);
-    } else {
-      rearm(conn, c, 0);  // parked: no interest until the next request
-    }
-    advance(conn, c);
+    ++in_flight_;
+    drive(c, false, now);
   }
 
-  /// Moves a connection to its next scheduled request (or retires it).
-  void advance(Conn& conn, std::size_t c) {
-    set_state(conn, Conn::State::kIdle);
-    ++conn.cursor;
-    if (slice_index(c, conn.cursor) < schedule_.size()) {
+  /// Steps connection `c`'s exchange, then follows its socket in epoll, or
+  /// books the outcome and queues the connection's next request.
+  void drive(std::size_t c, bool ready, Clock::time_point now) {
+    Conn& conn = conns_[c];
+    const Want want = conn.exchange->step(ready, now);
+    if (want == Want::kWrite || want == Want::kRead) {
+      watch(conn, c, conn.exchange->fd(),
+            want == Want::kWrite ? EPOLLOUT : EPOLLIN);
+      return;
+    }
+    if (want == Want::kDone) {
+      finish_ok(conn, conn.exchange->reply());
+    } else {
+      ++(result_.*error_counter(conn.exchange->failure()));
+    }
+    // A kept socket stays registered, parked with no interest until the
+    // next request; any other the exchange has closed, which drops it
+    // from epoll.
+    const int kept = conn.exchange->release();
+    if (kept >= 0) {
+      watch(conn, c, kept, 0);
+    } else if (conn.watched >= 0) {
+      conn.watched = -1;
+      --open_now_;
+    }
+    conn.exchange.reset();
+    --in_flight_;
+    if (slice_index(c, ++conn.cursor) < schedule_.size()) {
       starts_.push({intended_at(c, conn.cursor), c});
     }
   }
 
-  /// Entered with state == kSending (set_state already counted it).
-  void continue_send(Conn& conn, std::size_t c) {
-    while (conn.out_off < conn.out.size()) {
-      const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_off,
-                               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          rearm(conn, c, EPOLLOUT);
-          return;
-        }
-        finish_error(conn, c, &Tally::send_errors);
-        return;
-      }
-      conn.out_off += static_cast<std::size_t>(n);
+  static std::uint64_t Result::*error_counter(
+      ClientExchange::Failure failure) {
+    switch (failure) {
+      case ClientExchange::Failure::kSend:
+        return &Result::send_errors;
+      case ClientExchange::Failure::kRead:
+        return &Result::read_errors;
+      case ClientExchange::Failure::kTimeout:
+        return &Result::timeouts;
+      default:  // connect, connect_timeout, local: no request went out
+        return &Result::connect_errors;
     }
-    set_state(conn, Conn::State::kReading);
-    rearm(conn, c, EPOLLIN);
   }
 
-  void on_event(std::size_t c, std::uint32_t mask) {
+  /// Sets connection `c`'s interest in `fd`, registering a freshly
+  /// connected socket.
+  void watch(Conn& conn, std::size_t c, int fd, std::uint32_t interest) {
+    if (fd == conn.watched && interest == conn.interest) return;
+    epoll_event ev{};
+    ev.events = interest;
+    ev.data.u64 = c;
+    if (fd == conn.watched) {
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+    } else {
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+      conn.watched = fd;
+      ++open_now_;
+      result_.peak_connections =
+          std::max(result_.peak_connections, open_now_);
+    }
+    conn.interest = interest;
+  }
+
+  /// Closes the connection's parked keep-alive socket, if it has one.
+  void close_parked(Conn& conn) {
+    if (conn.exchange || conn.watched < 0) return;
+    ::close(conn.watched);
+    conn.watched = -1;
+    --open_now_;
+  }
+
+  void finish_ok(Conn& conn, const server::ClientReply& reply) {
+    const Clock::time_point now = Clock::now();
+    const auto latency = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            now - conn.intended)
+            .count());
+    latency_us_.record(latency);
+    result_.max_latency_us = std::max(result_.max_latency_us, latency);
+    ++result_.completed;
+    last_response_ = std::max(last_response_, now);
+    if (reply.status >= 200 && reply.status < 300) {
+      ++result_.status_2xx;
+    } else if (reply.status < 400) {
+      ++result_.status_3xx;
+    } else if (reply.status < 500) {
+      ++result_.status_4xx;
+    } else {
+      ++result_.status_5xx;
+    }
+  }
+
+  void on_event(std::size_t c) {
     Conn& conn = conns_[c];
-    switch (conn.state) {
-      case Conn::State::kIdle:
-        return;  // stale event for a parked/closed connection
-      case Conn::State::kConnecting: {
-        int err = 0;
-        socklen_t len = sizeof err;
-        ::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-        if ((mask & (EPOLLERR | EPOLLHUP)) != 0 || err != 0) {
-          finish_error(conn, c, &Tally::connect_errors);
-          return;
-        }
-        set_state(conn, Conn::State::kSending);
-        conn.out_off = 0;
-        continue_send(conn, c);
-        return;
-      }
-      case Conn::State::kSending:
-        continue_send(conn, c);
-        return;
-      case Conn::State::kReading:
-        continue_read(conn, c);
-        return;
-    }
+    // A parked socket reports only an error or a hangup: it cannot carry
+    // the next request, so the next one connects afresh.
+    if (!conn.exchange) return close_parked(conn);
+    drive(c, true, Clock::now());
   }
 
-  void continue_read(Conn& conn, std::size_t c) {
-    char chunk[16 * 1024];
-    bool eof = false;
-    while (true) {
-      const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
-      if (n > 0) {
-        conn.in.append(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      finish_error(conn, c, &Tally::read_errors);
-      return;
-    }
-
-    const server::ResponseHead head = server::parse_response(conn.in);
-    if (head.parse == server::ParseStatus::kIncomplete) {
-      if (eof) finish_error(conn, c, &Tally::read_errors);
-      return;  // need more head bytes
-    }
-    if (head.parse != server::ParseStatus::kOk) {
-      finish_error(conn, c, &Tally::read_errors);
-      return;
-    }
-    if (head.content_length) {
-      if (!head.complete(conn.in.size())) {
-        if (eof) finish_error(conn, c, &Tally::read_errors);
-        return;  // body still arriving
-      }
-      conn.in.erase(0, head.body_offset + *head.content_length);
-      finish_ok(conn, c, head.status, head.close || eof, Clock::now());
-      return;
-    }
-    // Unframed response: complete at EOF (the server is closing).
-    if (!eof) return;
-    finish_ok(conn, c, head.status, /*server_closes=*/true, Clock::now());
-  }
-
-  /// Times out every in-flight request whose deadline passed. O(conns),
-  /// called once per loop — the loop iterates at event cadence, so this
-  /// stays cheap relative to the I/O it polices.
+  /// Lets every in-flight exchange check its deadline. O(conns), called
+  /// at most every 50 ms; a step that is not ready makes no system call.
   void sweep_timeouts(Clock::time_point now) {
     if (now < next_sweep_) return;
     next_sweep_ = now + std::chrono::milliseconds(50);
     for (std::size_t c = 0; c < conns_.size(); ++c) {
-      Conn& conn = conns_[c];
-      if (conn.state == Conn::State::kIdle || now < conn.deadline) continue;
-      finish_error(conn, c,
-                   conn.state == Conn::State::kConnecting
-                       ? &Tally::connect_errors
-                       : &Tally::timeouts);
+      if (conns_[c].exchange) drive(c, false, now);
     }
   }
 
@@ -395,7 +258,6 @@ class EpollDriver {
   std::vector<Conn> conns_;
   std::size_t stride_;
   int epoll_fd_ = -1;
-  sockaddr_in addr_{};
   Clock::time_point start_{};
   Clock::time_point next_sweep_{};
   /// (intended time, connection) of every idle connection's next request.
@@ -403,8 +265,12 @@ class EpollDriver {
   std::priority_queue<StartEntry, std::vector<StartEntry>,
                       std::greater<StartEntry>>
       starts_;
+  /// Connections with an exchange in flight.
   std::size_t in_flight_ = 0;
-  Tally tally_;
+  std::uint64_t open_now_ = 0;
+  Clock::time_point last_response_{};
+  obs::Histogram latency_us_;
+  Result result_;
 };
 
 }  // namespace
@@ -417,8 +283,7 @@ Result run(const Options& options,
   if (schedule.empty()) return empty;
   const std::size_t connections = std::max<std::size_t>(
       1, std::min<std::size_t>(options.connections, schedule.size()));
-  EpollDriver driver(options, schedule, connections);
-  return driver.run();
+  return EpollDriver(options, schedule, connections, empty).run();
 }
 
 }  // namespace pdcu::loadgen

@@ -10,12 +10,13 @@
 // time. If the server stalls for 200 ms, every request scheduled inside
 // that window is charged the wait, and the p99 says so.
 //
-// One thread multiplexes every connection through non-blocking epoll state
-// machines (epoll_client.cpp), so --connections can climb to tens of
-// thousands. Connection c walks schedule indices c, c+N, ... in
-// intended-time order and never skips a request it is late for: the
+// One thread multiplexes every connection over epoll (epoll_client.cpp),
+// so --connections can climb to tens of thousands. Each busy connection
+// steps one server::ClientExchange, the client connection the front tier
+// and fetch_once step too. Connection c walks schedule indices c, c+N, ...
+// in intended-time order and never skips a request it is late for: the
 // lateness is the coordinated-omission wait and belongs in the recorded
-// latency. Responses are framed by server::parse_response.
+// latency.
 #pragma once
 
 #include <chrono>
@@ -25,6 +26,7 @@
 
 #include "pdcu/obs/histogram.hpp"
 #include "pdcu/loadgen/schedule.hpp"
+#include "pdcu/server/client.hpp"
 #include "pdcu/support/expected.hpp"
 
 namespace pdcu::loadgen {
@@ -82,15 +84,12 @@ Result run(const Options& options,
 Expected<Result> run_against(const Options& options);
 
 /// One framed reply of fetch_once.
-struct Reply {
-  int status = 0;
-  std::string body;
-};
+using Reply = server::ClientReply;
 
-/// One GET over a fresh "Connection: close" exchange with a blocking
-/// socket bounded by `timeout`: read to EOF, framed by
-/// server::parse_response. For one-shot reads (the catalog, a /metrics
-/// scrape), not for load.
+/// One GET over a fresh "Connection: close" server::ClientExchange, stepped
+/// by server::poll_until_done. `timeout` bounds the whole exchange,
+/// connect included. For one-shot reads (the catalog, a /metrics scrape),
+/// not for load.
 Expected<Reply> fetch_once(const std::string& host, std::uint16_t port,
                            const std::string& target,
                            std::chrono::milliseconds timeout);

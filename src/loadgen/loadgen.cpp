@@ -1,63 +1,23 @@
 #include "pdcu/loadgen/loadgen.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include "pdcu/loadgen/bench_json.hpp"
-#include "pdcu/server/http.hpp"
 
 namespace pdcu::loadgen {
 
 Expected<Reply> fetch_once(const std::string& host, std::uint16_t port,
                            const std::string& target,
                            std::chrono::milliseconds timeout) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Error::make("loadgen.fetch", "socket failed");
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &address.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&address),
-                sizeof address) != 0) {
-    ::close(fd);
-    return Error::make("loadgen.fetch", "cannot connect to " + host + ":" +
-                                            std::to_string(port));
+  using server::ClientExchange;
+  const auto deadline = ClientExchange::Clock::now() + timeout;
+  ClientExchange exchange(
+      server::get_request(host, target, {{"Connection", "close"}}), host,
+      port, deadline, deadline);
+  if (server::poll_until_done(exchange) != ClientExchange::Want::kDone) {
+    return Error::make("loadgen.fetch", "GET " + target + " from " + host +
+                                            ":" + std::to_string(port) +
+                                            ": " + exchange.detail());
   }
-  const std::string request = "GET " + target + " HTTP/1.1\r\nHost: " + host +
-                              "\r\nConnection: close\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return Error::make("loadgen.fetch", "send failed");
-  }
-  std::string response;
-  char chunk[8192];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    response.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-
-  const server::ResponseHead head = server::parse_response(response);
-  const bool framed = head.content_length.has_value();
-  if (head.parse != server::ParseStatus::kOk ||
-      (framed && !head.complete(response.size()))) {
-    return Error::make("loadgen.fetch", "malformed or truncated response to " +
-                                            target);
-  }
-  Reply reply;
-  reply.status = head.status;
-  reply.body = framed ? response.substr(head.body_offset, *head.content_length)
-                      : response.substr(head.body_offset);
-  return reply;
+  return std::move(exchange.reply());
 }
 
 Expected<std::vector<std::string>> fetch_catalog_slugs(

@@ -1,8 +1,7 @@
 // Minimal HTTP/1.1 message layer: request parsing with hard size limits,
 // response serialization, and status reasons for the embedded server, plus
 // the one response-head parser every client in the repository frames its
-// replies with (the load generator, the front tier's upstream fetch, the
-// metrics linter). Both parsers are incremental — callers feed them a
+// replies with (through ClientExchange, client.hpp). Both parsers are incremental — callers feed them a
 // growing buffer and they report kIncomplete until a full head has
 // arrived — and strict: anything malformed is kBad, which the server
 // answers with 400 and a client counts as a read error, instead of

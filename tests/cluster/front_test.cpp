@@ -7,13 +7,17 @@
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -355,6 +359,104 @@ TEST(FrontTier, SilentPeerHitsTheDeadlineNotAHang) {
   ASSERT_FALSE(reply.has_value());
   EXPECT_EQ(reply.error().code, "cluster.upstream.timeout");
   EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
+// A pooled socket the replica closed while it sat idle costs one fresh
+// connect, not an error: the retry happens inside the fetch.
+TEST(FrontTier, StalePooledSocketIsRetriedOnceNotCharged) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  ::bind(listener, reinterpret_cast<sockaddr*>(&address), sizeof address);
+  ::listen(listener, 4);
+  socklen_t length = sizeof address;
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&address), &length);
+  const std::uint16_t port = ntohs(address.sin_port);
+
+  // The replica answers each connection with one keep-alive reply. It
+  // closes the first only once the pool has parked it.
+  std::promise<void> parked;
+  std::promise<void> dropped;
+  std::thread replica([&] {
+    const auto answer = [](int client) {
+      std::string request;
+      char chunk[1024];
+      while (request.find("\r\n\r\n") == std::string::npos) {
+        const ssize_t n = ::recv(client, chunk, sizeof chunk, 0);
+        if (n <= 0) return;
+        request.append(chunk, static_cast<std::size_t>(n));
+      }
+      const std::string reply =
+          "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+      ::send(client, reply.data(), reply.size(), MSG_NOSIGNAL);
+    };
+    const int first = ::accept(listener, nullptr, nullptr);
+    answer(first);
+    parked.get_future().wait();
+    ::close(first);
+    dropped.set_value();
+    const int second = ::accept(listener, nullptr, nullptr);
+    answer(second);
+    if (second >= 0) ::close(second);
+  });
+
+  cluster::UpstreamPool pool;
+  const auto first = pool.fetch("127.0.0.1", port, "/", {}, milliseconds(250),
+                                milliseconds(1000));
+  parked.set_value();
+  dropped.get_future().wait();
+  const auto second = pool.fetch("127.0.0.1", port, "/", {},
+                                 milliseconds(250), milliseconds(1000));
+  ::shutdown(listener, SHUT_RDWR);
+  replica.join();
+  ::close(listener);
+
+  ASSERT_TRUE(first.has_value()) << first.error().code;
+  ASSERT_TRUE(second.has_value()) << second.error().code;
+  EXPECT_EQ(second.value().status, 200);
+  EXPECT_EQ(second.value().body, "ok");
+}
+
+// A front out of descriptors cannot open an upstream socket. That is a
+// failure of its own: the request gets a 503, and neither the attempt nor
+// the probe marks a replica dead or charges it an upstream error.
+TEST(FrontTier, DescriptorShortageMarksNoReplicaDead) {
+  Fleet3 fleet;
+  cluster::FrontTier front(manual_options(), fleet.targets());
+
+  // Cap the table a few dozen past the lowest free descriptor, then take
+  // every free one below the cap.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int base = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(base, 0);
+  rlimit low = saved;
+  low.rlim_cur =
+      std::min<rlim_t>(saved.rlim_cur, static_cast<rlim_t>(base) + 32);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> dups;
+  int dup_fd = -1;
+  while ((dup_fd = ::dup(base)) >= 0) dups.push_back(dup_fd);
+  const int dup_errno = errno;
+
+  const auto response = front.proxy(get_request(path_owned_by("replica-0")));
+  front.probe_once();
+
+  for (const int fd : dups) ::close(fd);
+  ::close(base);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_EQ(dup_errno, EMFILE);
+  EXPECT_EQ(response.status, 503);
+  EXPECT_EQ(front.metrics().upstream_errors(), 0u);
+  EXPECT_EQ(front.metrics().routable(), 3u);
+  // With descriptors back, the owner serves its own key.
+  const auto healed = front.proxy(get_request(path_owned_by("replica-0")));
+  EXPECT_EQ(healed.status, 200);
+  const auto* upstream = healed.header("X-Pdcu-Upstream");
+  ASSERT_NE(upstream, nullptr);
+  EXPECT_EQ(*upstream, "replica-0");
 }
 
 TEST(FrontTier, HalfOpenOwnerFailsOverWithinTheBudget) {

@@ -296,3 +296,15 @@ TEST(AttemptMachine, ServedMarksAliveButNeverClearsDegraded) {
   EXPECT_EQ(replanned.candidates.front().id, ring.owner(kKey));
   EXPECT_EQ(replanned.candidates.front().cls, CandidateClass::kDegraded);
 }
+
+TEST(AttemptMachine, LocalFailureEndsTheWalkWithoutChargingTheReplica) {
+  AttemptMachine machine(healthy_plan(), limits(milliseconds(2000)));
+  ASSERT_EQ(machine.next(milliseconds(0)).kind, AttemptAction::Kind::kTry);
+  EXPECT_EQ(machine.report(AttemptOutcome::kLocal), std::nullopt)
+      << "a descriptor shortage here says nothing about the replica";
+  EXPECT_EQ(machine.next(milliseconds(1)).kind, AttemptAction::Kind::kGiveUp);
+  EXPECT_EQ(machine.tally().attempts, 1u);
+  EXPECT_EQ(machine.tally().retries, 0u);
+  EXPECT_EQ(machine.tally().upstream_errors, 0u);
+  EXPECT_TRUE(machine.tally().exhausted);
+}

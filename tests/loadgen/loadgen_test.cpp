@@ -236,6 +236,44 @@ TEST(Loadgen, UnreachableServerFailsWithAnError) {
   EXPECT_FALSE(result.has_value());
 }
 
+// fetch_once's timeout bounds the whole exchange, not each read: a peer
+// that sends one byte every 100 ms must not hold a 300 ms fetch open.
+TEST(Loadgen, FetchOnceTricklingPeerHitsItsTimeout) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::bind(listener, reinterpret_cast<sockaddr*>(&address), sizeof address);
+  ::listen(listener, 4);
+  socklen_t length = sizeof address;
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&address), &length);
+
+  std::atomic<bool> done{false};
+  std::thread trickler([&] {
+    const int client = ::accept(listener, nullptr, nullptr);
+    if (client < 0) return;
+    const std::string head = "HTTP/1.1 200 OK\r\nX-Slow: " +
+                             std::string(64, 'a');
+    for (std::size_t i = 0; i < head.size() && !done.load(); ++i) {
+      if (::send(client, &head[i], 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    ::close(client);
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = loadgen::fetch_once("127.0.0.1", ntohs(address.sin_port),
+                                         "/", std::chrono::milliseconds(300));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  done.store(true);
+  ::shutdown(listener, SHUT_RDWR);
+  trickler.join();
+  ::close(listener);
+
+  EXPECT_FALSE(reply.has_value());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+}
+
 TEST(Loadgen, CatalogErrorFailsWithItsStatus) {
   // A server that answers the catalog with an error must fail the run
   // with that status, not parse the error page and report "no slugs".
